@@ -153,8 +153,7 @@ Pipeline::Pipeline(Pipeline&& other) noexcept
       model_(std::move(other.model_)),
       pool_(std::move(other.pool_)),
       cache_(std::move(other.cache_)),
-      model_stamp_(other.model_stamp_.load(std::memory_order_relaxed)),
-      replica_id_(other.replica_id_) {}
+      model_stamp_(other.model_stamp_.load(std::memory_order_relaxed)) {}
 
 Pipeline& Pipeline::operator=(Pipeline&& other) noexcept {
   if (this != &other) {
@@ -166,7 +165,6 @@ Pipeline& Pipeline::operator=(Pipeline&& other) noexcept {
     cache_ = std::move(other.cache_);
     model_stamp_.store(other.model_stamp_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-    replica_id_ = other.replica_id_;
   }
   return *this;
 }
@@ -208,67 +206,9 @@ Pipeline Pipeline::train(const Options& options) {
 }
 
 std::vector<LoopSuggestion> Pipeline::suggest(std::string_view c_source) const {
-  const NoGradGuard no_grad;  // serving: skip tape construction
-  // One governor for the whole sequential request: frontend charges and
-  // verifier checkpoints accumulate against the same budget.
-  ResourceGovernor governor(budget_);
-  const GovernorScope governor_scope(&governor);
-  const std::uint64_t stamp = model_stamp_.load(std::memory_order_acquire);
-  const bool verify = verify_active();
-  const bool cached = cache_->enabled();
-  Hash128 key{};
-  Hash128 rkey{};
-  std::shared_ptr<const FrontendArtifact> artifact;
-  if (cached) {
-    key = hash_source(c_source);
-    rkey = result_cache_key(key, verify);
-    if (auto hit = cache_->get_result(rkey, stamp)) return *hit;  // skip everything
-    artifact = cache_->get_frontend(key);
-  }
-  if (!artifact) {
-    artifact = build_artifact(c_source, vocab_, options_.aug);
-    cache_->put_frontend(key, artifact);
-  }
-  std::vector<LoopSuggestion> out;
-  if (artifact->loops.empty()) {
-    if (cached) {
-      cache_->put_result(rkey, stamp, std::make_shared<std::vector<LoopSuggestion>>(),
-                         artifact->frontend_ns);
-    }
-    return out;
-  }
-
-  // Model inference isn't governed work — pause the wall clock so the
-  // frontend budget means the same thing here as on the batched path.
-  governor.clock_pause();
-  std::vector<const HetGraph*> graph_ptrs;
-  graph_ptrs.reserve(artifact->graphs.size());
-  for (const auto& g : artifact->graphs) graph_ptrs.push_back(&g.graph);
-  const auto batch = batch_graphs(graph_ptrs);
-
-  const Tensor pooled = model_->encode(batch);
-  const Tensor parallel_probs =
-      softmax_rows(model_->task_logits(pooled, PredictionTask::kParallel));
-  std::array<std::vector<int>, 4> clause_preds;
-  for (int c = 0; c < 4; ++c) {
-    clause_preds[static_cast<std::size_t>(c)] =
-        argmax_rows(model_->task_logits(pooled, static_cast<PredictionTask>(c + 1)));
-  }
-  governor.clock_resume();
-
-  out.reserve(artifact->loops.size());
-  for (std::size_t i = 0; i < artifact->loops.size(); ++i) {
-    out.push_back(make_suggestion(
-        artifact->loops[i], artifact->parsed.tu,
-        parallel_probs.at({static_cast<int>(i), 1}),
-        {clause_preds[0][i], clause_preds[1][i], clause_preds[2][i], clause_preds[3][i]},
-        verify));
-  }
-  if (cached) {
-    cache_->put_result(rkey, stamp, std::make_shared<std::vector<LoopSuggestion>>(out),
-                       artifact->frontend_ns);
-  }
-  return out;
+  SourceResult result = std::move(suggest_batch_results({&c_source, 1}).front());
+  if (result.error) std::rethrow_exception(result.error);
+  return std::move(result.suggestions);
 }
 
 std::optional<std::vector<LoopSuggestion>> Pipeline::try_cached(
@@ -302,27 +242,37 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   const bool verify = verify_active();
   const bool cached = cache_->enabled();
 
-  // Stage 0 (serial, cheap): content-address every source. Full-result hits
-  // complete their slot immediately; frontend hits pin their artifact, and
-  // duplicate keys within the batch collapse onto their first slot so one
-  // cold source submitted N times is built once.
+  // Stage 0 (serial, cheap): content-address every source. Duplicate keys
+  // collapse onto their first slot before anything else, with or without
+  // the cache: one source submitted N times is probed, built, encoded and
+  // rendered once, and its outcome is copied to the duplicates at the end.
+  // Each owner then probes the cache — a full-result hit completes its slot
+  // immediately, a frontend hit pins its artifact. A lone uncached source
+  // has nothing to collapse or probe, so it is never hashed.
+  const bool dedup = sources.size() > 1;
   std::vector<Hash128> keys(sources.size());
+  std::vector<std::size_t> owner(sources.size());
   std::vector<std::shared_ptr<const FrontendArtifact>> artifacts(sources.size());
-  std::vector<char> done(sources.size(), 0);
-  std::vector<std::size_t> build_owner(sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) build_owner[i] = i;
-  if (cached) {
-    std::unordered_map<Hash128, std::size_t, Hash128Hasher> first_of;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      keys[i] = hash_source(sources[i]);
-      if (auto hit = cache_->get_result(result_cache_key(keys[i], verify), stamp)) {
-        out[i].suggestions = *hit;
+  std::vector<char> done(sources.size(), 0);  // duplicate or full-result hit
+  std::unordered_map<Hash128, std::size_t, Hash128Hasher> first_of;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    owner[i] = i;
+    if (dedup || cached) keys[i] = hash_source(sources[i]);
+    if (dedup) {
+      owner[i] = first_of.emplace(keys[i], i).first->second;
+      if (owner[i] != i) {
+        out[i].duplicate = true;
         done[i] = 1;
         continue;
       }
-      artifacts[i] = cache_->get_frontend(keys[i]);
-      if (!artifacts[i]) build_owner[i] = first_of.emplace(keys[i], i).first->second;
     }
+    if (!cached) continue;
+    if (auto hit = cache_->get_result(result_cache_key(keys[i], verify), stamp)) {
+      out[i].suggestions = *hit;
+      done[i] = 1;
+      continue;
+    }
+    artifacts[i] = cache_->get_frontend(keys[i]);
   }
 
   // Stage 1 (parallel): per-source frontend for the cache misses — lex,
@@ -336,7 +286,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   // batch queueing never count against a slot's frontend budget.
   std::vector<std::unique_ptr<ResourceGovernor>> governors(sources.size());
   pool.parallel_for(sources.size(), [&](std::size_t i) {
-    if (done[i] || artifacts[i] || build_owner[i] != i) return;
+    if (done[i] || artifacts[i]) return;
     governors[i] = std::make_unique<ResourceGovernor>(budget_);
     const GovernorScope governor_scope(governors[i].get());
     try {
@@ -347,14 +297,6 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
     }
     governors[i]->clock_pause();
   });
-  // Fan the owner's artifact (or its parse error — identical bytes fail
-  // identically) back out to the duplicate slots.
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const std::size_t owner = build_owner[i];
-    if (done[i] || owner == i) continue;
-    artifacts[i] = artifacts[owner];
-    if (!artifacts[i]) out[i].error = out[owner].error;
-  }
 
   // Stage 2 (batched): every loop of every healthy, not-yet-complete source
   // joins a disjoint union so the request costs one batched forward per
@@ -366,49 +308,39 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
     if (done[s] || out[s].error) continue;
     for (const auto& g : artifacts[s]->graphs) graph_ptrs.push_back(&g.graph);
   }
-  if (graph_ptrs.empty()) {
-    if (cached) {
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        if (!done[s] && !out[s].error) {
-          cache_->put_result(result_cache_key(keys[s], verify), stamp,
-                             std::make_shared<std::vector<LoopSuggestion>>(),
-                             artifacts[s]->frontend_ns);
-        }
-      }
-    }
-    return out;
-  }
-
-  const std::size_t num_chunks =
-      std::max<std::size_t>(1, std::min(pool.size(), graph_ptrs.size() / 8));
-  Tensor pooled;
-  if (num_chunks == 1) {
-    pooled = model_->encode(batch_graphs(graph_ptrs));
-  } else {
-    const std::size_t per_chunk = (graph_ptrs.size() + num_chunks - 1) / num_chunks;
-    std::vector<Tensor> chunk_pooled((graph_ptrs.size() + per_chunk - 1) / per_chunk);
-    pool.parallel_for(chunk_pooled.size(), [&](std::size_t c) {
-      const NoGradGuard worker_no_grad;  // thread-local: set per worker
-      const std::size_t begin = c * per_chunk;
-      const std::size_t end = std::min(graph_ptrs.size(), begin + per_chunk);
-      chunk_pooled[c] = model_->encode(batch_graphs(
-          {graph_ptrs.begin() + static_cast<std::ptrdiff_t>(begin),
-           graph_ptrs.begin() + static_cast<std::ptrdiff_t>(end)}));
-    });
-    pooled = concat_rows(chunk_pooled);
-  }
-  const Tensor parallel_probs =
-      softmax_rows(model_->task_logits(pooled, PredictionTask::kParallel));
+  Tensor parallel_probs;
   std::array<std::vector<int>, 4> clause_preds;
-  for (int c = 0; c < 4; ++c) {
-    clause_preds[static_cast<std::size_t>(c)] =
-        argmax_rows(model_->task_logits(pooled, static_cast<PredictionTask>(c + 1)));
+  if (!graph_ptrs.empty()) {
+    const std::size_t num_chunks =
+        std::max<std::size_t>(1, std::min(pool.size(), graph_ptrs.size() / 8));
+    Tensor pooled;
+    if (num_chunks == 1) {
+      pooled = model_->encode(batch_graphs(graph_ptrs));
+    } else {
+      const std::size_t per_chunk = (graph_ptrs.size() + num_chunks - 1) / num_chunks;
+      std::vector<Tensor> chunk_pooled((graph_ptrs.size() + per_chunk - 1) / per_chunk);
+      pool.parallel_for(chunk_pooled.size(), [&](std::size_t c) {
+        const NoGradGuard worker_no_grad;  // thread-local: set per worker
+        const std::size_t begin = c * per_chunk;
+        const std::size_t end = std::min(graph_ptrs.size(), begin + per_chunk);
+        chunk_pooled[c] = model_->encode(batch_graphs(
+            {graph_ptrs.begin() + static_cast<std::ptrdiff_t>(begin),
+             graph_ptrs.begin() + static_cast<std::ptrdiff_t>(end)}));
+      });
+      pooled = concat_rows(chunk_pooled);
+    }
+    parallel_probs = softmax_rows(model_->task_logits(pooled, PredictionTask::kParallel));
+    for (int c = 0; c < 4; ++c) {
+      clause_preds[static_cast<std::size_t>(c)] =
+          argmax_rows(model_->task_logits(pooled, static_cast<PredictionTask>(c + 1)));
+    }
   }
 
   // Stage 3 (parallel): peel rows back apart, one suggestion list per
-  // healthy source; the clause analysis behind each rendered pragma is
-  // per-source independent, so it runs on the pool too. Fresh results are
-  // published to the cache as they complete.
+  // healthy source (loop-free sources render an empty list); the clause
+  // analysis behind each rendered pragma is per-source independent, so it
+  // runs on the pool too. Fresh results are published to the cache as they
+  // complete.
   std::vector<std::size_t> first_row(sources.size());
   std::size_t row = 0;
   for (std::size_t s = 0; s < sources.size(); ++s) {
@@ -417,7 +349,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   }
   pool.parallel_for(sources.size(), [&](std::size_t s) {
     if (done[s] || out[s].error) return;
-    // Re-arm this slot's governor (null for cache/duplicate slots — their
+    // Re-arm this slot's governor (null for frontend-cache hits — their
     // frontend work was already vetted under a budget) and restart its wall
     // clock: only this slot's own verify work accrues from here.
     const GovernorScope governor_scope(governors[s].get());
@@ -445,6 +377,14 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
       out[s].error = std::current_exception();
     }
   });
+
+  // Copy each owner's outcome to its duplicates: identical bytes get
+  // identical suggestions, or fail identically.
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (!out[i].duplicate) continue;
+    out[i].suggestions = out[owner[i]].suggestions;
+    out[i].error = out[owner[i]].error;
+  }
   return out;
 }
 
@@ -504,28 +444,8 @@ bool Pipeline::load_weights(const std::string& model_path) {
   return ok;
 }
 
-std::string Pipeline::snapshot_weights() const {
-  std::ostringstream out(std::ios::binary);
-  model_->save(out);
-  return std::move(out).str();
-}
-
-bool Pipeline::restore_weights(const std::string& snapshot) {
-  cache_->invalidate_results();
-  std::istringstream in(snapshot, std::ios::binary);
-  bool ok = true;
-  try {
-    model_->load(in);
-  } catch (const std::exception&) {
-    ok = false;  // staged load: current weights untouched
-  }
-  model_stamp_.fetch_add(1, std::memory_order_acq_rel);
-  return ok;
-}
-
 Pipeline Pipeline::clone() const {
   Pipeline copy(options_, vocab_);
-  copy.replica_id_ = replica_id_;
   // The binary checkpoint format round-trips floats exactly, so the clone's
   // forwards are bitwise-identical to this pipeline's.
   std::stringstream weights(std::ios::in | std::ios::out | std::ios::binary);

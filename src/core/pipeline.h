@@ -75,6 +75,9 @@ class Pipeline {
   struct SourceResult {
     std::vector<LoopSuggestion> suggestions;
     std::exception_ptr error;  // null on success
+    /// An earlier slot of the same call has the same normalized content:
+    /// this slot holds a copy of that slot's outcome, computed once.
+    bool duplicate = false;
     bool ok() const { return error == nullptr; }
   };
 
@@ -82,7 +85,8 @@ class Pipeline {
   /// for fixed options.
   static Pipeline train(const Options& options = {});
 
-  /// Analyze a C translation unit and produce one suggestion per loop.
+  /// Analyze a C translation unit and produce one suggestion per loop: a
+  /// one-slot `suggest_batch_results` call that rethrows the slot's error.
   /// Consults the serving cache: identical (normalized) sources skip the
   /// frontend, and skip the model forward too when the checkpoint has not
   /// changed since the cached entry was rendered.
@@ -109,6 +113,9 @@ class Pipeline {
   /// parse or analyze reports its exception in its own slot instead of
   /// poisoning batch-mates; every healthy source still gets suggestions
   /// numerically equivalent to per-source `suggest`. Aligned with `sources`.
+  /// Sources with the same normalized content (the cache key) are computed
+  /// once, cache on or off: later copies are marked `duplicate` and carry
+  /// the first copy's suggestions or error.
   std::vector<SourceResult> suggest_batch_results(
       std::span<const std::string_view> sources) const;
 
@@ -134,28 +141,12 @@ class Pipeline {
   /// weight write itself, exactly like an optimizer step would.
   [[nodiscard]] bool load_weights(const std::string& model_path);
 
-  /// In-memory checkpoint of the current weights (same binary format as
-  /// `save`'s model file, integrity trailer included). A replica set keeps
-  /// one of these across a rollout so a failed canary can roll back without
-  /// touching the filesystem.
-  std::string snapshot_weights() const;
-  /// Restore a `snapshot_weights` image. Same semantics as `load_weights`:
-  /// invalidates cached results, bumps the model stamp, stages before it
-  /// commits — a corrupt snapshot leaves the current generation serving.
-  [[nodiscard]] bool restore_weights(const std::string& snapshot);
-
-  /// Clone this pipeline for replicated serving: identical options, vocab,
-  /// and weights (bitwise — the copy travels through the lossless binary
-  /// checkpoint format), but a fresh empty cache, its own model stamp, and
-  /// its own pool selection. Replicas therefore serve bitwise-identical
-  /// suggestions while failing independently.
+  /// Independent copy: identical options, vocab, and weights (bitwise — the
+  /// copy travels through the lossless binary checkpoint format), but a
+  /// fresh empty cache, its own model stamp, and its own pool selection.
+  /// The copy serves bitwise-identical suggestions (reference oracles use
+  /// one with its cache off).
   Pipeline clone() const;
-
-  /// Identity of this pipeline inside a ReplicaSet (-1 when standalone).
-  /// Purely observational — stats, logs, and bench output use it to
-  /// attribute work to a replica; routing never consults it.
-  int replica_id() const { return replica_id_; }
-  void set_replica_id(int id) { replica_id_ = id; }
 
   /// Replace the worker pool used by `suggest_batch*`. Null restores the
   /// behavior selected by Options::pool_threads. A server injects its own
@@ -215,8 +206,6 @@ class Pipeline {
   mutable std::unique_ptr<SuggestCache> cache_;
   /// Monotonic checkpoint generation; cached results are stamped with it.
   std::atomic<std::uint64_t> model_stamp_{1};
-  /// Replica attribution (see replica_id); moves with the pipeline.
-  int replica_id_ = -1;
 };
 
 }  // namespace g2p

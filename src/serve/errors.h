@@ -50,17 +50,6 @@ class ServerStopped final : public ServeError {
   explicit ServerStopped(const std::string& what) : ServeError(what) {}
 };
 
-/// The request was cooperatively cancelled before a result was produced:
-/// its submitter set the cancel token it was submitted with (typically a
-/// hedged duplicate whose twin on another replica already won). Swept at
-/// batch boundaries — a cancelled request already inside a running forward
-/// completes normally and the caller discards the value.
-class RequestCancelled final : public ServeError {
- public:
-  RequestCancelled() : ServeError("request cancelled by its submitter") {}
-  explicit RequestCancelled(const std::string& what) : ServeError(what) {}
-};
-
 /// The scheduler's per-batch watchdog budget elapsed with the batch still
 /// running; its futures were failed and the batch abandoned so the queue
 /// keeps moving. The forward may still complete in the background — its
@@ -91,9 +80,9 @@ const char* resource_limit_name(ResourceLimit limit);
 
 /// The request exceeded one dimension of its ResourceBudget. A property of
 /// the request, not of the server: fails only the offending slot (batch-mates
-/// are unaffected), is never retried by the SuggestServer ladder, and causes
-/// no replica failover or health penalty. Carries which limit tripped plus
-/// the observed value and the cap so callers and stats can attribute it.
+/// are unaffected) and is never retried by the SuggestServer ladder.
+/// Carries which limit tripped plus the observed value and the cap so
+/// callers and stats can attribute it.
 class ResourceExhausted final : public ServeError {
  public:
   ResourceExhausted(ResourceLimit limit, std::uint64_t observed, std::uint64_t cap)

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <exception>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "support/failpoint.h"
-#include "support/hash.h"
 
 namespace g2p {
 
@@ -122,9 +120,9 @@ struct SuggestServer::RunCtx {
   void run(Batch& batch) const;
 };
 
-/// Serve one batch: dedup identical sources, run the batched pipeline call,
-/// fan results out, and retry transient faults (whole-batch or per-slot)
-/// with doubled backoff — never past a request's deadline, never more than
+/// Serve one batch: run the batched pipeline call, complete every future
+/// from its slot, and retry transient faults (whole-batch or per-slot) with
+/// doubled backoff — never past a request's deadline, never more than
 /// max_retries times. Every item's promise is completed exactly once by the
 /// time this returns (unless the watchdog got there first, in which case
 /// the guarded completes are no-ops).
@@ -167,22 +165,15 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
   };
 
   while (!active.empty()) {
-    // Per-attempt deadline/cancellation sweep: the batch may have waited in
-    // the handoff, the previous attempt's backoff may have consumed a
-    // budget, or a hedging submitter may have cancelled its duplicate. This
-    // is the "batch boundary" where cancellation takes effect — a cancelled
-    // request never occupies a slot of the batched forward below.
+    // Per-attempt deadline sweep: the batch may have waited in the handoff,
+    // or the previous attempt's backoff may have consumed a budget.
     {
       const auto now = Clock::now();
       std::exception_ptr expired_error;
-      std::exception_ptr cancelled_error;
       std::vector<Batch::Item*> live;
       live.reserve(active.size());
       for (Batch::Item* item : active) {
-        if (item->req.cancel && item->req.cancel->load(std::memory_order_acquire)) {
-          if (!cancelled_error) cancelled_error = std::make_exception_ptr(RequestCancelled());
-          Batch::complete_error(*item, cancelled_error, *stats, &ServerStats::on_cancelled);
-        } else if (item->req.deadline <= now) {
+        if (item->req.deadline <= now) {
           if (!expired_error) expired_error = std::make_exception_ptr(DeadlineExceeded());
           Batch::complete_error(*item, expired_error, *stats, &ServerStats::on_expired);
         } else {
@@ -193,31 +184,9 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
       if (active.empty()) return;
     }
 
-    // Cache-aware scheduling: collapse identical in-flight sources (keyed
-    // by the serving cache's normalized content hash) onto one slot of the
-    // batched call — the answer is computed once and fanned out to every
-    // matching future below. `slot_of[i]` maps active item i to its slot.
     std::vector<std::string_view> views;
     views.reserve(active.size());
-    std::vector<std::size_t> slot_of(active.size());
-    if (active.size() == 1) {
-      // Nothing to collapse — skip the hash pass (the pipeline's cache
-      // probe hashes the source anyway).
-      views.emplace_back(active.front()->req.source);
-      slot_of[0] = 0;
-    } else {
-      std::unordered_map<Hash128, std::size_t, Hash128Hasher> slot_by_key;
-      slot_by_key.reserve(active.size());
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const auto [it, fresh] =
-            slot_by_key.emplace(hash_source(active[i]->req.source), views.size());
-        slot_of[i] = it->second;
-        if (fresh) views.emplace_back(active[i]->req.source);
-      }
-      if (attempt == 0 && views.size() < active.size()) {
-        stats->on_dedup(active.size() - views.size());
-      }
-    }
+    for (const Batch::Item* item : active) views.emplace_back(item->req.source);
 
     std::vector<Pipeline::SourceResult> results;
     std::exception_ptr batch_error;
@@ -242,29 +211,23 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
       return;
     }
 
-    // Per-verdict serving counters, one tally per unique slot (duplicates
-    // collapsed above receive the same suggestions; counting once keeps the
-    // histogram a property of the content served, not of request fan-in).
-    for (const Pipeline::SourceResult& result : results) {
-      if (!result.ok()) continue;
-      for (const LoopSuggestion& s : result.suggestions) stats->on_verdict(s.verdict);
-    }
-
-    // Fan each unique slot's outcome back out: duplicates get copies, the
-    // slot's last taker gets the moved original. Identical bytes fail
+    // Duplicate slots (identical in-flight sources the pipeline computed
+    // once) are counted on the first attempt, and per-verdict serving
+    // counters tally unique slots only: the histogram is a property of the
+    // content served, not of request fan-in. Identical bytes fail
     // identically, so duplicates of a failed slot share its fate —
     // including being retried together when the fault is transient.
     std::vector<std::pair<Batch::Item*, std::exception_ptr>> faulted;
-    std::vector<std::size_t> takers_left(views.size(), 0);
-    for (const std::size_t slot : slot_of) ++takers_left[slot];
+    std::uint64_t duplicates = 0;
     const bool can_retry = attempt < max_retries;
     for (std::size_t i = 0; i < active.size(); ++i) {
-      Pipeline::SourceResult& result = results[slot_of[i]];
+      Pipeline::SourceResult& result = results[i];
+      if (result.duplicate) ++duplicates;
       if (result.ok()) {
-        const bool last_taker = --takers_left[slot_of[i]] == 0;
-        std::vector<LoopSuggestion> value =
-            last_taker ? std::move(result.suggestions) : result.suggestions;
-        Batch::complete_value(*active[i], std::move(value), *stats,
+        if (!result.duplicate) {
+          for (const LoopSuggestion& s : result.suggestions) stats->on_verdict(s.verdict);
+        }
+        Batch::complete_value(*active[i], std::move(result.suggestions), *stats,
                               retried ? &ServerStats::on_retry_recovered : nullptr);
       } else if (can_retry && is_transient(result.error)) {
         faulted.emplace_back(active[i], result.error);
@@ -275,6 +238,7 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
         Batch::complete_error(*active[i], result.error, *stats);
       }
     }
+    if (attempt == 0 && duplicates > 0) stats->on_dedup(duplicates);
     if (faulted.empty()) return;
     active = backoff_survivors(faulted);
     ++attempt;
@@ -308,8 +272,6 @@ SuggestServer::SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options
 
 SuggestServer::~SuggestServer() { shutdown(); }
 
-std::uint64_t SuggestServer::queue_depth() const { return stats_->depth(); }
-
 ServerStatsSnapshot SuggestServer::stats() const {
   ServerStatsSnapshot snapshot = stats_->snapshot();
   snapshot.precision = precision_name(pipeline_->active_precision());
@@ -323,12 +285,11 @@ ServerStatsSnapshot SuggestServer::stats() const {
 }
 
 std::future<std::vector<LoopSuggestion>> SuggestServer::enqueue_locked(
-    std::string source, Clock::time_point deadline, CancelToken cancel) {
+    std::string source, Clock::time_point deadline) {
   Request req;
   req.source = std::move(source);
   req.enqueued = Clock::now();
   req.deadline = deadline;
-  req.cancel = std::move(cancel);
   auto future = req.promise.get_future();
   queue_.push_back(std::move(req));
   stats_->on_submit();
@@ -337,17 +298,7 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::enqueue_locked(
 }
 
 std::future<std::vector<LoopSuggestion>> SuggestServer::submit(std::string source) {
-  return submit_impl(std::move(source), options_.default_deadline, nullptr);
-}
-
-std::future<std::vector<LoopSuggestion>> SuggestServer::submit(
-    std::string source, std::chrono::milliseconds deadline) {
-  return submit_impl(std::move(source), deadline, nullptr);
-}
-
-std::future<std::vector<LoopSuggestion>> SuggestServer::submit(
-    std::string source, std::chrono::milliseconds deadline, CancelToken cancel) {
-  return submit_impl(std::move(source), deadline, std::move(cancel));
+  return submit(std::move(source), options_.default_deadline);
 }
 
 void SuggestServer::admission_check(const std::string& source) const {
@@ -358,8 +309,8 @@ void SuggestServer::admission_check(const std::string& source) const {
   }
 }
 
-std::future<std::vector<LoopSuggestion>> SuggestServer::submit_impl(
-    std::string source, std::chrono::milliseconds deadline, CancelToken cancel) {
+std::future<std::vector<LoopSuggestion>> SuggestServer::submit(
+    std::string source, std::chrono::milliseconds deadline) {
   admission_check(source);
   const auto absolute =
       deadline.count() > 0 ? Clock::now() + deadline : Clock::time_point::max();
@@ -375,7 +326,7 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::submit_impl(
   space_cv_.wait(lock,
                  [this] { return stopping_ || queue_.size() < options_.max_queue_depth; });
   if (stopping_) throw ServerStopped("SuggestServer: submit after shutdown");
-  auto future = enqueue_locked(std::move(source), absolute, std::move(cancel));
+  auto future = enqueue_locked(std::move(source), absolute);
   lock.unlock();
   queue_cv_.notify_one();
   return future;
@@ -383,15 +334,10 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::submit_impl(
 
 std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submit(
     std::string source) {
-  return try_submit_impl(std::move(source), options_.default_deadline);
+  return try_submit(std::move(source), options_.default_deadline);
 }
 
 std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submit(
-    std::string source, std::chrono::milliseconds deadline) {
-  return try_submit_impl(std::move(source), deadline);
-}
-
-std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submit_impl(
     std::string source, std::chrono::milliseconds deadline) {
   // A governor rejection must stay distinguishable from "no capacity"
   // (nullopt): the caller gets a ready future carrying the typed error.
@@ -410,7 +356,7 @@ std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submi
     stats_->on_shed();
     return std::nullopt;
   }
-  auto future = enqueue_locked(std::move(source), absolute, nullptr);
+  auto future = enqueue_locked(std::move(source), absolute);
   lock.unlock();
   queue_cv_.notify_one();
   return future;
@@ -513,14 +459,8 @@ std::shared_ptr<SuggestServer::Batch> SuggestServer::collect_batch() {
 void SuggestServer::expel_expired(Batch& batch) {
   const auto now = Clock::now();
   std::exception_ptr expired_error;
-  std::exception_ptr cancelled_error;
   for (auto& item : batch.items) {
     if (item->completed.load(std::memory_order_relaxed)) continue;
-    if (item->req.cancel && item->req.cancel->load(std::memory_order_acquire)) {
-      if (!cancelled_error) cancelled_error = std::make_exception_ptr(RequestCancelled());
-      Batch::complete_error(*item, cancelled_error, *stats_, &ServerStats::on_cancelled);
-      continue;
-    }
     if (item->req.deadline > now) continue;
     if (!expired_error) expired_error = std::make_exception_ptr(DeadlineExceeded());
     Batch::complete_error(*item, expired_error, *stats_, &ServerStats::on_expired);
@@ -529,9 +469,9 @@ void SuggestServer::expel_expired(Batch& batch) {
 
 void SuggestServer::serve_degraded(Batch& batch) {
   // Shutdown drain: a degraded server going away is not shedding for load
-  // protection — misses complete typed with ServerStopped (a client that
-  // sees it re-resolves to another replica) and are counted stopped, not
-  // shed. Outside shutdown the classic Overloaded/shed contract holds.
+  // protection — misses complete typed with ServerStopped and are counted
+  // stopped, not shed. Outside shutdown the classic Overloaded/shed
+  // contract holds.
   const auto unserved =
       batch.stopping
           ? std::make_exception_ptr(

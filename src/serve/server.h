@@ -15,14 +15,13 @@
 // until space frees up (so producers are throttled to the service rate);
 // `try_submit` refuses instead, for callers that would rather shed load.
 //
-// Cache-aware scheduling: identical in-flight sources (same normalized
-// content hash, the serving cache's key) collapse onto one slot of the
-// batched call — the scheduler computes the answer once and completes every
-// matching future with it, so a thundering herd of one hot source costs one
-// frontend + forward instead of N. Collapses are counted in
-// ServerStats::deduped. The window is also adaptive: when arrivals pause
-// for `idle_grace`, the batch closes early rather than sleeping out
-// `max_delay` (see Options).
+// Identical in-flight sources batched together are computed once: the
+// batched pipeline call collapses duplicate keys onto one slot (see
+// Pipeline::suggest_batch_results) and reports which slots were copies, so
+// a thundering herd of one hot source costs one frontend + forward instead
+// of N. Collapses are counted in ServerStats::deduped. The window is also
+// adaptive: when arrivals pause for `idle_grace`, the batch closes early
+// rather than sleeping out `max_delay` (see Options).
 //
 // Fault tolerance (docs/serving.md):
 //  - Requests may carry a deadline; the scheduler expels expired requests
@@ -46,14 +45,10 @@
 // future: cache hits are served, misses fail typed with ServerStopped —
 // never silently counted as shed.
 //
-// One SuggestServer is one replica. Replicated serving — consistent-hash
-// routing across N pipelines, health-gated failover, hedged requests, and
-// zero-downtime checkpoint rollout — lives one layer up in
-// serve/replica_set.h, which drives this class through `submit`'s
-// cancel-token overload.
+// In-process serving is one SuggestServer over one Pipeline; a checkpoint
+// hot swap is `Pipeline::load_weights` on the shared pipeline.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -75,14 +70,6 @@ namespace g2p {
 
 class SuggestServer {
  public:
-  /// Cooperative cancellation handle, shared between a submitter and the
-  /// scheduler. Setting it asks the server to complete the request with
-  /// RequestCancelled at the next batch boundary; a request already inside
-  /// a running forward completes normally (the submitter discards the
-  /// value). Null means not cancellable.
-  using CancelToken = std::shared_ptr<std::atomic<bool>>;
-
-
   struct Options {
     /// Batch-closing thresholds: serve once this many requests are queued
     /// (each request is one translation unit whose loops join the batched
@@ -165,13 +152,6 @@ class SuggestServer {
   /// completes with DeadlineExceeded instead of waiting forever.
   std::future<std::vector<LoopSuggestion>> submit(std::string source,
                                                   std::chrono::milliseconds deadline);
-  /// Same, with a cancellation token (see CancelToken). The replica layer
-  /// hedges a straggler onto a second replica and cancels the loser through
-  /// this: cancellation is swept at batch boundaries, so a cancelled
-  /// request never occupies a slot of the batched forward.
-  std::future<std::vector<LoopSuggestion>> submit(std::string source,
-                                                  std::chrono::milliseconds deadline,
-                                                  CancelToken cancel);
 
   /// Non-blocking submit: nullopt when the queue is full, the shed rung is
   /// active, or the server is shutting down (load shedding, never blocks).
@@ -187,9 +167,6 @@ class SuggestServer {
   /// Queue/batch/latency counters plus the pipeline's serving-cache
   /// counters (hit tiers, frontend time saved), merged into one snapshot.
   ServerStatsSnapshot stats() const;
-  /// Instantaneous queue depth — a couple of relaxed loads, cheap enough
-  /// for the replica router to poll on every dispatch (work stealing).
-  std::uint64_t queue_depth() const;
   const Pipeline& pipeline() const { return *pipeline_; }
   const std::shared_ptr<Pipeline>& shared_pipeline() const { return pipeline_; }
   const Options& options() const { return options_; }
@@ -202,7 +179,6 @@ class SuggestServer {
     std::promise<std::vector<LoopSuggestion>> promise;
     Clock::time_point enqueued;
     Clock::time_point deadline;  // Clock::time_point::max() = none
-    CancelToken cancel;          // null = not cancellable
   };
 
   // Defined in server.cpp. Batch items carry a per-request completion flag
@@ -217,23 +193,16 @@ class SuggestServer {
   /// Admission-time resource-governor check: rejects the statically
   /// checkable dimension (source bytes) with ResourceExhausted before the
   /// request ever occupies queue space or a batch slot. Request-scoped —
-  /// tallied in stats but no retry, failover, or health consequence.
+  /// tallied in stats but never retried.
   void admission_check(const std::string& source) const;
-  std::future<std::vector<LoopSuggestion>> submit_impl(std::string source,
-                                                       std::chrono::milliseconds deadline,
-                                                       CancelToken cancel);
-  std::optional<std::future<std::vector<LoopSuggestion>>> try_submit_impl(
-      std::string source, std::chrono::milliseconds deadline);
   std::future<std::vector<LoopSuggestion>> enqueue_locked(std::string source,
-                                                          Clock::time_point deadline,
-                                                          CancelToken cancel);
+                                                          Clock::time_point deadline);
 
   void scheduler_loop();
   /// Wait for work, hold the batching window (degradation-aware), pop up to
   /// max_batch_loops requests. Null return: stopping and fully drained.
   std::shared_ptr<Batch> collect_batch();
-  /// Complete expired requests with DeadlineExceeded and cancelled ones
-  /// with RequestCancelled; keep the rest.
+  /// Complete expired requests with DeadlineExceeded; keep the rest.
   void expel_expired(Batch& batch);
   /// Degraded serving on the scheduler thread: cache-only probes or shed.
   void serve_degraded(Batch& batch);

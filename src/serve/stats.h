@@ -47,8 +47,8 @@ struct ServerStatsSnapshot {
   std::uint64_t batches = 0;          // suggest_batch calls issued
   std::uint64_t batched_requests = 0; // sum of batch sizes
   std::uint64_t max_batch = 0;        // largest batch served
-  std::uint64_t deduped = 0;          // in-flight duplicates collapsed by the
-                                      // scheduler (computed once, fanned out)
+  std::uint64_t deduped = 0;          // in-flight duplicates a batch computed
+                                      // once (pipeline stage 0 collapses them)
   std::uint64_t queue_depth = 0;      // requests waiting right now
   std::uint64_t latency_sum_us = 0;   // enqueue -> completion, all requests
   std::uint64_t latency_max_us = 0;
@@ -61,7 +61,6 @@ struct ServerStatsSnapshot {
   std::uint64_t retries = 0;            // batch attempts re-run after transient faults
   std::uint64_t retry_recovered = 0;    // requests that succeeded after >= 1 retry
   std::uint64_t scheduler_faults = 0;   // exceptions the scheduler's top-level catch ate
-  std::uint64_t cancelled = 0;          // futures failed RequestCancelled (hedge losers)
   std::uint64_t stopped_unserved = 0;   // futures failed ServerStopped in the
                                         // shutdown drain (degraded-mode misses)
 
@@ -88,7 +87,7 @@ struct ServerStatsSnapshot {
 
   // Whether the pipeline runs the static race verifier (env override
   // already resolved), plus per-verdict tallies over every suggestion in
-  // the unique (post-dedup) results the scheduler served. All zero when
+  // the unique (non-duplicate) slots of every batch served. All zero when
   // verification is off — suggestions then carry Verdict::kUnchecked,
   // which is deliberately not counted.
   bool verify = false;
@@ -99,8 +98,8 @@ struct ServerStatsSnapshot {
 
   // Resource-governor rejections (futures failed ResourceExhausted), total
   // and per limit — indexed by ResourceLimit, named by resource_limit_name.
-  // Request-scoped by contract: none of these triggered a retry, a replica
-  // failover, or a health penalty.
+  // Request-scoped by contract: none of these triggered a retry or failed a
+  // batch-mate.
   std::uint64_t resource_exhausted = 0;
   std::array<std::uint64_t, kNumResourceLimits> resource_exhausted_by_limit{};
 
@@ -151,11 +150,7 @@ class ServerStats {
   void on_retry() { retries_.fetch_add(1, std::memory_order_relaxed); }
   void on_retry_recovered() { retry_recovered_.fetch_add(1, std::memory_order_relaxed); }
   void on_scheduler_fault() { scheduler_faults_.fetch_add(1, std::memory_order_relaxed); }
-  void on_cancelled() { cancelled_.fetch_add(1, std::memory_order_relaxed); }
   void on_stopped_unserved() { stopped_unserved_.fetch_add(1, std::memory_order_relaxed); }
-  /// Instantaneous queue depth (the same value snapshot() reports); cheap
-  /// enough for a router to poll per dispatch.
-  std::uint64_t depth() const { return queue_depth_.load(std::memory_order_relaxed); }
   /// The scheduler entered a new degradation rung (called on change only).
   void on_mode(DegradeMode m) {
     mode_.store(static_cast<int>(m), std::memory_order_relaxed);
@@ -214,7 +209,6 @@ class ServerStats {
     s.retries = retries_.load(std::memory_order_relaxed);
     s.retry_recovered = retry_recovered_.load(std::memory_order_relaxed);
     s.scheduler_faults = scheduler_faults_.load(std::memory_order_relaxed);
-    s.cancelled = cancelled_.load(std::memory_order_relaxed);
     s.stopped_unserved = stopped_unserved_.load(std::memory_order_relaxed);
     s.mode = mode_.load(std::memory_order_relaxed);
     s.mode_shrink_entered = mode_shrink_entered_.load(std::memory_order_relaxed);
@@ -251,7 +245,6 @@ class ServerStats {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> retry_recovered_{0};
   std::atomic<std::uint64_t> scheduler_faults_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> stopped_unserved_{0};
   std::atomic<int> mode_{0};
   std::atomic<std::uint64_t> mode_shrink_entered_{0};

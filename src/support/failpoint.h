@@ -4,11 +4,11 @@
 // exercised against. Failpoints make the interesting failures injectable on
 // demand: each instrumented seam names a site ("frontend.parse",
 // "cache.insert", "encode.forward", "pool.acquire", "checkpoint.load",
-// "scheduler.batch", "replica.route", "replica.rollout") and asks
-// `triggered(site)` whether to fail this time.
-// Disabled — the production state — that question costs one relaxed atomic
-// load and a predicted-not-taken branch; no site lookup, no RNG draw, no
-// lock. Armed, the per-site schedule decides deterministically.
+// "scheduler.batch", "governor.check") and asks `triggered(site)` whether
+// to fail this time. Disabled — the production state — that question costs
+// one relaxed atomic load and a predicted-not-taken branch; no site lookup,
+// no RNG draw, no lock. Armed, the per-site schedule decides
+// deterministically.
 //
 // Configuration (env `G2P_FAILPOINTS`, or `configure()` from tests):
 //

@@ -10,8 +10,7 @@
 // allocation/recursion site charges it cooperatively. Exceeding any
 // dimension throws the typed `ResourceExhausted` (serve/errors.h), which the
 // serving layer treats as a *request-scoped* error: it fails only the
-// offending slot — never batch-mates — and triggers no retry, no replica
-// failover, and no health penalty.
+// offending slot — never batch-mates — and triggers no retry.
 //
 // The budget is carried by a thread-local `GovernorScope` (the same RAII
 // idiom as NoGradGuard) rather than threaded through every frontend

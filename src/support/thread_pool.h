@@ -83,10 +83,12 @@ class ThreadPool {
   /// inline on the calling thread instead of enqueueing. Enqueue-and-wait
   /// from a worker deadlocks at saturation — every worker blocks in
   /// future::get() on chunks that sit behind the waiters in the queue.
+  /// A single index also runs inline: there is nothing to overlap, so a
+  /// worker hand-off would only add latency.
   template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
     if (n == 0) return;
-    if (on_worker_thread()) {
+    if (n == 1 || on_worker_thread()) {
       // Inline, but with the same drain-then-rethrow contract as the pooled
       // path: every index runs; the first exception surfaces at the end.
       std::exception_ptr first_error;

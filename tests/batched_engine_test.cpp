@@ -1,23 +1,57 @@
 // Tests for the batched graph engine: CSR indexing, disjoint-union batching
 // with empty graphs, batched-vs-sequential forward parity, the worker pool,
-// and the parallel suggest pipeline.
+// and the parallel suggest pipeline (including in-batch dedup and clones).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "graph/hetgraph_index.h"
 #include "nn/hgt.h"
+#include "support/failpoint.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace g2p {
 namespace {
+
+/// One small trained pipeline shared by the pipeline tests that only read
+/// it (or work on clones of it).
+const Pipeline& trained_pipeline() {
+  static const Pipeline pipeline = [] {
+    Pipeline::Options options;
+    options.corpus.scale = 0.01;
+    options.train.epochs = 1;
+    return Pipeline::train(options);
+  }();
+  return pipeline;
+}
+
+/// Field-by-field equality, confidences compared bit for bit.
+void expect_bitwise(const std::vector<LoopSuggestion>& got,
+                    const std::vector<LoopSuggestion>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].loop_source, want[i].loop_source) << what << " loop " << i;
+    EXPECT_EQ(got[i].line, want[i].line) << what << " loop " << i;
+    EXPECT_EQ(got[i].function_name, want[i].function_name) << what << " loop " << i;
+    EXPECT_EQ(got[i].parallel, want[i].parallel) << what << " loop " << i;
+    EXPECT_EQ(std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(double)), 0)
+        << what << " loop " << i;
+    EXPECT_EQ(got[i].category, want[i].category) << what << " loop " << i;
+    EXPECT_EQ(got[i].suggested_pragma, want[i].suggested_pragma) << what << " loop " << i;
+    EXPECT_EQ(got[i].verdict, want[i].verdict) << what << " loop " << i;
+    EXPECT_EQ(got[i].veto_reason, want[i].veto_reason) << what << " loop " << i;
+    EXPECT_EQ(got[i].repaired_clauses, want[i].repaired_clauses) << what << " loop " << i;
+  }
+}
 
 /// Random connected graph with a mix of node and edge types.
 HetGraph make_graph(Rng& rng, int n) {
@@ -276,6 +310,18 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, SingleIndexRunsInlineOnTheCaller) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  pool.parallel_for(1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_THROW(pool.parallel_for(1, [](std::size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+}
+
 TEST(ThreadPool, ConcurrentEncodesMatchSerial) {
   // The serving path encodes per-worker sub-batches concurrently on a shared
   // const model; concurrent forwards must reproduce serial results.
@@ -311,10 +357,7 @@ TEST(ThreadPool, ConcurrentEncodesMatchSerial) {
 // ---- suggest_batch ----------------------------------------------------------
 
 TEST(SuggestBatch, MatchesSequentialSuggest) {
-  Pipeline::Options options;
-  options.corpus.scale = 0.01;
-  options.train.epochs = 1;
-  const Pipeline pipeline = Pipeline::train(options);
+  const Pipeline& pipeline = trained_pipeline();
 
   const std::vector<std::string> sources = {
       "void a(double* x, int n) {\n"
@@ -348,11 +391,86 @@ TEST(SuggestBatch, MatchesSequentialSuggest) {
   }
 }
 
+TEST(SuggestBatch, DuplicateSourcesAreComputedOnceWithOrWithoutCache) {
+  const std::string cold =
+      "void dedup_scale(double* x, int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i++) x[i] = x[i] * 3.0;\n"
+      "}\n";
+  std::string cold_crlf = cold;
+  for (std::size_t p = 0; (p = cold_crlf.find('\n', p)) != std::string::npos; p += 2) {
+    cold_crlf.replace(p, 1, "\r\n");
+  }
+  const std::string broken = "int broken( {";
+  const std::string other =
+      "double dedup_dot(double* x, double* y, int n) {\n"
+      "  int i;\n"
+      "  double s = 0;\n"
+      "  for (i = 0; i < n; i++) s += x[i] * y[i];\n"
+      "  return s;\n"
+      "}\n";
+  // Five copies of the cold source (one CRLF-encoded), two copies of a
+  // source that fails to parse, one distinct source.
+  const std::vector<std::string_view> batch = {cold,   broken, cold, cold_crlf,
+                                               other,  cold,   broken, cold};
+
+  for (const std::size_t cache_bytes : {std::size_t{64} << 20, std::size_t{0}}) {
+    const std::string what = cache_bytes == 0 ? "cache off" : "cache on";
+    Pipeline pipeline = trained_pipeline().clone();  // fresh, cold cache
+    pipeline.set_cache_bytes(cache_bytes);
+
+    // A schedule that never fires still counts every frontend build.
+    failpoint::configure("frontend.parse=error@0");
+    const auto results = pipeline.suggest_batch_results(batch);
+    const auto counters = failpoint::counters();
+    failpoint::disarm();
+
+    ASSERT_EQ(counters.size(), 1u) << what;
+    EXPECT_EQ(counters[0].hits, 3u) << what << ": each distinct source is parsed once";
+    ASSERT_EQ(results.size(), batch.size()) << what;
+
+    ASSERT_TRUE(results[0].ok()) << what;
+    EXPECT_FALSE(results[0].suggestions.empty()) << what;
+    EXPECT_FALSE(results[0].duplicate) << what;
+    for (const std::size_t dup : {2u, 3u, 5u, 7u}) {
+      ASSERT_TRUE(results[dup].ok()) << what << " slot " << dup;
+      EXPECT_TRUE(results[dup].duplicate) << what << " slot " << dup;
+      expect_bitwise(results[dup].suggestions, results[0].suggestions,
+                     what + " slot " + std::to_string(dup));
+    }
+    EXPECT_FALSE(results[1].ok()) << what;
+    EXPECT_FALSE(results[6].ok()) << what;
+    EXPECT_FALSE(results[1].duplicate) << what;
+    EXPECT_TRUE(results[6].duplicate) << what;
+    ASSERT_TRUE(results[4].ok()) << what;
+    EXPECT_FALSE(results[4].duplicate) << what;
+    EXPECT_FALSE(results[4].suggestions.empty()) << what;
+  }
+}
+
+TEST(SuggestBatch, CloneServesBitwiseIdenticalSuggestions) {
+  const std::vector<std::string> sources = {
+      "void k(double* x, int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i++) x[i] = x[i] + 1.0;\n"
+      "}\n",
+      "double r(double* x, int n) {\n"
+      "  int i;\n"
+      "  double s = 0;\n"
+      "  for (i = 0; i < n; i++) s += x[i];\n"
+      "  for (i = 1; i < n; i++) x[i] = x[i - 1];\n"
+      "  return s;\n"
+      "}\n"};
+  Pipeline copy = trained_pipeline().clone();
+  copy.set_cache_bytes(0);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    expect_bitwise(copy.suggest(sources[s]), trained_pipeline().suggest(sources[s]),
+                   "source " + std::to_string(s));
+  }
+}
+
 TEST(SuggestBatch, EmptyInputAndParseErrors) {
-  Pipeline::Options options;
-  options.corpus.scale = 0.01;
-  options.train.epochs = 1;
-  const Pipeline pipeline = Pipeline::train(options);
+  const Pipeline& pipeline = trained_pipeline();
 
   EXPECT_TRUE(pipeline.suggest_batch({}).empty());
 

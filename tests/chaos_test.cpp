@@ -367,6 +367,29 @@ TEST(Chaos, RetryRecoversTransientFault) {
   EXPECT_GE(stats.retry_recovered, 1u);
 }
 
+TEST(Chaos, RetryRecoversWholeBatchForwardFault) {
+  FailpointGuard guard;
+  auto pipeline = shared_pipeline();
+  const auto sources = chaos_sources(10);
+  const auto expected = pipeline->suggest(sources[9]);
+  pipeline->clear_cache();
+
+  // Hit 0 faults the batched forward (a whole-batch error, not a slot
+  // error); the retry's forward (hit 1) passes and serves the same answer.
+  failpoint::configure("encode.forward=error@0.5,3");
+  SuggestServer::Options options;
+  options.max_delay = 1ms;
+  options.max_retries = 2;
+  options.retry_backoff = 1ms;
+  SuggestServer server(pipeline, options);
+
+  expect_bitwise(server.submit(sources[9]).get(), expected, "recovered forward");
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.retry_recovered, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
 TEST(Chaos, RetryBudgetExhaustsOnPersistentFault) {
   FailpointGuard guard;
   auto pipeline = shared_pipeline();

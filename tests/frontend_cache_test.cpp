@@ -109,13 +109,17 @@ TEST(SuggestCache, BatchPathSharesTheCache) {
   // two distinct cold sources -> exactly two misses.
   EXPECT_EQ(pipeline.cache_stats().misses, 2u);
 
-  // A second batch of the same sources is served from the full tier.
+  // A second batch of the same sources is served from the full tier. The
+  // duplicate collapses onto its first slot before the cache probe, so two
+  // distinct sources cost exactly two probes.
   const auto stats_before = pipeline.cache_stats();
   const auto again = pipeline.suggest_batch_results(views);
   const auto stats_after = pipeline.cache_stats();
   EXPECT_EQ(stats_after.misses, stats_before.misses);
-  EXPECT_GE(stats_after.full_hits, stats_before.full_hits + 3);
+  EXPECT_EQ(stats_after.full_hits, stats_before.full_hits + 2);
+  EXPECT_TRUE(again[2].duplicate);
   expect_equal_suggestions(again[0].suggestions, results[0].suggestions);
+  expect_equal_suggestions(again[2].suggestions, results[0].suggestions);
 
   // Parse errors are not cached and stay per-slot.
   const std::string broken = "void oops( {";
