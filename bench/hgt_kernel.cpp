@@ -6,9 +6,10 @@
 // serving config: dim 32, heads 4, 2 layers) through both paths on one
 // thread:
 //   * reference: the taped per-head implementation under NoGradGuard
-//     (the pre-fusion serving path), and
-//   * fused: the block-diagonal weight cache + per-destination CSR walk
-//     (HgtLayer::forward_fused) on the dispatched SIMD backend.
+//     (HgtEncoder::forward_reference, the pre-fusion serving path), and
+//   * fused: the per-edge-type weight cache + per-destination CSR walk
+//     (HgtEncoder::forward, which routes to HgtLayer::forward_fused under
+//     NoGradGuard) on the dispatched SIMD backend.
 // Reports µs per forward and ns per edge, and fails (exit 1) if
 //   * fused and reference outputs diverge beyond 1e-5 relative, or
 //   * the fused speedup misses the floor (default 1.5x, G2P_HGT_FLOOR
@@ -120,11 +121,10 @@ int main(int argc, char** argv) {
     };
 
     // The fused path is what HgtEncoder::forward routes to under
-    // NoGradGuard; pin each path explicitly so the comparison is A-B.
+    // NoGradGuard; the reference arm calls the taped layers directly.
     Tensor ref_out, fused_out;
-    encoder.set_fused_inference(false);
-    const double ref_s = time_best([&] { ref_out = encoder.forward(x, batch.index); });
-    encoder.set_fused_inference(true);
+    const double ref_s =
+        time_best([&] { ref_out = encoder.forward_reference(x, batch.index); });
     const double fused_s = time_best([&] { fused_out = encoder.forward(x, batch.index); });
 
     const double diff = max_rel_diff(ref_out, fused_out);
@@ -176,7 +176,6 @@ int main(int argc, char** argv) {
 
     TextTable qtable({"batch", "fp32 fused (µs)", "int8 fused (µs)", "int8 speedup"});
     double int8_headline = 0.0;
-    encoder.set_fused_inference(true);
     for (const auto& c : cases) {
       std::vector<const HetGraph*> graph_ptrs;
       for (int i = 0; i < c.loops; ++i) {
@@ -227,7 +226,6 @@ int main(int argc, char** argv) {
     mc.vocab_size = vocab.size();
     Rng mrng(env.seed + 1);
     Graph2ParModel model(mc, mrng);
-    model.set_fused_inference(true);
     const NoGradGuard no_grad;
     int agree = 0, total = 0;
     for (int trial = 0; trial < 5; ++trial) {

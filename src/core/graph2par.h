@@ -58,11 +58,6 @@ class Graph2ParModel : public Module {
   /// Logits [num_graphs, 2] for one task head.
   Tensor task_logits(const Tensor& pooled, PredictionTask task) const;
 
-  /// Route inference (NoGradGuard) forwards through the fused HGT kernel
-  /// (default) or pin the taped reference path (debugging / A-B benching).
-  /// Training always uses the reference path regardless of this setting.
-  void set_fused_inference(bool enabled) { encoder_.set_fused_inference(enabled); }
-
   /// Serving precision of the fused path (see HgtLayer::set_precision):
   /// fp32 (default) or int8 weight-quantized projections. Training and the
   /// reference path are unaffected.

@@ -132,9 +132,6 @@ Pipeline::Pipeline(Options options, Vocab vocab)
   options_.model.vocab_size = vocab_.size();
   Rng rng(options_.train.seed);
   model_ = std::make_unique<Graph2ParModel>(options_.model, rng);
-  // Serving (`suggest*` under NoGradGuard) routes every HGT layer through
-  // the fused inference kernel; training is unaffected by this switch.
-  model_->set_fused_inference(options_.fused_inference);
   // Configured serving precision; the env override is resolved inside the
   // layers at forward time, so the member just carries the option through.
   model_->set_precision(options_.precision);

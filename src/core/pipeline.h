@@ -41,10 +41,6 @@ class Pipeline {
     /// shared default pool (hardware-sized); nonzero gives this pipeline a
     /// private pool of that size. `set_thread_pool` overrides either.
     unsigned pool_threads = 0;
-    /// Serve through the fused HGT inference kernel (SIMD backend,
-    /// edge-blocked CSR pass). Off pins the taped reference forward —
-    /// numerically within ~1e-7 relative of the fused path, just slower.
-    bool fused_inference = true;
     /// Serving precision of the fused path: fp32 (default, numerically
     /// identical to earlier builds) or int8 weight-quantized projections
     /// (Kernels::gemm_s8 — faster, suggestions agree with fp32 at the

@@ -40,18 +40,6 @@ const char* precision_name(Precision p) {
 
 namespace {
 
-/// Process-wide escape hatch: G2P_FUSED=0 (or "off") pins every layer to the
-/// taped reference path even in inference mode. Read once.
-bool fused_env_enabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("G2P_FUSED");
-    if (e == nullptr) return true;
-    const std::string_view v(e);
-    return v != "0" && v != "off" && v != "false";
-  }();
-  return enabled;
-}
-
 /// One node type's projection stage: gather the type's rows of the [*, dim]
 /// source buffer into contiguous scratch, multiply by the cached [dim,
 /// out_cols] operand (pool-parallel row panels). Callers scatter `projected`
@@ -70,66 +58,36 @@ void project_type_rows(const float* src, int dim, const std::vector<int>& rows,
   backend::matmul_mt(gathered.data(), weights, projected.data(), rt, dim, out_cols, pool);
 }
 
-/// Int8 image of one edge type's fused head blocks: `heads` [hd, hd]
-/// matrices back to back, each quantized per output column, with the
-/// scale/zcomp arrays concatenated to length heads*hd so dequant indexes
-/// them by the same [h*hd + j] column the per-head sub-GEMMs write.
-void quantize_head_blocks(const FloatVec& blocks, int heads, int hd,
-                          backend::detail::QuantOperand& out) {
-  const std::size_t block = static_cast<std::size_t>(hd) * hd;
-  out.k = hd;
-  out.m = heads * hd;
-  out.q.resize(static_cast<std::size_t>(heads) * block);
-  out.scale.assign(static_cast<std::size_t>(heads) * hd, 0.0f);
-  out.zcomp.assign(static_cast<std::size_t>(heads) * hd, 0.0f);
-  backend::detail::QuantOperand tmp;
-  for (int h = 0; h < heads; ++h) {
-    backend::detail::quantize_weights(blocks.data() + static_cast<std::size_t>(h) * block,
-                                      hd, hd, tmp);
-    std::copy(tmp.q.begin(), tmp.q.end(),
-              out.q.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(h) * block));
-    std::copy(tmp.scale.begin(), tmp.scale.end(),
-              out.scale.begin() + static_cast<std::ptrdiff_t>(h * hd));
-    std::copy(tmp.zcomp.begin(), tmp.zcomp.end(),
-              out.zcomp.begin() + static_cast<std::ptrdiff_t>(h * hd));
-  }
-}
-
-/// Quantize a set of [*, dim] rows (selected by `rows`, or all n rows when
-/// `rows` is null) straight out of the source buffer — the int8 path's
-/// gather and quantize are one pass, no float scratch. Sizes the outputs,
-/// then dispatches the scan/round work to Kernels::quantize_rows.
-void quantize_rows(const float* src, int dim, const std::vector<int>* rows, int n,
+/// Quantize the [*, dim] rows selected by `rows` straight out of the source
+/// buffer — the int8 path's gather and quantize are one pass, no float
+/// scratch. Sizes the outputs, then dispatches the scan/round work to
+/// Kernels::quantize_rows.
+void quantize_rows(const float* src, int dim, const std::vector<int>& rows,
                    backend::detail::U8Vec& qa, FloatVec& scales, FloatVec& zeros) {
-  const auto dim_sz = static_cast<std::size_t>(dim);
-  const int count = rows != nullptr ? static_cast<int>(rows->size()) : n;
-  qa.resize(static_cast<std::size_t>(count) * dim_sz);
-  scales.resize(static_cast<std::size_t>(count));
-  zeros.resize(static_cast<std::size_t>(count));
-  backend::active().quantize_rows(src, rows != nullptr ? rows->data() : nullptr, count, dim,
-                                  qa.data(), scales.data(), zeros.data());
+  const auto count = rows.size();
+  qa.resize(count * static_cast<std::size_t>(dim));
+  scales.resize(count);
+  zeros.resize(count);
+  backend::active().quantize_rows(src, rows.data(), static_cast<int>(count), dim, qa.data(),
+                                  scales.data(), zeros.data());
 }
 
-/// Dequantize one GEMM accumulator row segment into fp32, optionally folding
-/// the bias and the residual in the same pass:
-///   out[j] = sa * (wsc[j] * acc[j]) + za * wzc[j] [+ bias[j]] [+ res[j]]
+/// Dequantize one GEMM accumulator row segment into fp32, folding the bias
+/// and, optionally, the residual in the same pass:
+///   out[j] = sa * (wsc[j] * acc[j]) + za * wzc[j] + bias[j] [+ res[j]]
 /// The __restrict contracts (all streams distinct) are what let the
 /// contiguous loops vectorize — the int8 epilogue's cost lives here.
 inline void dequant_row(const std::int32_t* __restrict acc, const float* __restrict wsc,
                         const float* __restrict wzc, float sa, float za, int m,
-                        float* __restrict out, const float* __restrict bias = nullptr,
+                        float* __restrict out, const float* __restrict bias,
                         const float* __restrict res = nullptr) {
-  if (bias != nullptr && res != nullptr) {
+  if (res != nullptr) {
     for (int j = 0; j < m; ++j) {
       out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j] + res[j];
     }
-  } else if (bias != nullptr) {
-    for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j];
-    }
   } else {
     for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j];
+      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j];
     }
   }
 }
@@ -182,10 +140,7 @@ Tensor HgtLayer::per_type_projection(const Tensor& x, const HetGraphIndex& index
 }
 
 Tensor HgtLayer::forward(const Tensor& x, const HetGraphIndex& index) const {
-  if (!grad_enabled() && fused_enabled_ && fused_env_enabled()) {
-    return forward_fused(x, index);
-  }
-  return forward_reference(x, index);
+  return grad_enabled() ? forward_reference(x, index) : forward_fused(x, index);
 }
 
 Tensor HgtLayer::forward_reference(const Tensor& x, const HetGraphIndex& index) const {
@@ -364,13 +319,6 @@ const HgtLayer::FusedWeights* HgtLayer::fused_weights() const {
                                       fresh->kqv_q[ts]);
     backend::detail::quantize_weights(fresh->a_w[ts].data(), dim_, dim_, fresh->a_q[ts]);
   }
-  fresh->att_q.resize(static_cast<std::size_t>(kNumHetEdgeTypes));
-  fresh->msg_q.resize(static_cast<std::size_t>(kNumHetEdgeTypes));
-  for (int et = 0; et < kNumHetEdgeTypes; ++et) {
-    const auto e = static_cast<std::size_t>(et);
-    quantize_head_blocks(fresh->att[e], heads_, head_dim_, fresh->att_q[e]);
-    quantize_head_blocks(fresh->msg[e], heads_, head_dim_, fresh->msg_q[e]);
-  }
   const FusedWeights* published = fresh.get();
   fused_retired_.push_back(std::move(fresh));  // freed with the layer, never earlier
   fused_current_.store(published, std::memory_order_release);
@@ -394,9 +342,9 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const bool int8 = resolve_precision(precision_) == Precision::kInt8;
   // G2P_HGT_PROFILE (docs/tuning.md): per-stage wall times to stderr, one
   // line per stage per layer forward. Dev-only instrumentation for placing
-  // regressions (and the fp32/int8 A-B) without a profiler; costs one
-  // getenv and a handful of predictable branches when unset.
-  const bool prof = std::getenv("G2P_HGT_PROFILE") != nullptr;
+  // regressions (and the fp32/int8 A-B) without a profiler. Read once, like
+  // every other knob: unset, it costs a handful of predictable branches.
+  static const bool prof = std::getenv("G2P_HGT_PROFILE") != nullptr;
   auto tp = std::chrono::steady_clock::now();
   const auto mark = [&](const char* what) {
     if (!prof) return;
@@ -431,7 +379,7 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       if (int8) {
         // Quantize straight out of x (the gather and the row quantizer are
         // one pass), integer GEMM, dequantize in the scatter.
-        quantize_rows(xdata, dim_, &rows, n, qa, a_scale, a_zero);
+        quantize_rows(xdata, dim_, rows, qa, a_scale, a_zero);
         acc.resize(static_cast<std::size_t>(rt) * 3 * dim_sz);
         backend::gemm_s8_mt(qa.data(), dim_, fused->kqv_q[ts].q.data(), acc.data(),
                             3 * dim_, rt, dim_, 3 * dim_, pool);
@@ -470,69 +418,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   }
 
   mark("kqv");
-  // Density-adaptive weight application per edge type. Dense types (at
-  // least as many edges as nodes) pre-map every node's K and V rows with
-  // one block-diagonal head_map pass each — per-node work amortizes over
-  // repeated sources. Sparse types skip the [N, dim] pre-pass entirely:
-  // the edge kernels apply the cached weight blocks per edge in registers,
-  // which is both less arithmetic (count < n rows mapped) and less cache
-  // pressure (no per-type map buffers to evict the shared K/Q/V rows).
-  std::vector<FloatVec> k_map(static_cast<std::size_t>(kNumHetEdgeTypes));
-  std::vector<FloatVec> v_map(static_cast<std::size_t>(kNumHetEdgeTypes));
-  {
-    // Int8 dense maps: K and V rows are quantized once — the cost amortizes
-    // over every dense edge type — then each head's [hd, hd] block runs as a
-    // column-strided sub-GEMM on the shared quantized buffer (the lda/ldc
-    // strides of the gemm_s8 contract), dequantized per map into k_map/v_map
-    // exactly where the fp32 head_map would have written.
-    backend::detail::U8Vec qk, qv;
-    FloatVec k_sc, k_z, v_sc, v_z;
-    backend::detail::I32Vec map_acc;
-    bool quantized_kv = false;
-    ThreadPool* const pool = pool_.get();
-    const std::size_t block = static_cast<std::size_t>(head_dim_) * head_dim_;
-    const auto int8_head_map = [&](const backend::detail::U8Vec& qrows, const FloatVec& rsc,
-                                   const FloatVec& rz,
-                                   const backend::detail::QuantOperand& wq, FloatVec& out) {
-      for (int h = 0; h < heads_; ++h) {
-        backend::gemm_s8_mt(qrows.data() + static_cast<std::size_t>(h) * head_dim_, dim_,
-                            wq.q.data() + static_cast<std::size_t>(h) * block,
-                            map_acc.data() + static_cast<std::size_t>(h) * head_dim_, dim_,
-                            n, head_dim_, head_dim_, pool);
-      }
-      const float* wsc = wq.scale.data();
-      const float* wzc = wq.zcomp.data();
-      for (int i = 0; i < n; ++i) {
-        dequant_row(map_acc.data() + static_cast<std::size_t>(i) * dim_sz, wsc, wzc,
-                    rsc[static_cast<std::size_t>(i)], rz[static_cast<std::size_t>(i)], dim_,
-                    out.data() + static_cast<std::size_t>(i) * dim_sz);
-      }
-    };
-    for (int et = 0; et < kNumHetEdgeTypes; ++et) {
-      const auto e = static_cast<std::size_t>(et);
-      const auto& slice = index.per_edge_type[e];
-      if (slice.empty() || slice.size() < n) continue;  // sparse: map per edge
-      k_map[e].resize(row_elems);
-      v_map[e].resize(row_elems);
-      if (int8) {
-        if (!quantized_kv) {
-          quantize_rows(k_all.data(), dim_, nullptr, n, qk, k_sc, k_z);
-          quantize_rows(v_all.data(), dim_, nullptr, n, qv, v_sc, v_z);
-          map_acc.resize(row_elems);
-          quantized_kv = true;
-        }
-        int8_head_map(qk, k_sc, k_z, fused->att_q[e], k_map[e]);
-        int8_head_map(qv, v_sc, v_z, fused->msg_q[e], v_map[e]);
-        continue;
-      }
-      kern.head_map(k_all.data(), fused->att[e].data(), k_map[e].data(), n, heads_,
-                    head_dim_);
-      kern.head_map(v_all.data(), fused->msg[e].data(), v_map[e].data(), n, heads_,
-                    head_dim_);
-    }
-  }
-
-  mark("maps");
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   const float* mu = mu_.data().data();
   const float* q = q_all.data();
@@ -563,15 +448,9 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const auto& slice = index.per_edge_type[e];
     if (slice.empty()) continue;
     float* block = logits.data() + static_cast<std::size_t>(slice.concat_offset) * heads_;
-    if (k_map[e].empty()) {
-      kern.hgt_logits_direct(k_all.data(), q, fused->att[e].data(), slice.src.data(),
-                             slice.dst.data(), meta + slice.concat_offset, mu, slice.size(),
-                             heads_, head_dim_, inv_sqrt_d, block, node_max.data());
-    } else {
-      kern.hgt_logits(k_map[e].data(), q, slice.src.data(), slice.dst.data(),
-                      meta + slice.concat_offset, mu, slice.size(), heads_, head_dim_,
-                      inv_sqrt_d, block, node_max.data());
-    }
+    kern.hgt_logits(k_all.data(), q, fused->att[e].data(), slice.src.data(), slice.dst.data(),
+                    meta + slice.concat_offset, mu, slice.size(), heads_, head_dim_, inv_sqrt_d,
+                    block, node_max.data());
   }
   mark("logits");
   for (int et = 0; et < kNumHetEdgeTypes; ++et) {
@@ -580,15 +459,9 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     if (slice.empty()) continue;
     const float* block =
         logits.data() + static_cast<std::size_t>(slice.concat_offset) * heads_;
-    if (v_map[e].empty()) {
-      kern.hgt_accumulate_direct(v_all.data(), fused->msg[e].data(), slice.src.data(),
-                                 slice.dst.data(), slice.size(), block, node_max.data(),
-                                 heads_, head_dim_, h_tilde.data(), denom.data());
-    } else {
-      kern.hgt_accumulate(v_map[e].data(), slice.src.data(), slice.dst.data(), slice.size(),
-                          block, node_max.data(), heads_, head_dim_, h_tilde.data(),
-                          denom.data());
-    }
+    kern.hgt_accumulate(v_all.data(), fused->msg[e].data(), slice.src.data(), slice.dst.data(),
+                        slice.size(), block, node_max.data(), heads_, head_dim_, h_tilde.data(),
+                        denom.data());
   }
   mark("accum");
   for (int v = 0; v < n; ++v) {
@@ -627,7 +500,7 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       const int rt = static_cast<int>(rows.size());
       const float* bias = fused->a_b[ts].data();
       if (int8) {
-        quantize_rows(h_tilde.data(), dim_, &rows, n, qa, a_scale, a_zero);
+        quantize_rows(h_tilde.data(), dim_, rows, qa, a_scale, a_zero);
         acc.resize(static_cast<std::size_t>(rt) * dim_sz);
         backend::gemm_s8_mt(qa.data(), dim_, fused->a_q[ts].q.data(), acc.data(), dim_, rt,
                             dim_, dim_, pool);
@@ -685,8 +558,12 @@ Tensor HgtEncoder::forward(const Tensor& x, const HetGraph& graph) const {
   return forward(x, HetGraphIndex(graph));
 }
 
-void HgtEncoder::set_fused_inference(bool enabled) {
-  for (auto& layer : layers_) layer->set_fused_inference(enabled);
+Tensor HgtEncoder::forward_reference(const Tensor& x, const HetGraphIndex& index) const {
+  Tensor state = x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    state = norms_[i]->forward(layers_[i]->forward_reference(state, index));
+  }
+  return state;
 }
 
 void HgtEncoder::set_precision(Precision p) {

@@ -57,11 +57,10 @@ class HgtLayer : public Module {
   /// `x`: [N, dim] node states. Nodes with no incoming edges keep their
   /// residual state.
   ///
-  /// Routing: under grad (training) this is always the taped reference
-  /// implementation; in inference mode (NoGradGuard active) it dispatches to
-  /// the fused kernel unless disabled via set_fused_inference(false) or
-  /// G2P_FUSED=0. The two paths agree within float rounding (~1e-7
-  /// relative), not bitwise.
+  /// Routing: under grad (training) this is the taped reference
+  /// implementation; in inference mode (NoGradGuard active) it is the fused
+  /// kernel. The two paths agree within float rounding (~1e-7 relative), not
+  /// bitwise.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Single-graph convenience wrapper: indexes `graph` and forwards.
@@ -69,13 +68,13 @@ class HgtLayer : public Module {
   /// above (HgtEncoder does).
   Tensor forward(const Tensor& x, const HetGraph& graph) const;
 
-  /// The taped per-head implementation (formulas 2-5 op by op). Doubles as
-  /// the equivalence oracle for the fused kernel.
+  /// The taped per-head implementation (formulas 2-5 op by op): the training
+  /// path, and the equivalence oracle for the fused kernel. Under
+  /// NoGradGuard it runs the same ops without recording a tape.
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Fused inference kernel: cached block-diagonal W_ATT/W_MSG fusions per
-  /// edge type (applied as one N-row head_map pass for dense types, or per
-  /// edge in registers for sparse ones), then an edge-blocked pass over the
+  /// Fused inference kernel: cached per-edge-type W_ATT/W_MSG head blocks,
+  /// applied per edge in registers during an edge-blocked pass over the
   /// per-edge-type CSR that computes all-head logits, applies the µ prior,
   /// runs a streaming-max online segment softmax per destination, and
   /// scatters weighted messages straight into the [N, dim] output — no
@@ -85,14 +84,9 @@ class HgtLayer : public Module {
   /// checkpoint load — keyed on tensor mutation versions).
   Tensor forward_fused(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Enable/disable fused-kernel routing for this layer (default on).
-  void set_fused_inference(bool enabled) { fused_enabled_ = enabled; }
-  bool fused_inference() const { return fused_enabled_; }
-
   /// Configure the fused forward's serving precision (default fp32; the
-  /// G2P_PRECISION env var overrides it — see resolve_precision). Like
-  /// set_fused_inference, configure at setup: not thread-safe against
-  /// concurrent forwards. The int8 weight repacks live in the same fused
+  /// G2P_PRECISION env var overrides it — see resolve_precision). Configure
+  /// at setup: not thread-safe against concurrent forwards. The int8 weight repacks live in the same fused
   /// cache and share its stamp, so flipping precision never serves stale
   /// weights and costs no rebuild.
   void set_precision(Precision p) { precision_ = p; }
@@ -102,7 +96,7 @@ class HgtLayer : public Module {
   /// panels) — batch-shaped forwards scale across cores with it, null runs
   /// them single-threaded. Nested use is safe: on a pool worker the panels
   /// run inline. Not thread-safe against concurrent forwards (configure at
-  /// setup, like set_fused_inference).
+  /// setup, like set_precision).
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
   int dim() const { return dim_; }
@@ -125,8 +119,8 @@ class HgtLayer : public Module {
   /// on the next fused forward.
   ///
   /// Per edge type φ: the `heads` [head_dim, head_dim] W_ATT / W_MSG
-  /// matrices laid out back to back — the dense blocks of a block-diagonal
-  /// [dim, dim] operator the backend's head_map applies in one N-row pass.
+  /// matrices laid out back to back — the weight blocks the backend's
+  /// hgt_logits / hgt_accumulate apply per edge.
   ///
   /// Per node type τ: the K/Q/V projection weights packed side by side as
   /// one [dim, 3*dim] GEMM operand (columns [K | Q | V]) with the biases
@@ -139,16 +133,12 @@ class HgtLayer : public Module {
     std::vector<FloatVec> att, msg;      // φ-indexed; block layout is [h][k][j]
     std::vector<FloatVec> kqv_w, kqv_b;  // τ-indexed: [dim, 3*dim] / [3*dim]
     std::vector<FloatVec> a_w, a_b;      // τ-indexed: [dim, dim] / [dim]
-    // Int8 images of the operands above for the quantized serving path
-    // (gemm_s8.h), built unconditionally at rebuild — they are a few KB per
-    // layer, and sharing the stamp means a precision flip (option or env)
-    // never races a rebuild. kqv_q / a_q quantize the τ-indexed GEMM
-    // operands per output column; att_q / msg_q hold each φ's `heads`
-    // [head_dim, head_dim] blocks back to back, with scale/zcomp indexed
-    // [h*head_dim + j] to match the [N, dim] column layout the per-head
-    // sub-GEMMs write.
+    // Int8 images of the projection operands for the quantized serving
+    // path (gemm_s8.h), built unconditionally at rebuild — they are a few KB
+    // per layer, and sharing the stamp means a precision flip (option or
+    // env) never races a rebuild. Each quantizes its τ-indexed GEMM operand
+    // per output column. The edge phases stay fp32 at either precision.
     std::vector<backend::detail::QuantOperand> kqv_q, a_q;  // τ-indexed
-    std::vector<backend::detail::QuantOperand> att_q, msg_q;  // φ-indexed
   };
   const FusedWeights* fused_weights() const;
   std::uint64_t weight_stamp() const;
@@ -163,7 +153,6 @@ class HgtLayer : public Module {
   mutable std::mutex fused_mutex_;
   mutable std::vector<std::unique_ptr<const FusedWeights>> fused_retired_;
   mutable std::atomic<const FusedWeights*> fused_current_{nullptr};
-  bool fused_enabled_ = true;
   Precision precision_ = Precision::kFp32;
   std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
@@ -184,8 +173,10 @@ class HgtEncoder : public Module {
   /// Single-graph convenience wrapper: indexes `graph` once, then forwards.
   Tensor forward(const Tensor& x, const HetGraph& graph) const;
 
-  /// Propagate fused-inference routing to every layer (see HgtLayer).
-  void set_fused_inference(bool enabled);
+  /// Every layer's taped reference forward followed by its norm — the
+  /// encoder-level equivalence oracle for `forward` under NoGradGuard (and
+  /// the reference arm of bench_hgt_kernel).
+  Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Propagate the serving precision to every layer (see HgtLayer).
   void set_precision(Precision p);

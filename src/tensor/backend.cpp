@@ -255,56 +255,6 @@ void scalar_quantize_rows(const float* src, const int* rows, int count, int dim,
 // Scalar fused-HGT primitives
 // ---------------------------------------------------------------------------
 
-/// All heads of one row in registers: the head blocks are independent, so a
-/// compile-time head width lets every block's accumulator vectorize.
-template <int HD>
-void head_map_fixed(const float* __restrict x, const float* __restrict w,
-                    float* __restrict out, int n, int heads) {
-  const int dim = heads * HD;
-  for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
-    float* orow = out + static_cast<std::size_t>(i) * dim;
-    for (int h = 0; h < heads; ++h) {
-      float acc[HD] = {};
-      const float* xh = xrow + h * HD;
-      const float* wh = w + static_cast<std::size_t>(h) * HD * HD;
-      for (int kk = 0; kk < HD; ++kk) {
-        const float av = xh[kk];
-        const float* wrow = wh + static_cast<std::size_t>(kk) * HD;
-        for (int j = 0; j < HD; ++j) acc[j] += av * wrow[j];
-      }
-      float* oh = orow + h * HD;
-      for (int j = 0; j < HD; ++j) oh[j] = acc[j];
-    }
-  }
-}
-
-void scalar_head_map(const float* x, const float* w, float* out, int n, int heads, int hd) {
-  switch (hd) {
-    case 2: return head_map_fixed<2>(x, w, out, n, heads);
-    case 4: return head_map_fixed<4>(x, w, out, n, heads);
-    case 8: return head_map_fixed<8>(x, w, out, n, heads);
-    case 16: return head_map_fixed<16>(x, w, out, n, heads);
-    default: break;
-  }
-  const int dim = heads * hd;
-  for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
-    float* orow = out + static_cast<std::size_t>(i) * dim;
-    for (int h = 0; h < heads; ++h) {
-      const float* xh = xrow + h * hd;
-      const float* wh = w + static_cast<std::size_t>(h) * hd * hd;
-      float* oh = orow + h * hd;
-      std::fill(oh, oh + hd, 0.0f);
-      for (int kk = 0; kk < hd; ++kk) {
-        const float av = xh[kk];
-        const float* wrow = wh + static_cast<std::size_t>(kk) * hd;
-        for (int j = 0; j < hd; ++j) oh[j] += av * wrow[j];
-      }
-    }
-  }
-}
-
 float scalar_dot(const float* a, const float* b, int d) {
   float acc = 0.0f;
   for (int j = 0; j < d; ++j) acc += a[j] * b[j];
@@ -318,50 +268,12 @@ void scalar_row_dot(const float* a, const float* b, float* out, int n, int d) {
   }
 }
 
-void scalar_hgt_logits(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                       const int* metas, const float* mu, int count, int heads, int hd,
-                       float scale, float* logits, float* node_max) {
-  const int dim = heads * hd;
-  for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
-    const float mu_e = mu[metas[p]];
-    float* lrow = logits + static_cast<std::size_t>(p) * heads;
-    float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-    for (int h = 0; h < heads; ++h) {
-      const float l = scalar_dot(krow + h * hd, qrow + h * hd, hd) * scale * mu_e;
-      lrow[h] = l;
-      mrow[h] = std::max(mrow[h], l);
-    }
-  }
-}
-
-void scalar_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, int count,
-                           const float* logits, const float* node_max, int heads, int hd,
-                           float* out, float* denom) {
-  const int dim = heads * hd;
-  for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* lrow = logits + static_cast<std::size_t>(p) * heads;
-    const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-    float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;
-    float* orow = out + static_cast<std::size_t>(dsts[p]) * dim;
-    for (int h = 0; h < heads; ++h) {
-      const float w = fast_expf(lrow[h] - mrow[h]);
-      drow[h] += w;
-      const float* vv = vrow + h * hd;
-      float* oo = orow + h * hd;
-      for (int j = 0; j < hd; ++j) oo[j] += w * vv[j];
-    }
-  }
-}
-
 inline constexpr int kMaxHeadDim = 64;
 
-void scalar_hgt_logits_direct(const float* k_all, const float* q, const float* w_att,
-                              const int* srcs, const int* dsts, const int* metas,
-                              const float* mu, int count, int heads, int hd, float scale,
-                              float* logits, float* node_max) {
+void scalar_hgt_logits(const float* k_all, const float* q, const float* w_att,
+                       const int* srcs, const int* dsts, const int* metas, const float* mu,
+                       int count, int heads, int hd, float scale, float* logits,
+                       float* node_max) {
   const int dim = heads * hd;
   float mk_stack[kMaxHeadDim];
   std::vector<float> mk_heap(hd > kMaxHeadDim ? static_cast<std::size_t>(hd) : 0);
@@ -388,10 +300,10 @@ void scalar_hgt_logits_direct(const float* k_all, const float* q, const float* w
   }
 }
 
-void scalar_hgt_accumulate_direct(const float* v_all, const float* w_msg, const int* srcs,
-                                  const int* dsts, int count, const float* logits,
-                                  const float* node_max, int heads, int hd, float* out,
-                                  float* denom) {
+void scalar_hgt_accumulate(const float* v_all, const float* w_msg, const int* srcs,
+                           const int* dsts, int count, const float* logits,
+                           const float* node_max, int heads, int hd, float* out,
+                           float* denom) {
   const int dim = heads * hd;
   float mv_stack[kMaxHeadDim];
   std::vector<float> mv_heap(hd > kMaxHeadDim ? static_cast<std::size_t>(hd) : 0);
@@ -478,11 +390,8 @@ constexpr Kernels kScalar = {
     scalar_gemm,
     scalar_gemm_s8,
     scalar_quantize_rows,
-    scalar_head_map,
     scalar_hgt_logits,
     scalar_hgt_accumulate,
-    scalar_hgt_logits_direct,
-    scalar_hgt_accumulate_direct,
     scalar_row_dot,
     scalar_gelu,
     scalar_segment_softmax,
@@ -514,84 +423,14 @@ void neon_row_dot(const float* a, const float* b, float* out, int n, int d) {
   }
 }
 
-void neon_hgt_logits(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, int heads, int hd,
-                     float scale, float* logits, float* node_max) {
-  const int dim = heads * hd;
-  for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
-    const float mu_e = mu[metas[p]];
-    float* lrow = logits + static_cast<std::size_t>(p) * heads;
-    float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-    for (int h = 0; h < heads; ++h) {
-      const float l = neon_dot(krow + h * hd, qrow + h * hd, hd) * scale * mu_e;
-      lrow[h] = l;
-      mrow[h] = std::max(mrow[h], l);
-    }
-  }
-}
-
-void neon_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, int heads, int hd,
-                         float* out, float* denom) {
-  const int dim = heads * hd;
-  for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* lrow = logits + static_cast<std::size_t>(p) * heads;
-    const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-    float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;
-    float* orow = out + static_cast<std::size_t>(dsts[p]) * dim;
-    for (int h = 0; h < heads; ++h) {
-      const float w = fast_expf(lrow[h] - mrow[h]);
-      drow[h] += w;
-      const float* vv = vrow + h * hd;
-      float* oo = orow + h * hd;
-      int j = 0;
-      const float32x4_t vw = vdupq_n_f32(w);
-      for (; j + 4 <= hd; j += 4) {
-        vst1q_f32(oo + j, vmlaq_f32(vld1q_f32(oo + j), vw, vld1q_f32(vv + j)));
-      }
-      for (; j < hd; ++j) oo[j] += w * vv[j];
-    }
-  }
-}
-
-/// Head blocks with hd % 4 == 0: accumulate each block 4 lanes at a time,
-/// broadcasting x along k (ascending, matching the scalar reduction order).
-void neon_head_map(const float* x, const float* w, float* out, int n, int heads, int hd) {
-  if (hd % 4 != 0) return scalar_head_map(x, w, out, n, heads, hd);
-  const int dim = heads * hd;
-  for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
-    float* orow = out + static_cast<std::size_t>(i) * dim;
-    for (int h = 0; h < heads; ++h) {
-      const float* xh = xrow + h * hd;
-      const float* wh = w + static_cast<std::size_t>(h) * hd * hd;
-      float* oh = orow + h * hd;
-      for (int j = 0; j < hd; j += 4) {
-        float32x4_t acc = vdupq_n_f32(0.0f);
-        for (int kk = 0; kk < hd; ++kk) {
-          acc = vmlaq_n_f32(acc, vld1q_f32(wh + static_cast<std::size_t>(kk) * hd + j),
-                            xh[kk]);
-        }
-        vst1q_f32(oh + j, acc);
-      }
-    }
-  }
-}
-
 constexpr Kernels kNeon = {
     "neon",
     scalar_matmul,   // the tuned scalar kernels auto-vectorize on aarch64
     scalar_gemm,     // ScalarMicro's fixed-width tile vectorizes likewise
     scalar_gemm_s8,  // ScalarS8Micro's int32 tile vectorizes (smull/sadalp class)
     scalar_quantize_rows,  // min/max scan + branch-free clamp vectorize likewise
-    neon_head_map,
-    neon_hgt_logits,
-    neon_hgt_accumulate,
-    scalar_hgt_logits_direct,  // gather-free map: auto-vectorizes on aarch64
-    scalar_hgt_accumulate_direct,
+    scalar_hgt_logits,  // per-edge register map: auto-vectorizes on aarch64
+    scalar_hgt_accumulate,
     neon_row_dot,
     scalar_gelu,  // aarch64 compilers auto-vectorize the polynomial well
     scalar_segment_softmax,
@@ -673,30 +512,6 @@ bool set_active(std::string_view name) {
 
 namespace {
 
-/// G2P_GEMM=0/off pins matmul_auto to the legacy kernels. Read once.
-bool gemm_env_enabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("G2P_GEMM");
-    if (e == nullptr) return true;
-    const std::string_view v(e);
-    return v != "0" && v != "off" && v != "false";
-  }();
-  return enabled;
-}
-
-/// G2P_GEMM_THREADS caps the matmul_mt fan-out (<= 0 / unset: no cap beyond
-/// the pool's width). Read once.
-unsigned gemm_thread_cap() {
-  static const unsigned cap = [] {
-    if (const char* e = std::getenv("G2P_GEMM_THREADS")) {
-      const int v = std::atoi(e);
-      if (v > 0) return static_cast<unsigned>(v);
-    }
-    return 0u;
-  }();
-  return cap;
-}
-
 /// Where the blocked GEMM starts beating the legacy kernels: the packed
 /// panels cost two extra passes over A and B, so tiny products stay on the
 /// register-specialized paths, as do the narrow head matrices (m <= 8) whose
@@ -709,11 +524,21 @@ bool gemm_profitable(int n, int k, int m) {
          (1u << 15);
 }
 
+/// Row panels a threaded GEMM over `n` rows fans out to on `pool`: one per
+/// worker, but each at least kMinRowsPerChunk rows — below that the
+/// per-chunk B re-pack and queue round trip outweigh the parallelism. 0 or 1
+/// means run inline.
+std::size_t row_panels(int n, const ThreadPool* pool) {
+  constexpr int kMinRowsPerChunk = 64;
+  const std::size_t workers = pool != nullptr ? pool->size() : 1;
+  return std::min<std::size_t>(workers, static_cast<std::size_t>(n) / kMinRowsPerChunk);
+}
+
 }  // namespace
 
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m) {
   const Kernels& kern = active();
-  if (gemm_env_enabled() && gemm_profitable(n, k, m)) {
+  if (gemm_profitable(n, k, m)) {
     kern.gemm(a, b, out, n, k, m);
   } else {
     kern.matmul(a, b, out, n, k, m);
@@ -722,14 +547,7 @@ void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m
 
 void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
                ThreadPool* pool) {
-  // Row panels of at least this many rows per worker: below that the
-  // per-chunk B re-pack and queue round trip outweigh the parallelism.
-  constexpr int kMinRowsPerChunk = 64;
-  std::size_t chunks = pool != nullptr ? pool->size() : 1;
-  if (const unsigned cap = gemm_thread_cap(); cap != 0) {
-    chunks = std::min<std::size_t>(chunks, cap);
-  }
-  chunks = std::min<std::size_t>(chunks, static_cast<std::size_t>(n) / kMinRowsPerChunk);
+  const std::size_t chunks = row_panels(n, pool);
   if (chunks <= 1) {
     matmul_auto(a, b, out, n, k, m);
     return;
@@ -739,7 +557,7 @@ void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
   // rounding differs in the last ulps — breaking the bitwise
   // single-vs-threaded guarantee.
   const Kernels& kern = active();
-  const auto kernel = gemm_env_enabled() && gemm_profitable(n, k, m) ? kern.gemm : kern.matmul;
+  const auto kernel = gemm_profitable(n, k, m) ? kern.gemm : kern.matmul;
   const std::size_t per_chunk =
       (static_cast<std::size_t>(n) + chunks - 1) / chunks;
   pool->parallel_for(chunks, [&](std::size_t c) {
@@ -756,12 +574,7 @@ void gemm_s8_mt(const std::uint8_t* a, int lda, const std::int8_t* b, std::int32
                 int ldc, int n, int k, int m, ThreadPool* pool) {
   // Same chunking policy as matmul_mt; the int32 accumulators make the row
   // split bitwise-neutral, so no full-shape kernel pinning is needed.
-  constexpr int kMinRowsPerChunk = 64;
-  std::size_t chunks = pool != nullptr ? pool->size() : 1;
-  if (const unsigned cap = gemm_thread_cap(); cap != 0) {
-    chunks = std::min<std::size_t>(chunks, cap);
-  }
-  chunks = std::min<std::size_t>(chunks, static_cast<std::size_t>(n) / kMinRowsPerChunk);
+  const std::size_t chunks = row_panels(n, pool);
   const auto kernel = active().gemm_s8;
   if (chunks <= 1) {
     kernel(a, lda, b, out, ldc, n, k, m);

@@ -17,18 +17,16 @@
 // compare across backends use tolerances, never bitwise equality). Within
 // one backend, results are deterministic.
 //
+// GEMM routing is a function of the shape and the pool alone: matmul_auto
+// picks the blocked `gemm` or the legacy `matmul` kernels from the product's
+// shape, and matmul_mt / gemm_s8_mt fan row panels out over at most the
+// pool's width (a one-thread pool pins them to the calling thread).
+//
 // Environment (every G2P_* runtime knob is documented in docs/tuning.md):
 //   G2P_BACKEND = auto (default) | scalar | avx2 | neon
 //     "auto" picks the best table the CPU supports; naming an unavailable
 //     backend falls back to auto with a stderr note. Read once, at the first
 //     call to active().
-//   G2P_GEMM = 1 (default) | 0 | off
-//     Opt-out for the cache-blocked packed GEMM: when disabled, matmul_auto
-//     always takes the legacy width-specialized `matmul` kernels (A-B
-//     debugging, perf bisection). Read once.
-//   G2P_GEMM_THREADS = unset (default: the pool's width) | N
-//     Caps how many workers matmul_mt fans a GEMM out over; 1 pins the
-//     threaded entry point to the single-thread kernel. Read once.
 //   G2P_PRECISION = fp32 | int8 (serving precision override; read once in
 //     nn/hgt.cpp — the int8 path dispatches through Kernels::gemm_s8 below).
 //   G2P_FAILPOINTS = site=action[@p[,seed]][;...] (fault injection into the
@@ -92,56 +90,31 @@ struct Kernels {
   void (*quantize_rows)(const float* src, const int* rows, int count, int dim,
                         std::uint8_t* qa, float* scales, float* zeros);
 
-  /// Block-diagonal per-head map, the fused-HGT weight application:
-  ///   out[i, h*hd + j] = sum_k x[i, h*hd + k] * w[(h*hd + k)*hd + j]
-  /// `w` holds `heads` dense [hd, hd] blocks back to back — the cached
-  /// per-edge-type fusion of the HGT W_ATT / W_MSG head matrices. One call
-  /// applies every head to every row.
-  void (*head_map)(const float* x, const float* w, float* out, int n, int heads, int hd);
-
   /// Fused-HGT attention logits for one edge type's whole CSR block
-  /// (`count` edges, all heads, one call):
-  ///   logits[p*heads + h] =
-  ///       dot(k_map[srcs[p]*dim + h*hd ..], q[dsts[p]*dim + h*hd ..], hd)
-  ///       * scale * mu[metas[p]]        (dim = heads*hd)
+  /// (`count` edges, all heads, one call). Each edge applies the cached
+  /// per-edge-type weight blocks `w_att` (`heads` dense [hd, hd] blocks back
+  /// to back) to its source's K row in registers, then dots with Q:
+  ///   mk[h, :] = k_all[srcs[p]*dim + h*hd ..] · w_att[h]
+  ///   logits[p*heads + h] = dot(mk[h, :], q[dsts[p]*dim + h*hd ..])
+  ///                         * scale * mu[metas[p]]        (dim = heads*hd)
   /// and node_max[dsts[p]*heads + h] streams the running per-destination
   /// per-head maximum (callers seed it with -inf once per forward — the
-  /// online-softmax max pass, shared across edge types).
-  void (*hgt_logits)(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, int heads, int hd,
-                     float scale, float* logits, float* node_max);
+  /// online-softmax max pass, shared across edge types). The map reduces k
+  /// in ascending order, like every other kernel here.
+  void (*hgt_logits)(const float* k_all, const float* q, const float* w_att, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count, int heads,
+                     int hd, float scale, float* logits, float* node_max);
 
-  /// Fused-HGT weighted message scatter for the same block:
+  /// Fused-HGT weighted message scatter for the same block: maps the
+  /// source's V row through `w_msg` in registers, then
   ///   w = exp(logits[p*heads + h] - node_max[dsts[p]*heads + h]);
   ///   denom[dsts[p]*heads + h] += w;
-  ///   out[dsts[p]*dim + h*hd ..] += w * v_map[srcs[p]*dim + h*hd ..]
+  ///   out[dsts[p]*dim + h*hd ..] += w * (v_all[srcs[p]*dim + h*hd ..] · w_msg[h])
   /// `out` accumulates the un-normalized aggregate; the caller divides by
   /// denom per (destination, head) afterwards (the online-softmax sum pass).
-  void (*hgt_accumulate)(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, int heads, int hd,
-                         float* out, float* denom);
-
-  /// Sparse-edge-type variant of hgt_logits: instead of reading
-  /// pre-mapped rows, applies the cached per-edge-type weight blocks
-  /// `w_att` (`heads` dense [hd, hd] blocks) to the source's K row in
-  /// registers, per edge:
-  ///   mk[h, :] = k_all[srcs[p]*dim, h*hd ..] · w_att[h]
-  ///   logits[p*heads + h] = dot(mk[h, :], q[dsts[p]*dim + h*hd ..])
-  ///                         * scale * mu[metas[p]]
-  /// Used when an edge type has fewer edges than the graph has nodes, where
-  /// the [N, dim] head_map pre-pass would cost more than it saves (and its
-  /// buffer would pressure the cache). Same reduction order as head_map.
-  void (*hgt_logits_direct)(const float* k_all, const float* q, const float* w_att,
-                            const int* srcs, const int* dsts, const int* metas,
-                            const float* mu, int count, int heads, int hd, float scale,
-                            float* logits, float* node_max);
-
-  /// Sparse-edge-type variant of hgt_accumulate: maps the source's V row
-  /// through `w_msg` in registers, then scatters the exp-weighted message.
-  void (*hgt_accumulate_direct)(const float* v_all, const float* w_msg, const int* srcs,
-                                const int* dsts, int count, const float* logits,
-                                const float* node_max, int heads, int hd, float* out,
-                                float* denom);
+  void (*hgt_accumulate)(const float* v_all, const float* w_msg, const int* srcs,
+                         const int* dsts, int count, const float* logits,
+                         const float* node_max, int heads, int hd, float* out, float* denom);
 
   /// out[i] = dot(a[i,:], b[i,:]) for [n,d] inputs.
   void (*row_dot)(const float* a, const float* b, float* out, int n, int d);
@@ -189,23 +162,22 @@ const Kernels* by_name(std::string_view name);
 /// Single-thread matmul with automatic kernel selection on the active table:
 /// the blocked/packed `gemm` when the shape is large enough to amortize
 /// panel packing, the legacy width-specialized `matmul` kernels otherwise
-/// (always, under G2P_GEMM=0). This is what the autograd forward kernels
-/// (ops.cpp) call.
+/// (narrow head matrices and small products). This is what the autograd
+/// forward kernels (ops.cpp) call.
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m);
 
 /// Multithreaded matmul: splits the row dimension into per-worker panels on
 /// `pool` and runs the active table's kernel (via matmul_auto) on each slice
 /// concurrently. Output is identical to the single-thread kernel — row
 /// panels don't change any element's reduction order. Null pool, a
-/// single-thread pool, tiny n, or G2P_GEMM_THREADS=1 degrade to one inline
-/// matmul_auto call. Re-entrancy-safe: called from one of `pool`'s own
+/// single-thread pool, or tiny n degrade to one inline matmul_auto call. Re-entrancy-safe: called from one of `pool`'s own
 /// workers, parallel_for runs the slices inline (no deadlock at
 /// saturation), so nested use under a parallel encode is harmless.
 void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
                ThreadPool* pool);
 
 /// Multithreaded quantized GEMM: the matmul_mt row-panel fan-out over the
-/// active table's gemm_s8 (same G2P_GEMM_THREADS cap and min-rows chunking).
+/// active table's gemm_s8 (same pool-width and min-rows chunking).
 /// Integer accumulation makes the split bitwise-neutral; null pool, tiny n,
 /// or a single worker degrade to one inline kernel call.
 void gemm_s8_mt(const std::uint8_t* a, int lda, const std::int8_t* b, std::int32_t* out,

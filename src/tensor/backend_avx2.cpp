@@ -330,56 +330,6 @@ void avx2_quantize_rows(const float* src, const int* rows, int count, int dim,
 }
 
 // ---------------------------------------------------------------------------
-// Fused-HGT primitives
-// ---------------------------------------------------------------------------
-
-/// hd == 8: each head block is exactly one YMM accumulator; a row's heads
-/// run back to back so the whole [dim] output row streams out vectorized.
-void head_map_hd8(const float* x, const float* w, float* out, int n, int heads) {
-  const int dim = heads * 8;
-  for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
-    float* orow = out + static_cast<std::size_t>(i) * dim;
-    for (int h = 0; h < heads; ++h) {
-      const float* xh = xrow + h * 8;
-      const float* wh = w + static_cast<std::size_t>(h) * 64;
-      __m256 acc = _mm256_setzero_ps();
-      for (int kk = 0; kk < 8; ++kk) {
-        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(xh + kk),
-                              _mm256_loadu_ps(wh + static_cast<std::size_t>(kk) * 8), acc);
-      }
-      _mm256_storeu_ps(orow + h * 8, acc);
-    }
-  }
-}
-
-void avx2_head_map(const float* x, const float* w, float* out, int n, int heads, int hd) {
-  if (hd == 8) return head_map_hd8(x, w, out, n, heads);
-  if (hd % 8 == 0) {
-    const int dim = heads * hd;
-    for (int i = 0; i < n; ++i) {
-      const float* xrow = x + static_cast<std::size_t>(i) * dim;
-      float* orow = out + static_cast<std::size_t>(i) * dim;
-      for (int h = 0; h < heads; ++h) {
-        const float* xh = xrow + h * hd;
-        const float* wh = w + static_cast<std::size_t>(h) * hd * hd;
-        for (int j = 0; j < hd; j += 8) {
-          __m256 acc = _mm256_setzero_ps();
-          for (int kk = 0; kk < hd; ++kk) {
-            acc = _mm256_fmadd_ps(
-                _mm256_broadcast_ss(xh + kk),
-                _mm256_loadu_ps(wh + static_cast<std::size_t>(kk) * hd + j), acc);
-          }
-          _mm256_storeu_ps(orow + h * hd + j, acc);
-        }
-      }
-    }
-    return;
-  }
-  scalar().head_map(x, w, out, n, heads, hd);
-}
-
-// ---------------------------------------------------------------------------
 // Lane-parallel exp: the fastmath.h construction (clamp, split-ln2 range
 // reduction, degree-6 Taylor, exponent-bit scaling) with nearest-even
 // rounding in the reduction — within ~1e-7 relative of the scalar kernel.
@@ -461,13 +411,18 @@ void avx2_row_dot(const float* a, const float* b, float* out, int n, int d) {
   }
 }
 
-/// Serving-shape (heads 4, hd 8) direct logits: each head's mapped K row is
-/// built in one YMM register (8 fmadds against the cached weight block, L1
-/// resident), then dotted with Q — no [N, dim] k_map buffer exists at all.
-void hgt_logits_direct_h4d8(const float* k_all, const float* q, const float* w_att,
-                            const int* srcs, const int* dsts, const int* metas,
-                            const float* mu, int count, float scale, float* logits,
-                            float* node_max) {
+// ---------------------------------------------------------------------------
+// Fused-HGT edge kernels
+// ---------------------------------------------------------------------------
+
+/// Serving-shape (heads 4, hd 8) logits: each head's mapped K row is built
+/// in one YMM register (8 fmadds against the cached weight block, L1
+/// resident), then dotted with Q; the four head dots of one edge reduce
+/// together (hadd tree), and the logits and the per-destination max are
+/// handled as 4-lane vectors.
+void hgt_logits_h4d8(const float* k_all, const float* q, const float* w_att, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count,
+                     float scale, float* logits, float* node_max) {
   for (int p = 0; p < count; ++p) {
     const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * 32;
     const float* qrow = q + static_cast<std::size_t>(dsts[p]) * 32;
@@ -482,6 +437,7 @@ void hgt_logits_direct_h4d8(const float* k_all, const float* q, const float* w_a
       }
       prod[h] = _mm256_mul_ps(mk, _mm256_loadu_ps(qrow + h * 8));
     }
+    // hadd tree: lane l of (low128 + high128) ends up dot(prod[l]).
     const __m256 s = _mm256_hadd_ps(_mm256_hadd_ps(prod[0], prod[1]),
                                     _mm256_hadd_ps(prod[2], prod[3]));
     const __m128 dots = _mm_add_ps(_mm256_castps256_ps128(s), _mm256_extractf128_ps(s, 1));
@@ -492,23 +448,23 @@ void hgt_logits_direct_h4d8(const float* k_all, const float* q, const float* w_a
   }
 }
 
-void avx2_hgt_logits_direct(const float* k_all, const float* q, const float* w_att,
-                            const int* srcs, const int* dsts, const int* metas,
-                            const float* mu, int count, int heads, int hd, float scale,
-                            float* logits, float* node_max) {
+void avx2_hgt_logits(const float* k_all, const float* q, const float* w_att, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count, int heads,
+                     int hd, float scale, float* logits, float* node_max) {
   if (heads == 4 && hd == 8) {
-    return hgt_logits_direct_h4d8(k_all, q, w_att, srcs, dsts, metas, mu, count, scale,
-                                  logits, node_max);
+    return hgt_logits_h4d8(k_all, q, w_att, srcs, dsts, metas, mu, count, scale, logits,
+                           node_max);
   }
-  scalar().hgt_logits_direct(k_all, q, w_att, srcs, dsts, metas, mu, count, heads, hd, scale,
-                             logits, node_max);
+  scalar().hgt_logits(k_all, q, w_att, srcs, dsts, metas, mu, count, heads, hd, scale, logits,
+                      node_max);
 }
 
-/// Serving-shape direct accumulate: mapped V row per head in one register,
-/// weighted by a 4-lane exp, scattered with one fmadd per head.
-void hgt_accumulate_direct_h4d8(const float* v_all, const float* w_msg, const int* srcs,
-                                const int* dsts, int count, const float* logits,
-                                const float* node_max, float* out, float* denom) {
+/// Serving-shape accumulate: mapped V row per head in one register, the
+/// four head weights from one 4-lane exp, the denominator row updated as one
+/// vector, and each head's scatter a single fmadd.
+void hgt_accumulate_h4d8(const float* v_all, const float* w_msg, const int* srcs,
+                         const int* dsts, int count, const float* logits,
+                         const float* node_max, float* out, float* denom) {
   for (int p = 0; p < count; ++p) {
     const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * 32;
     const std::size_t d = static_cast<std::size_t>(dsts[p]);
@@ -534,16 +490,14 @@ void hgt_accumulate_direct_h4d8(const float* v_all, const float* w_msg, const in
   }
 }
 
-void avx2_hgt_accumulate_direct(const float* v_all, const float* w_msg, const int* srcs,
-                                const int* dsts, int count, const float* logits,
-                                const float* node_max, int heads, int hd, float* out,
-                                float* denom) {
+void avx2_hgt_accumulate(const float* v_all, const float* w_msg, const int* srcs,
+                         const int* dsts, int count, const float* logits,
+                         const float* node_max, int heads, int hd, float* out, float* denom) {
   if (heads == 4 && hd == 8) {
-    return hgt_accumulate_direct_h4d8(v_all, w_msg, srcs, dsts, count, logits, node_max, out,
-                                      denom);
+    return hgt_accumulate_h4d8(v_all, w_msg, srcs, dsts, count, logits, node_max, out, denom);
   }
-  scalar().hgt_accumulate_direct(v_all, w_msg, srcs, dsts, count, logits, node_max, heads, hd,
-                                 out, denom);
+  scalar().hgt_accumulate(v_all, w_msg, srcs, dsts, count, logits, node_max, heads, hd, out,
+                          denom);
 }
 
 void avx2_gelu(const float* x, float* out, int n) {
@@ -563,125 +517,6 @@ void avx2_gelu(const float* x, float* out, int n) {
     _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_mul_ps(half, v), _mm256_add_ps(one, t)));
   }
   if (i < n) scalar().gelu(x + i, out + i, n - i);
-}
-
-/// The serving shape (heads 4, head_dim 8): all four head dots of one edge
-/// reduced together (hadd tree), logits and the per-destination max handled
-/// as 4-lane vectors.
-void hgt_logits_h4d8(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, float scale,
-                     float* logits, float* node_max) {
-  for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * 32;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * 32;
-    const __m256 p0 = _mm256_mul_ps(_mm256_loadu_ps(krow), _mm256_loadu_ps(qrow));
-    const __m256 p1 = _mm256_mul_ps(_mm256_loadu_ps(krow + 8), _mm256_loadu_ps(qrow + 8));
-    const __m256 p2 = _mm256_mul_ps(_mm256_loadu_ps(krow + 16), _mm256_loadu_ps(qrow + 16));
-    const __m256 p3 = _mm256_mul_ps(_mm256_loadu_ps(krow + 24), _mm256_loadu_ps(qrow + 24));
-    // hadd tree: lane l of (low128 + high128) ends up dot(p_l).
-    const __m256 s = _mm256_hadd_ps(_mm256_hadd_ps(p0, p1), _mm256_hadd_ps(p2, p3));
-    const __m128 dots =
-        _mm_add_ps(_mm256_castps256_ps128(s), _mm256_extractf128_ps(s, 1));
-    const __m128 l = _mm_mul_ps(dots, _mm_set1_ps(scale * mu[metas[p]]));
-    _mm_storeu_ps(logits + static_cast<std::size_t>(p) * 4, l);
-    float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * 4;
-    _mm_storeu_ps(mrow, _mm_max_ps(_mm_loadu_ps(mrow), l));
-  }
-}
-
-/// Serving-shape accumulate: the four head weights come from one 4-lane exp,
-/// the denominator row updates as one vector, and each head's 8-wide axpy is
-/// a single fmadd.
-void hgt_accumulate_h4d8(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, float* out,
-                         float* denom) {
-  for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * 32;
-    const std::size_t d = static_cast<std::size_t>(dsts[p]);
-    const __m128 l = _mm_loadu_ps(logits + static_cast<std::size_t>(p) * 4);
-    const __m128 m = _mm_loadu_ps(node_max + d * 4);
-    const __m128 w = exp128(_mm_sub_ps(l, m));
-    float* drow = denom + d * 4;
-    _mm_storeu_ps(drow, _mm_add_ps(_mm_loadu_ps(drow), w));
-    alignas(16) float ws[4];
-    _mm_store_ps(ws, w);
-    float* orow = out + d * 32;
-    for (int h = 0; h < 4; ++h) {
-      const __m256 vw = _mm256_set1_ps(ws[h]);
-      _mm256_storeu_ps(orow + h * 8,
-                       _mm256_fmadd_ps(vw, _mm256_loadu_ps(vrow + h * 8),
-                                       _mm256_loadu_ps(orow + h * 8)));
-    }
-  }
-}
-
-void avx2_hgt_logits(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, int heads, int hd,
-                     float scale, float* logits, float* node_max) {
-  if (heads == 4 && hd == 8) {
-    return hgt_logits_h4d8(k_map, q, srcs, dsts, metas, mu, count, scale, logits, node_max);
-  }
-  const int dim = heads * hd;
-  if (hd == 8) {
-    for (int p = 0; p < count; ++p) {
-      const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-      const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
-      const float sm = scale * mu[metas[p]];
-      float* lrow = logits + static_cast<std::size_t>(p) * heads;
-      float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-      for (int h = 0; h < heads; ++h) {
-        const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(krow + h * 8),
-                                          _mm256_loadu_ps(qrow + h * 8));
-        const float l = hsum8(prod) * sm;
-        lrow[h] = l;
-        mrow[h] = l > mrow[h] ? l : mrow[h];
-      }
-    }
-    return;
-  }
-  for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
-    const float sm = scale * mu[metas[p]];
-    float* lrow = logits + static_cast<std::size_t>(p) * heads;
-    float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-    for (int h = 0; h < heads; ++h) {
-      const float l = avx2_dot(krow + h * hd, qrow + h * hd, hd) * sm;
-      lrow[h] = l;
-      mrow[h] = l > mrow[h] ? l : mrow[h];
-    }
-  }
-}
-
-void avx2_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, int heads, int hd,
-                         float* out, float* denom) {
-  if (heads == 4 && hd == 8) {
-    return hgt_accumulate_h4d8(v_map, srcs, dsts, count, logits, node_max, out, denom);
-  }
-  const int dim = heads * hd;
-  for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* lrow = logits + static_cast<std::size_t>(p) * heads;
-    const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
-    float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;
-    float* orow = out + static_cast<std::size_t>(dsts[p]) * dim;
-    for (int h = 0; h < heads; ++h) {
-      // fast_expf is scalar (`heads` exps per edge); the axpy below is the
-      // bandwidth-relevant part and vectorizes.
-      const float w = g2p::fast_expf(lrow[h] - mrow[h]);
-      drow[h] += w;
-      const float* vv = vrow + h * hd;
-      float* oo = orow + h * hd;
-      const __m256 vw = _mm256_set1_ps(w);
-      int j = 0;
-      for (; j + 8 <= hd; j += 8) {
-        _mm256_storeu_ps(oo + j,
-                         _mm256_fmadd_ps(vw, _mm256_loadu_ps(vv + j), _mm256_loadu_ps(oo + j)));
-      }
-      for (; j < hd; ++j) oo[j] += w * vv[j];
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -735,11 +570,8 @@ const Kernels kAvx2 = {
     avx2_gemm,
     avx2_gemm_s8,
     avx2_quantize_rows,
-    avx2_head_map,
     avx2_hgt_logits,
     avx2_hgt_accumulate,
-    avx2_hgt_logits_direct,
-    avx2_hgt_accumulate_direct,
     avx2_row_dot,
     avx2_gelu,
     // Per-segment softmax is gather/scatter-bound with a fixed accumulation

@@ -64,9 +64,15 @@ void expect_fused_matches_reference(const HgtLayer& layer, const Tensor& x,
 
 TEST(HgtFused, RandomizedGraphsMatchReferenceAcrossHeads) {
   Rng rng(1234);
-  for (const int heads : {1, 2, 4}) {
-    const int dim = 16;  // head_dim 16 / 8 / 4: hits every backend block width
-    HgtLayer layer(dim, heads, rng);
+  struct Shape {
+    int dim, heads;
+  };
+  // dim 16 with head_dim 16 / 8 / 4 hits every generic block width; dim 32
+  // with 4 heads is the serving shape, with its own (h4d8) SIMD kernels. The
+  // single-edge-type trials put at least N edges on one type.
+  for (const Shape shape : {Shape{16, 1}, Shape{16, 2}, Shape{16, 4}, Shape{32, 4}}) {
+    const int dim = shape.dim;
+    HgtLayer layer(dim, shape.heads, rng);
     for (int trial = 0; trial < 6; ++trial) {
       const int nodes = 3 + static_cast<int>(rng.uniform_int(0, 39));
       const HetGraph g = random_graph(
@@ -132,20 +138,40 @@ TEST(HgtFused, ForwardRoutesToFusedUnderNoGrad) {
                                   {HetEdgeType::kAstChild, HetEdgeType::kAstParent});
   const HetGraphIndex index(g);
   const Tensor x = Tensor::randn({12, 16}, rng, 0.5f);
-  const NoGradGuard no_grad;
-  const Tensor routed = layer.forward(x, index);
-  const Tensor fused = layer.forward_fused(x, index);
-  for (std::size_t i = 0; i < routed.numel(); ++i) {
-    EXPECT_EQ(routed.data()[i], fused.data()[i]);
+  {
+    const NoGradGuard no_grad;
+    const Tensor routed = layer.forward(x, index);
+    const Tensor fused = layer.forward_fused(x, index);
+    for (std::size_t i = 0; i < routed.numel(); ++i) {
+      EXPECT_EQ(routed.data()[i], fused.data()[i]);
+    }
   }
-  // Opting out pins the reference path.
-  HgtLayer& mutable_layer = layer;
-  mutable_layer.set_fused_inference(false);
-  const Tensor pinned = layer.forward(x, index);
+  // With grad enabled (training), forward is the taped reference.
+  ASSERT_TRUE(grad_enabled());
+  const Tensor taped = layer.forward(x, index);
   const Tensor ref = layer.forward_reference(x, index);
-  for (std::size_t i = 0; i < pinned.numel(); ++i) {
-    EXPECT_EQ(pinned.data()[i], ref.data()[i]);
+  for (std::size_t i = 0; i < taped.numel(); ++i) {
+    EXPECT_EQ(taped.data()[i], ref.data()[i]);
   }
+}
+
+TEST(HgtFused, EncoderReferenceMatchesFusedOnBatchedGraph) {
+  // HgtEncoder::forward_reference (taped layers + norms) is the oracle for
+  // the encoder's fused forward — and the reference arm of bench_hgt_kernel.
+  Rng rng(8080);
+  HgtEncoder encoder(32, 4, 2, rng);
+  const HetGraph a = random_graph(rng, 40, 90,
+                                  {HetEdgeType::kAstChild, HetEdgeType::kAstParent,
+                                   HetEdgeType::kCfgNext, HetEdgeType::kLexNext});
+  const HetGraph b = random_graph(rng, 25, 60, {HetEdgeType::kLexPrev});
+  const HetGraph empty;
+  const HetGraph c = random_graph(rng, 7, 5, {HetEdgeType::kCfgPrev});
+  const BatchedGraph batch = batch_graphs({&a, &b, &empty, &c});
+  const Tensor x = Tensor::randn({batch.index.num_nodes, 32}, rng, 0.5f);
+  const NoGradGuard no_grad;
+  const Tensor fused = encoder.forward(x, batch.index);
+  const Tensor ref = encoder.forward_reference(x, batch.index);
+  EXPECT_LE(max_rel_diff(ref, fused), kTol);
 }
 
 TEST(HgtFused, OptimizerStepInvalidatesWeightCache) {
