@@ -38,36 +38,44 @@ std::size_t FrontendArtifact::approx_bytes() const {
 }
 
 void SuggestCache::set_byte_cap(std::size_t byte_cap) {
+  std::list<ResultEntry> result_victims;
+  std::list<FrontendEntry> frontend_victims;
   std::lock_guard<std::mutex> lock(mutex_);
   byte_cap_ = byte_cap;
   results_.cap = byte_cap / 8;
   frontend_.cap = byte_cap - results_.cap;
-  evict_to_cap(results_);
-  evict_to_cap(frontend_);
+  evict_to_cap(results_, result_victims);
+  evict_to_cap(frontend_, frontend_victims);
 }
 
 template <typename Entry>
-void SuggestCache::evict_to_cap(Tier<Entry>& tier) {
+void SuggestCache::evict_to_cap(Tier<Entry>& tier, std::list<Entry>& victims) {
   while (tier.bytes > tier.cap && !tier.lru.empty()) {
     const Entry& victim = tier.lru.back();
     tier.bytes -= victim.bytes;
     tier.index.erase(victim.key);
-    tier.lru.pop_back();
+    victims.splice(victims.end(), tier.lru, std::prev(tier.lru.end()));
     ++stats_.evictions;
   }
+}
+
+template <typename Entry>
+void SuggestCache::remove(Tier<Entry>& tier, typename Tier<Entry>::Index::iterator it,
+                          std::list<Entry>& victims) {
+  tier.bytes -= it->second->bytes;
+  victims.splice(victims.end(), tier.lru, it->second);
+  tier.index.erase(it);
 }
 
 std::shared_ptr<const std::vector<LoopSuggestion>> SuggestCache::get_result(
     const Hash128& key, std::uint64_t model_stamp) {
   if (!enabled()) return nullptr;
+  std::list<ResultEntry> victims;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = results_.index.find(key);
   if (it == results_.index.end()) return nullptr;
   if (it->second->model_stamp != model_stamp) {
-    // Stale checkpoint generation: drop on sight.
-    results_.bytes -= it->second->bytes;
-    results_.lru.erase(it->second);
-    results_.index.erase(it);
+    remove(results_, it, victims);  // stale checkpoint generation: drop on sight
     return nullptr;
   }
   results_.lru.splice(results_.lru.begin(), results_.lru, it->second);
@@ -84,19 +92,16 @@ void SuggestCache::put_result(const Hash128& key, std::uint64_t model_stamp,
   // caller already holds the rendered result it is publishing.
   if (failpoint::triggered("cache.insert")) return;
   const std::size_t bytes = suggestions_bytes(*value) + sizeof(ResultEntry);
+  std::list<ResultEntry> victims;
   std::lock_guard<std::mutex> lock(mutex_);
   if (bytes > results_.cap) return;  // would evict the whole tier for one entry
   auto it = results_.index.find(key);
-  if (it != results_.index.end()) {
-    // Refresh (new stamp after reload, or concurrent builders racing).
-    results_.bytes -= it->second->bytes;
-    results_.lru.erase(it->second);
-    results_.index.erase(it);
-  }
+  // Refresh (new stamp after reload, or concurrent builders racing).
+  if (it != results_.index.end()) remove(results_, it, victims);
   results_.lru.push_front(ResultEntry{key, model_stamp, std::move(value), frontend_ns, bytes});
   results_.index[key] = results_.lru.begin();
   results_.bytes += bytes;
-  evict_to_cap(results_);
+  evict_to_cap(results_, victims);
 }
 
 std::shared_ptr<const FrontendArtifact> SuggestCache::get_frontend(const Hash128& key) {
@@ -118,35 +123,35 @@ void SuggestCache::put_frontend(const Hash128& key,
   // stays counted so hit-rate stats remain truthful under injection.
   const bool drop = failpoint::triggered("cache.insert");
   const std::size_t bytes = value->approx_bytes() + sizeof(FrontendEntry);
+  std::list<FrontendEntry> victims;
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;  // a frontend insert happens exactly once per cold source
   if (drop) return;
   if (bytes > frontend_.cap) return;
   auto it = frontend_.index.find(key);
-  if (it != frontend_.index.end()) {
-    frontend_.bytes -= it->second->bytes;
-    frontend_.lru.erase(it->second);
-    frontend_.index.erase(it);
-  }
+  if (it != frontend_.index.end()) remove(frontend_, it, victims);
   frontend_.lru.push_front(FrontendEntry{key, std::move(value), bytes});
   frontend_.index[key] = frontend_.lru.begin();
   frontend_.bytes += bytes;
-  evict_to_cap(frontend_);
+  evict_to_cap(frontend_, victims);
 }
 
 void SuggestCache::invalidate_results() {
+  std::list<ResultEntry> victims;
   std::lock_guard<std::mutex> lock(mutex_);
-  results_.lru.clear();
+  victims.swap(results_.lru);
   results_.index.clear();
   results_.bytes = 0;
 }
 
 void SuggestCache::clear() {
+  std::list<ResultEntry> result_victims;
+  std::list<FrontendEntry> frontend_victims;
   std::lock_guard<std::mutex> lock(mutex_);
-  results_.lru.clear();
+  result_victims.swap(results_.lru);
   results_.index.clear();
   results_.bytes = 0;
-  frontend_.lru.clear();
+  frontend_victims.swap(frontend_.lru);
   frontend_.index.clear();
   frontend_.bytes = 0;
 }

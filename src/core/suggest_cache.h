@@ -20,10 +20,12 @@
 //     checkpoint reload, when results are stale but sources have not
 //     changed. Artifacts are model-independent and survive reloads.
 //
-// Both tiers are LRU with independent byte caps (like the tensor_pool byte
-// cap, but LRU rather than FIFO: repeat-heavy serving wants recency). All
-// operations are thread-safe; values are shared_ptr-to-const so readers can
-// keep using an artifact after it is evicted.
+// Both tiers are LRU with independent byte caps (repeat-heavy serving wants
+// recency). All operations are thread-safe; values are shared_ptr-to-const
+// so readers can keep using an artifact after it is evicted. Evicted and
+// dropped entries are unlinked under the mutex but destroyed after it is
+// released: tearing down a parsed unit's arena and graphs costs far more
+// than the bookkeeping, and concurrent callers must not queue behind it.
 #pragma once
 
 #include <cstdint>
@@ -119,14 +121,21 @@ class SuggestCache {
 
   template <typename Entry>
   struct Tier {
+    using Index =
+        std::unordered_map<Hash128, typename std::list<Entry>::iterator, Hash128Hasher>;
     std::list<Entry> lru;  // front = most recent
-    std::unordered_map<Hash128, typename std::list<Entry>::iterator, Hash128Hasher> index;
+    Index index;
     std::size_t bytes = 0;
     std::size_t cap = 0;
   };
 
+  // Both helpers move the unlinked entries into `victims`, which the caller
+  // declares before taking the lock so they are destroyed after it.
   template <typename Entry>
-  void evict_to_cap(Tier<Entry>& tier);
+  void evict_to_cap(Tier<Entry>& tier, std::list<Entry>& victims);
+  template <typename Entry>
+  void remove(Tier<Entry>& tier, typename Tier<Entry>::Index::iterator it,
+              std::list<Entry>& victims);
 
   mutable std::mutex mutex_;
   std::size_t byte_cap_ = 0;

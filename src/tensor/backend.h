@@ -30,8 +30,9 @@
 //   G2P_PRECISION = fp32 | int8 (serving precision override; read once in
 //     nn/hgt.cpp — the int8 path dispatches through Kernels::gemm_s8 below).
 //   G2P_FAILPOINTS = site=action[@p[,seed]][;...] (fault injection into the
-//     serving path, including this layer's pool.acquire seam; grammar in
-//     support/failpoint.h, semantics in docs/serving.md).
+//     serving path, including the pool.acquire tensor-buffer allocation
+//     seam in tensor.cpp; grammar in support/failpoint.h, semantics in
+//     docs/serving.md).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@ struct Kernels {
 
   /// Same contract as `matmul`, computed by the cache-blocked packed GEMM
   /// (gemm_blocked.h): GotoBLAS-style panel packing into 64-byte-aligned
-  /// tensor_pool scratch with a per-backend register-tiled micro-kernel
+  /// FloatVec scratch with a per-backend register-tiled micro-kernel
   /// (6x16 AVX2+FMA, 4x8 scalar/NEON). Wins once B no longer fits L1 and/or
   /// n is large enough to amortize packing; matmul_auto() holds the shape
   /// heuristic so callers don't choose by hand.

@@ -150,7 +150,7 @@ void avx2_matmul(const float* a, const float* b, float* out, int n, int k, int m
 /// broadcast stay inside the 16 architectural registers, and every cycle
 /// feeds both FMA pipes — the configuration the legacy single-row kernels
 /// (one latency-bound chain per column block) cannot reach. Packed B panels
-/// are 64-byte aligned (tensor_pool scratch), so the B loads are aligned.
+/// are 64-byte aligned (FloatVec scratch), so the B loads are aligned.
 struct Avx2Micro {
   static constexpr int MR = 6;
   static constexpr int NR = 16;

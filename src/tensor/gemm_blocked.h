@@ -14,7 +14,7 @@
 //           for ir (MR rows)    A micro-panel [MR, KC]        L1
 //             micro-kernel: MR x NR register tile over the full KC depth
 //
-// Panels are packed into 64-byte-aligned tensor_pool scratch (pack_a /
+// Panels are packed into 64-byte-aligned FloatVec scratch (pack_a /
 // pack_b zero-pad to full MR/NR strips, so the micro-kernel never sees a
 // ragged edge and SIMD backends may use aligned loads on B). The micro-
 // kernel is the only backend-specific part; it is injected as a policy
@@ -96,8 +96,8 @@ void gemm_blocked(const float* a, const float* b, float* out, int n, int k, int 
   const int mc_max = std::min(kGemmMC, n);
   const int nc_max = std::min(kGemmNC, m);
   const auto round_up = [](int v, int q) { return (v + q - 1) / q * q; };
-  // tensor_pool scratch: 64-byte aligned (the SIMD micro-kernels load packed
-  // B panels with aligned loads), recycled across calls.
+  // FloatVec scratch: 64-byte aligned (the SIMD micro-kernels load packed
+  // B panels with aligned loads).
   FloatVec pa_buf(static_cast<std::size_t>(round_up(mc_max, MR)) * kc_max);
   FloatVec pb_buf(static_cast<std::size_t>(round_up(nc_max, NR)) * kc_max);
 

@@ -23,7 +23,7 @@
 //     where zcomp[j] = scale[j] * sum_k qw[kk,j] folds the activation
 //     zero-point through the weight column once, at repack time.
 //
-// The driver packs both operands into 64-byte-aligned tensor_pool scratch
+// The driver packs both operands into 64-byte-aligned U8Vec/I8Vec scratch
 // with the depth axis grouped in fours (kQuantKP): a micro-panel step holds
 // MR (or NR) groups of four consecutive-k bytes, which is exactly the
 // operand order vpmaddubsw/vpmaddwd reduce in one instruction pair. Depth

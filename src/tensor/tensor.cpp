@@ -1,10 +1,7 @@
 #include "tensor/tensor.h"
 
-#include <algorithm>
-#include <deque>
 #include <new>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "support/failpoint.h"
@@ -13,64 +10,6 @@
 namespace g2p {
 
 namespace tensor_pool {
-namespace {
-
-constexpr std::size_t kMinPooledBytes = 1u << 16;    // pool only large blocks
-constexpr std::size_t kDefaultByteCap = 64u << 20;   // cached bytes/thread
-
-/// Every block — pooled or not — is allocated with 64-byte alignment: the
-/// blocked GEMM's packed panels live in FloatVec scratch and the SIMD
-/// micro-kernels read them with aligned vector loads (also cache-line- and
-/// AVX-512-friendly for every tensor buffer). One allocation form keeps the
-/// acquire/release pairing trivial.
-void* aligned_new(std::size_t bytes) {
-  return ::operator new(bytes, std::align_val_t{kAlignment});
-}
-void aligned_delete(void* p) noexcept {
-  ::operator delete(p, std::align_val_t{kAlignment});
-}
-
-/// Per-thread recycling cache with a hard byte cap. Long-lived server
-/// workers churn through many distinct batch shapes, so the cache evicts
-/// oldest-cached-first (FIFO) instead of refusing new blocks: the sizes in
-/// flight *now* stay warm while sizes from past traffic drain out.
-struct Cache {
-  std::unordered_map<std::size_t, std::vector<void*>> blocks;  // by exact size
-  std::deque<std::pair<std::size_t, void*>> fifo;  // cached blocks, oldest first
-  std::size_t total = 0;
-  std::size_t cap = kDefaultByteCap;
-  ~Cache() {
-    for (auto& [size, list] : blocks) {
-      (void)size;
-      for (void* p : list) aligned_delete(p);
-    }
-  }
-
-  void forget(std::size_t bytes, void* p) {
-    // acquire() pops the most-recently-released block of a size, which sits
-    // near the fifo back — scan backwards so the hot recycle path is O(1);
-    // the full walk (cap / kMinPooledBytes entries) is the cold worst case.
-    for (auto it = fifo.rbegin(); it != fifo.rend(); ++it) {
-      if (it->second == p && it->first == bytes) {
-        fifo.erase(std::next(it).base());
-        return;
-      }
-    }
-  }
-
-  void evict_oldest() {
-    const auto [bytes, p] = fifo.front();
-    fifo.pop_front();
-    auto it = blocks.find(bytes);
-    auto pos = std::find(it->second.begin(), it->second.end(), p);
-    it->second.erase(pos);
-    total -= bytes;
-    aligned_delete(p);
-  }
-};
-thread_local Cache g_cache;
-
-}  // namespace
 
 void* acquire(std::size_t bytes) {
   // Failpoint: an injected fault here is allocator-failure semantics — the
@@ -80,49 +19,11 @@ void* acquire(std::size_t bytes) {
   if (failpoint::triggered("pool.acquire")) {
     throw failpoint::FailpointError("pool.acquire");
   }
-  if (bytes >= kMinPooledBytes) {
-    auto it = g_cache.blocks.find(bytes);
-    if (it != g_cache.blocks.end() && !it->second.empty()) {
-      void* p = it->second.back();
-      it->second.pop_back();
-      g_cache.total -= bytes;
-      g_cache.forget(bytes, p);
-      return p;
-    }
-  }
-  return aligned_new(bytes);
+  return ::operator new(bytes, std::align_val_t{kAlignment});
 }
 
 void release(void* p, std::size_t bytes) noexcept {
-  if (bytes >= kMinPooledBytes && bytes <= g_cache.cap) {
-    try {
-      while (g_cache.total + bytes > g_cache.cap) g_cache.evict_oldest();
-      g_cache.fifo.emplace_back(bytes, p);
-      try {
-        g_cache.blocks[bytes].push_back(p);
-      } catch (...) {
-        g_cache.fifo.pop_back();
-        throw;
-      }
-      g_cache.total += bytes;
-      return;
-    } catch (...) {
-    }
-  }
-  aligned_delete(p);
-}
-
-std::size_t cached_bytes() noexcept { return g_cache.total; }
-
-std::size_t byte_cap() noexcept { return g_cache.cap; }
-
-void set_byte_cap(std::size_t bytes) noexcept {
-  g_cache.cap = bytes;
-  while (g_cache.total > g_cache.cap) g_cache.evict_oldest();
-}
-
-void trim() noexcept {
-  while (g_cache.total > 0) g_cache.evict_oldest();
+  ::operator delete(p, bytes, std::align_val_t{kAlignment});
 }
 
 }  // namespace tensor_pool

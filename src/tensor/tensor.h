@@ -21,35 +21,26 @@ class Rng;
 
 using Shape = std::vector<int>;
 
-/// Thread-local recycling of large tensor buffers. Op-graph execution
-/// allocates and frees the same few shapes over and over; without a cache,
-/// glibc serves the multi-hundred-KB batched buffers with mmap/munmap and
-/// every touch faults. Blocks below the pooling threshold go straight to the
-/// system allocator.
+/// Tensor-buffer allocation seam: every FloatVec/U8Vec/I8Vec/I32Vec block is
+/// allocated by acquire() and freed by release(), straight from the system
+/// allocator. There is deliberately no recycling cache in front of it: batch
+/// shapes change on every call, so exact sizes rarely recur, and per-thread
+/// caches of them pinned memory on every worker and fragmented the heap.
 namespace tensor_pool {
 /// Every block acquire() hands out is aligned to this (cache line / AVX-512
 /// vector). The blocked GEMM relies on it: packed panels are FloatVec
 /// scratch and the SIMD micro-kernels use aligned loads on them.
 inline constexpr std::size_t kAlignment = 64;
+/// Hosts the `pool.acquire` failpoint (throws FailpointError when it fires).
 void* acquire(std::size_t bytes);
 void release(void* p, std::size_t bytes) noexcept;
-/// Bytes currently cached by the calling thread's pool. Bounded by
-/// byte_cap(): when a release would exceed the cap, the oldest cached blocks
-/// are evicted first, so long-lived server workers cannot accumulate every
-/// buffer size ever recycled.
-std::size_t cached_bytes() noexcept;
-std::size_t byte_cap() noexcept;
-/// Change the calling thread's cap (evicts immediately if over).
-void set_byte_cap(std::size_t bytes) noexcept;
-/// Drop every block cached by the calling thread (idle workers return memory).
-void trim() noexcept;
 }  // namespace tensor_pool
 
 /// Allocator that default-initializes elements (skips the zero-fill pass of
-/// value initialization) and recycles large blocks via tensor_pool. Tensor
-/// buffers are written in full by the op that produces them, so
-/// `FloatVec out(n)` would otherwise touch every byte twice; ops that
-/// accumulate instead of overwrite must zero explicitly with
+/// value initialization) and hands out 64-byte-aligned blocks via
+/// tensor_pool. Tensor buffers are written in full by the op that produces
+/// them, so `FloatVec out(n)` would otherwise touch every byte twice; ops
+/// that accumulate instead of overwrite must zero explicitly with
 /// FloatVec(n, 0.0f).
 template <typename T>
 struct UninitAllocator : std::allocator<T> {

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/suggest_cache.h"
 #include "support/hash.h"
+#include "testing_env.h"
 
 namespace g2p {
 namespace {
@@ -59,6 +61,41 @@ TEST(SuggestCacheUnit, DisabledCacheCountsNothing) {
   EXPECT_EQ(stats.full_hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.result_entries, 0u);
+}
+
+TEST(SuggestCacheUnit, EvictedArtifactIsDestroyedOutsideTheLock) {
+  // Tearing down an evicted artifact (arena, graphs) is the expensive part
+  // of an eviction; concurrent callers must not queue behind it. The
+  // victim's deleter probes the cache from a second thread and requires
+  // that call to finish while the deleter is still running.
+  const auto entry_bytes = [] {
+    SuggestCache probe(1u << 20);
+    probe.put_frontend(hash_source("a"), std::make_shared<const FrontendArtifact>());
+    return probe.stats().frontend_bytes;
+  }();
+  // The frontend tier (7/8 of the cap) holds one artifact but not two.
+  SuggestCache cache(entry_bytes * 12 / 7);
+
+  std::future<void> prober;
+  bool deleter_ran = false;
+  bool stats_returned = false;
+  const auto deleter = [&](const FrontendArtifact* artifact) {
+    deleter_ran = true;
+    prober = std::async(std::launch::async, [&cache] { (void)cache.stats(); });
+    stats_returned =
+        prober.wait_for(test_env::scaled_ms(500)) == std::future_status::ready;
+    delete artifact;
+  };
+  cache.put_frontend(hash_source("a"),
+                     std::shared_ptr<const FrontendArtifact>(new FrontendArtifact, deleter));
+  cache.put_frontend(hash_source("b"), std::make_shared<const FrontendArtifact>());
+  ASSERT_TRUE(prober.valid());
+  prober.get();  // joins the probe thread
+  EXPECT_TRUE(deleter_ran);
+  EXPECT_TRUE(stats_returned) << "stats() blocked behind an eviction";
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.frontend_entries, 1u);
 }
 
 TEST(SuggestCache, HitAndMissCounting) {

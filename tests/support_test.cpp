@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "support/arena.h"
@@ -16,6 +13,7 @@
 #include "support/rng.h"
 #include "support/strings.h"
 #include "support/table.h"
+#include "tensor/gemm_s8.h"
 #include "tensor/tensor.h"
 
 namespace g2p {
@@ -242,21 +240,20 @@ TEST(Arena, MoveTransfersOwnership) {
 // ---- tensor_pool ------------------------------------------------------------
 
 TEST(TensorPool, HandsOut64ByteAlignedBlocks) {
-  // The blocked GEMM packs panels into FloatVec scratch and reads them with
-  // aligned SIMD loads — every size class (below the pooling threshold,
-  // pooled-cold, and pooled-recycled) must come back 64-byte aligned.
-  const auto aligned = [](void* p) {
+  // The blocked GEMM packs panels into FloatVec scratch and the int8 driver
+  // into U8Vec/I8Vec scratch, and both read them with aligned SIMD loads —
+  // every size must come back 64-byte aligned, fresh or reallocated.
+  const auto aligned = [](const void* p) {
     return reinterpret_cast<std::uintptr_t>(p) % tensor_pool::kAlignment == 0;
   };
-  for (const std::size_t bytes : {8u, 100u, 1u << 12, 1u << 16, (1u << 16) + 4, 1u << 20}) {
-    void* p = tensor_pool::acquire(bytes);
-    EXPECT_TRUE(aligned(p)) << bytes << " bytes (cold)";
-    tensor_pool::release(p, bytes);
-    void* recycled = tensor_pool::acquire(bytes);
-    EXPECT_TRUE(aligned(recycled)) << bytes << " bytes (recycled)";
-    tensor_pool::release(recycled, bytes);
+  for (const std::size_t bytes : {4u, 100u, 1u << 12, 1u << 16, (1u << 16) + 4, 1u << 20}) {
+    for (int round = 0; round < 2; ++round) {
+      FloatVec f(bytes / sizeof(float) + 1);
+      backend::detail::U8Vec u(bytes + 1);
+      EXPECT_TRUE(aligned(f.data())) << bytes << " bytes (FloatVec) round " << round;
+      EXPECT_TRUE(aligned(u.data())) << bytes << " bytes (U8Vec) round " << round;
+    }
   }
-  tensor_pool::trim();
 }
 
 // ---- hashing ----------------------------------------------------------------
@@ -289,79 +286,6 @@ TEST(FunctionRefTest, InvokesWithoutAllocation) {
   FunctionRef<void(int)> ref = big_lambda;
   ref(10);
   EXPECT_EQ(calls, 25);
-}
-
-// ---- tensor_pool ------------------------------------------------------------
-
-TEST(TensorPool, AlignmentSurvivesEvictionChurn) {
-  const std::size_t saved_cap = tensor_pool::byte_cap();
-  // Cap small enough that the churn below forces FIFO evictions constantly:
-  // three of the large blocks alone overflow it.
-  constexpr std::size_t kSmallCap = 256u * 1024u;
-  tensor_pool::set_byte_cap(kSmallCap);
-
-  // Mixed size classes, all at or above the pooling threshold (64 KiB), so
-  // every release tries to cache and every overflow evicts oldest-first.
-  const std::size_t sizes[] = {64u * 1024u, 96u * 1024u, 128u * 1024u,
-                               192u * 1024u};
-  std::vector<std::pair<void*, std::size_t>> live;
-  for (int round = 0; round < 50; ++round) {
-    for (std::size_t bytes : sizes) {
-      void* p = tensor_pool::acquire(bytes);
-      ASSERT_NE(p, nullptr);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % tensor_pool::kAlignment,
-                0u)
-          << "round " << round << " size " << bytes;
-      // Touch both ends: a stale/evicted pointer would trip ASan here.
-      std::memset(p, 0xab, 64);
-      std::memset(static_cast<char*>(p) + bytes - 64, 0xcd, 64);
-      live.emplace_back(p, bytes);
-    }
-    // Release in acquisition order so the cache sees a FIFO-hostile pattern.
-    for (auto& [p, bytes] : live) tensor_pool::release(p, bytes);
-    live.clear();
-    EXPECT_LE(tensor_pool::cached_bytes(), tensor_pool::byte_cap());
-  }
-
-  tensor_pool::set_byte_cap(saved_cap);
-  tensor_pool::trim();
-  EXPECT_EQ(tensor_pool::cached_bytes(), 0u);
-}
-
-TEST(TensorPool, TrimUnderConcurrentWorkersIsSafe) {
-  // The pool cache is thread-local, so trim() only drops the calling thread's
-  // blocks — this test pins that contract: a main-thread trim() storm must not
-  // perturb workers that are mid acquire/release churn (no crashes, no UB under
-  // the sanitizer jobs, and every block stays writable).
-  constexpr int kWorkers = 4;
-  constexpr int kRounds = 200;
-  std::atomic<int> done{0};
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> workers;
-  workers.reserve(kWorkers);
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      const std::size_t bytes = (64u + 32u * static_cast<std::size_t>(w)) * 1024u;
-      for (int r = 0; r < kRounds; ++r) {
-        void* p = tensor_pool::acquire(bytes);
-        if (p == nullptr ||
-            reinterpret_cast<std::uintptr_t>(p) % tensor_pool::kAlignment !=
-                0u) {
-          ok.store(false);
-          return;
-        }
-        std::memset(p, w, 256);
-        tensor_pool::release(p, bytes);
-        if (r % 50 == 0) tensor_pool::trim();  // workers trim themselves too
-      }
-      tensor_pool::trim();
-      done.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 1000; ++i) tensor_pool::trim();  // main-thread storm
-  for (auto& t : workers) t.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(done.load(), kWorkers);
 }
 
 // ---- failpoint spec parsing and semantics (support/failpoint.h) -------------
@@ -399,6 +323,18 @@ TEST(Failpoint, ThrowActionRaisesTypedError) {
   } catch (const failpoint::FailpointError& e) {
     EXPECT_EQ(e.site(), "mysite");
   }
+}
+
+TEST(TensorPool, AcquireFailpointThrowsTypedError) {
+  // `pool.acquire` is the tensor-buffer allocation seam: an injected fault
+  // surfaces as FailpointError from the container's constructor.
+  FailpointGuard guard;
+  failpoint::configure("pool.acquire=throw");
+  EXPECT_THROW(FloatVec(16), failpoint::FailpointError);
+  failpoint::disarm();
+  FloatVec v(16, 1.0f);
+  EXPECT_EQ(v.size(), 16u);
+  EXPECT_EQ(v[15], 1.0f);
 }
 
 TEST(Failpoint, ProbabilityZeroNeverInjects) {

@@ -560,59 +560,5 @@ TEST(Optim, ZeroGradClears) {
   EXPECT_EQ(x.grad()[0], 0.0f);
 }
 
-// ---- tensor_pool byte cap ---------------------------------------------------
-
-TEST(TensorPool, ByteCapHoldsUnderChurn) {
-  // Long-lived server workers recycle many distinct large buffer sizes; the
-  // per-thread cache must stay under its byte cap the whole time, evicting
-  // oldest blocks rather than growing or refusing fresh sizes.
-  const std::size_t saved_cap = tensor_pool::byte_cap();
-  tensor_pool::trim();
-  constexpr std::size_t kCap = 1u << 20;  // 1 MB
-  tensor_pool::set_byte_cap(kCap);
-  EXPECT_EQ(tensor_pool::byte_cap(), kCap);
-  EXPECT_EQ(tensor_pool::cached_bytes(), 0u);
-
-  constexpr std::size_t kBlock = 1u << 16;  // pooling threshold
-  for (int round = 0; round < 50; ++round) {
-    // Churn: a different large size every round (as changing batch shapes
-    // produce), plus repeats of a hot size.
-    const std::size_t cold = kBlock + static_cast<std::size_t>(round) * 4096;
-    void* p = tensor_pool::acquire(cold);
-    tensor_pool::release(p, cold);
-    void* hot = tensor_pool::acquire(kBlock);
-    tensor_pool::release(hot, kBlock);
-    ASSERT_LE(tensor_pool::cached_bytes(), kCap) << "round " << round;
-  }
-  EXPECT_GT(tensor_pool::cached_bytes(), 0u);
-
-  // Recycling still works at the hot size: the cached block comes back.
-  const std::size_t before = tensor_pool::cached_bytes();
-  void* recycled = tensor_pool::acquire(kBlock);
-  EXPECT_EQ(tensor_pool::cached_bytes(), before - kBlock);
-  tensor_pool::release(recycled, kBlock);
-
-  // Oversized blocks (> cap) bypass the cache entirely.
-  void* huge = tensor_pool::acquire(kCap + kBlock);
-  tensor_pool::release(huge, kCap + kBlock);
-  EXPECT_LE(tensor_pool::cached_bytes(), kCap);
-
-  // Tightening the cap evicts immediately.
-  tensor_pool::set_byte_cap(kBlock);
-  EXPECT_LE(tensor_pool::cached_bytes(), kBlock);
-
-  // Tensor-level churn respects the cap too (FloatVec allocates via the pool).
-  tensor_pool::set_byte_cap(kCap);
-  for (int round = 0; round < 20; ++round) {
-    Tensor t = Tensor::zeros({64 + round, 257});
-    ASSERT_LE(tensor_pool::cached_bytes(), kCap);
-  }
-  ASSERT_LE(tensor_pool::cached_bytes(), kCap);
-
-  tensor_pool::trim();
-  EXPECT_EQ(tensor_pool::cached_bytes(), 0u);
-  tensor_pool::set_byte_cap(saved_cap);
-}
-
 }  // namespace
 }  // namespace g2p
