@@ -51,13 +51,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(values.size() - 1));
-  return values[idx];
-}
-
 /// The poison set: one of each adversarial family the governor and the
 /// frontend guards exist for. All are cheap to reject — the whole point is
 /// that a poison slot dies in microseconds-to-milliseconds, not seconds.
@@ -257,7 +250,7 @@ int main(int argc, char** argv) {
     baseline = run_phase(server, clean, poison, 0, num_requests, interval_s);
     server.shutdown();
   }
-  const double baseline_p99_ms = percentile(baseline.clean_latency_s, 0.99) * 1e3;
+  const double baseline_p99_ms = bench::percentile(baseline.clean_latency_s, 0.99) * 1e3;
 
   // Phase 2: every 10th request is poison (a 10% hostile stream).
   pipeline->clear_cache();
@@ -269,7 +262,7 @@ int main(int argc, char** argv) {
     server.shutdown();
     adv_stats = server.stats();
   }
-  const double adv_p99_ms = percentile(adv.clean_latency_s, 0.99) * 1e3;
+  const double adv_p99_ms = bench::percentile(adv.clean_latency_s, 0.99) * 1e3;
   const double p99_budget_ms = baseline_p99_ms * p99_factor + p99_slack_ms;
   const double availability = adv.clean_availability();
 
@@ -282,8 +275,8 @@ int main(int argc, char** argv) {
   table.add_row({"poison rejected typed", "-", std::to_string(adv.poison_typed)});
   table.add_row({"poison accepted", "-", std::to_string(adv.poison_accepted)});
   table.add_row({"clean p50 (ms)",
-                 fmt_fixed(percentile(baseline.clean_latency_s, 0.50) * 1e3, 2),
-                 fmt_fixed(percentile(adv.clean_latency_s, 0.50) * 1e3, 2)});
+                 fmt_fixed(bench::percentile(baseline.clean_latency_s, 0.50) * 1e3, 2),
+                 fmt_fixed(bench::percentile(adv.clean_latency_s, 0.50) * 1e3, 2)});
   table.add_row({"clean p99 (ms)", fmt_fixed(baseline_p99_ms, 2), fmt_fixed(adv_p99_ms, 2)});
   table.add_row({"clean availability", fmt_fixed(baseline.clean_availability() * 100, 2) + "%",
                  fmt_fixed(availability * 100, 2) + "%"});
@@ -331,7 +324,7 @@ int main(int argc, char** argv) {
   json.set("requests_per_phase", static_cast<std::int64_t>(num_requests));
   json.set("poison_fraction", 0.1);
   json.set("baseline_clean_completed", static_cast<std::int64_t>(baseline.clean_completed));
-  json.set("baseline_p50_ms", percentile(baseline.clean_latency_s, 0.50) * 1e3);
+  json.set("baseline_p50_ms", bench::percentile(baseline.clean_latency_s, 0.50) * 1e3);
   json.set("baseline_p99_ms", baseline_p99_ms);
   json.set("adv_clean_total", static_cast<std::int64_t>(adv.clean_total));
   json.set("adv_clean_completed", static_cast<std::int64_t>(adv.clean_completed));
@@ -340,7 +333,7 @@ int main(int argc, char** argv) {
   json.set("adv_poison_accepted", static_cast<std::int64_t>(adv.poison_accepted));
   json.set("adv_untyped_errors", static_cast<std::int64_t>(adv.untyped_errors));
   json.set("adv_shed", static_cast<std::int64_t>(adv.shed));
-  json.set("adv_p50_ms", percentile(adv.clean_latency_s, 0.50) * 1e3);
+  json.set("adv_p50_ms", bench::percentile(adv.clean_latency_s, 0.50) * 1e3);
   json.set("adv_p99_ms", adv_p99_ms);
   json.set("clean_availability", availability);
   json.set("availability_floor", floor);

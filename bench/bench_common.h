@@ -7,6 +7,7 @@
 //   G2P_SEED   — experiment seed (default 20230509).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -193,6 +194,15 @@ inline void set_common_header(JsonMetrics& json, const char* bench_name) {
     ::pclose(p);
   }
   json.set("git_rev", rev);
+}
+
+/// The p-quantile (p in [0, 1]) of `values` by nearest rank below: the
+/// element at index floor(p * (size - 1)) of the sorted copy; 0 when empty.
+inline double percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const auto idx = static_cast<std::size_t>(p * static_cast<double>(values.size() - 1));
+  return values[idx];
 }
 
 /// The value following `--json`, or "" when the flag is absent. A trailing

@@ -48,13 +48,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(values.size() - 1));
-  return values[idx];
-}
-
 /// Default chaos schedule: every serving-path site armed at a probability
 /// low enough that the retry ladder should absorb nearly all of it. The
 /// scheduler site stalls instead of throwing — a thrown scheduler fault
@@ -206,8 +199,8 @@ int main(int argc, char** argv) {
   table.add_row({"typed serve errors", std::to_string(typed_errors)});
   table.add_row({"shed (admission + ladder)", std::to_string(shed_total)});
   table.add_row({"availability (non-shed)", fmt_fixed(availability * 100.0, 2) + "%"});
-  table.add_row({"p50 (ms)", fmt_fixed(percentile(latency_s, 0.50) * 1e3, 2)});
-  table.add_row({"p99 (ms)", fmt_fixed(percentile(latency_s, 0.99) * 1e3, 2)});
+  table.add_row({"p50 (ms)", fmt_fixed(bench::percentile(latency_s, 0.50) * 1e3, 2)});
+  table.add_row({"p99 (ms)", fmt_fixed(bench::percentile(latency_s, 0.99) * 1e3, 2)});
   table.add_row({"retries / recovered", std::to_string(stats.retries) + " / " +
                                             std::to_string(stats.retry_recovered)});
   table.add_row({"expired / abandoned", std::to_string(stats.expired) + " / " +
@@ -233,7 +226,6 @@ int main(int argc, char** argv) {
 
   bench::JsonMetrics json;
   bench::set_common_header(json, "chaos");
-  json.set("precision", stats.precision);
   json.set("requests", static_cast<std::int64_t>(num_requests));
   json.set("completed", static_cast<std::int64_t>(completed));
   json.set("injected_faults_surfaced", static_cast<std::int64_t>(injected_faults));
@@ -242,8 +234,8 @@ int main(int argc, char** argv) {
   json.set("shed", static_cast<std::int64_t>(shed_total));
   json.set("availability", availability);
   json.set("availability_floor", floor);
-  json.set("p50_ms", percentile(latency_s, 0.50) * 1e3);
-  json.set("p99_ms", percentile(latency_s, 0.99) * 1e3);
+  json.set("p50_ms", bench::percentile(latency_s, 0.50) * 1e3);
+  json.set("p99_ms", bench::percentile(latency_s, 0.99) * 1e3);
   json.set("retries", static_cast<std::int64_t>(stats.retries));
   json.set("retry_recovered", static_cast<std::int64_t>(stats.retry_recovered));
   json.set("expired", static_cast<std::int64_t>(stats.expired));

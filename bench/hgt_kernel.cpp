@@ -159,108 +159,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // ---- int8 quantized serving path -----------------------------------------
-  // A/B the fused forward at both precisions (same batches, same encoder —
-  // only the projection GEMMs change), then check suggestion-level agreement
-  // through full Graph2Par heads on randomized batches. The perf floor
-  // defaults to 1.5x on AVX2 (where gemm_s8 rides vpmaddubsw) and a lenient
-  // 1.1x on the scalar/NEON tables; G2P_HGT_INT8_FLOOR overrides either.
-  // A set G2P_PRECISION would pin BOTH arms of the A/B to one path, so the
-  // int8 section is skipped (with a note) rather than measured wrong.
-  if (std::getenv("G2P_PRECISION") != nullptr) {
-    std::printf("note: G2P_PRECISION is set — skipping the int8 A/B section\n");
-    json.set("int8_skipped", true);
-  } else {
-    double int8_floor = std::string(backend::active_name()) == "avx2" ? 1.5 : 1.1;
-    if (const char* s = std::getenv("G2P_HGT_INT8_FLOOR")) int8_floor = std::atof(s);
-
-    TextTable qtable({"batch", "fp32 fused (µs)", "int8 fused (µs)", "int8 speedup"});
-    double int8_headline = 0.0;
-    for (const auto& c : cases) {
-      std::vector<const HetGraph*> graph_ptrs;
-      for (int i = 0; i < c.loops; ++i) {
-        graph_ptrs.push_back(
-            &examples[static_cast<std::size_t>(i) % examples.size()].graph.graph);
-      }
-      const BatchedGraph batch = batch_graphs(graph_ptrs);
-      const Tensor x = Tensor::randn({batch.index.num_nodes, cfg.dim}, rng, 0.5f);
-      const NoGradGuard no_grad;
-      const auto time_best = [&](auto&& forward) {
-        forward();  // warmup (weight caches, allocator pools)
-        double best = 1e100;
-        for (int r = 0; r < reps; ++r) {
-          const auto start = Clock::now();
-          forward();
-          best = std::min(best, seconds_since(start));
-        }
-        return best;
-      };
-      Tensor out_fp32, out_int8;
-      encoder.set_precision(Precision::kFp32);
-      const double fp32_s = time_best([&] { out_fp32 = encoder.forward(x, batch.index); });
-      encoder.set_precision(Precision::kInt8);
-      const double int8_s = time_best([&] { out_int8 = encoder.forward(x, batch.index); });
-      const double speedup = fp32_s / int8_s;
-      qtable.add_row({c.name, fmt_fixed(fp32_s * 1e6, 1), fmt_fixed(int8_s * 1e6, 1),
-                      fmt_fixed(speedup, 2)});
-      json.set(std::string(c.name) + "_int8_us", int8_s * 1e6);
-      json.set(std::string(c.name) + "_int8_speedup", speedup);
-      json.set(std::string(c.name) + "_int8_max_rel_diff", max_rel_diff(out_fp32, out_int8));
-      if (c.loops == 128) int8_headline = speedup;
-    }
-    encoder.set_precision(Precision::kFp32);
-    std::printf("%s", qtable.render().c_str());
-    std::printf("int8 speedup (batch128): %.2fx (floor %.2fx)\n", int8_headline, int8_floor);
-    json.set("int8_speedup", int8_headline);
-    json.set("int8_floor", int8_floor);
-    if (int8_headline < int8_floor) {
-      std::printf("FAIL: int8 speedup %.2fx below the %.2fx floor\n", int8_headline,
-                  int8_floor);
-      ok = false;
-    }
-
-    // Suggestion-level agreement: a full Graph2Par model (random init — the
-    // quantization-noise worst case, decision margins are untrained), fp32
-    // vs int8 encodes of randomized batches, argmax over every task head.
-    Graph2ParConfig mc = cfg;
-    mc.vocab_size = vocab.size();
-    Rng mrng(env.seed + 1);
-    Graph2ParModel model(mc, mrng);
-    const NoGradGuard no_grad;
-    int agree = 0, total = 0;
-    for (int trial = 0; trial < 5; ++trial) {
-      std::vector<const HetGraph*> graph_ptrs;
-      for (int i = 0; i < 32; ++i) {
-        const auto pick = static_cast<std::size_t>(
-            mrng.uniform(0.0, static_cast<double>(examples.size()) - 0.001));
-        graph_ptrs.push_back(&examples[pick].graph.graph);
-      }
-      const BatchedGraph batch = batch_graphs(graph_ptrs);
-      model.set_precision(Precision::kFp32);
-      const Tensor pooled_fp32 = model.encode(batch);
-      model.set_precision(Precision::kInt8);
-      const Tensor pooled_int8 = model.encode(batch);
-      for (int t = 0; t < kNumPredictionTasks; ++t) {
-        const auto task = static_cast<PredictionTask>(t);
-        const Tensor l32 = model.task_logits(pooled_fp32, task);
-        const Tensor l8 = model.task_logits(pooled_int8, task);
-        for (int g = 0; g < l32.dim(0); ++g) {
-          const bool pick32 = l32.data()[2 * g] < l32.data()[2 * g + 1];
-          const bool pick8 = l8.data()[2 * g] < l8.data()[2 * g + 1];
-          agree += pick32 == pick8 ? 1 : 0;
-          ++total;
-        }
-      }
-    }
-    const double agreement = total == 0 ? 0.0 : static_cast<double>(agree) / total;
-    std::printf("int8 suggestion agreement: %.2f%% (%d/%d decisions, floor 99%%)\n",
-                agreement * 100.0, agree, total);
-    json.set("int8_agreement", agreement);
-    if (agreement < 0.99) {
-      std::printf("FAIL: int8 suggestion agreement %.4f below 0.99\n", agreement);
-      ok = false;
-    }
-  }
   json.set("pass", ok);
   if (!json.write(json_path)) {
     std::printf("FAIL: could not write %s\n", json_path.c_str());

@@ -55,13 +55,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(values.size() - 1));
-  return values[idx];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -199,11 +192,11 @@ int main(int argc, char** argv) {
   // ---- report --------------------------------------------------------------
   TextTable table({"mode", "throughput (req/s)", "p50 (ms)", "p99 (ms)"});
   table.add_row({"sequential", fmt_fixed(seq_throughput, 1),
-                 fmt_fixed(percentile(seq_latency_s, 0.50) * 1e3, 2),
-                 fmt_fixed(percentile(seq_latency_s, 0.99) * 1e3, 2)});
+                 fmt_fixed(bench::percentile(seq_latency_s, 0.50) * 1e3, 2),
+                 fmt_fixed(bench::percentile(seq_latency_s, 0.99) * 1e3, 2)});
   table.add_row({"async server", fmt_fixed(srv_throughput, 1),
-                 fmt_fixed(percentile(srv_latency_s, 0.50) * 1e3, 2),
-                 fmt_fixed(percentile(srv_latency_s, 0.99) * 1e3, 2)});
+                 fmt_fixed(bench::percentile(srv_latency_s, 0.50) * 1e3, 2),
+                 fmt_fixed(bench::percentile(srv_latency_s, 0.99) * 1e3, 2)});
   std::printf("%s", table.render().c_str());
   std::printf("mean achieved batch size: %.2f (max %llu over %llu batches)\n",
               stats.mean_batch_size(), static_cast<unsigned long long>(stats.max_batch),
@@ -263,13 +256,12 @@ int main(int argc, char** argv) {
 
   bench::JsonMetrics json;
   bench::set_common_header(json, "latency_server");
-  json.set("precision", stats.precision);
   json.set("requests", static_cast<std::int64_t>(num_requests));
   json.set("sequential_rps", seq_throughput);
   json.set("server_rps", srv_throughput);
-  json.set("server_p50_ms", percentile(srv_latency_s, 0.50) * 1e3);
-  json.set("server_p99_ms", percentile(srv_latency_s, 0.99) * 1e3);
-  json.set("sequential_p50_ms", percentile(seq_latency_s, 0.50) * 1e3);
+  json.set("server_p50_ms", bench::percentile(srv_latency_s, 0.50) * 1e3);
+  json.set("server_p99_ms", bench::percentile(srv_latency_s, 0.99) * 1e3);
+  json.set("sequential_p50_ms", bench::percentile(seq_latency_s, 0.50) * 1e3);
   json.set("mean_batch_size", stats.mean_batch_size());
   json.set("deduped", static_cast<std::int64_t>(stats.deduped));
   json.set("cache_hit_rate", stats.cache_hit_rate());

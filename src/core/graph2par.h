@@ -58,11 +58,6 @@ class Graph2ParModel : public Module {
   /// Logits [num_graphs, 2] for one task head.
   Tensor task_logits(const Tensor& pooled, PredictionTask task) const;
 
-  /// Serving precision of the fused path (see HgtLayer::set_precision):
-  /// fp32 (default) or int8 weight-quantized projections. Training and the
-  /// reference path are unaffected.
-  void set_precision(Precision p) { encoder_.set_precision(p); }
-
   /// Worker pool for the fused forward's projection GEMMs (see HgtLayer):
   /// the encoder's K/Q/V/A stages fan row panels across it, so a single
   /// batch-shaped forward scales across cores. Null pins them to one thread.

@@ -132,9 +132,6 @@ Pipeline::Pipeline(Options options, Vocab vocab)
   options_.model.vocab_size = vocab_.size();
   Rng rng(options_.train.seed);
   model_ = std::make_unique<Graph2ParModel>(options_.model, rng);
-  // Configured serving precision; the env override is resolved inside the
-  // layers at forward time, so the member just carries the option through.
-  model_->set_precision(options_.precision);
   cache_ = std::make_unique<SuggestCache>(options_.cache_bytes);
   if (options_.pool_threads > 0) pool_ = std::make_shared<ThreadPool>(options_.pool_threads);
   // The encoder's projection GEMMs fan row panels across the serving pool

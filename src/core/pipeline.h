@@ -41,12 +41,6 @@ class Pipeline {
     /// shared default pool (hardware-sized); nonzero gives this pipeline a
     /// private pool of that size. `set_thread_pool` overrides either.
     unsigned pool_threads = 0;
-    /// Serving precision of the fused path: fp32 (default, numerically
-    /// identical to earlier builds) or int8 weight-quantized projections
-    /// (Kernels::gemm_s8 — faster, suggestions agree with fp32 at the
-    /// ≥99% level, see bench/hgt_kernel). The G2P_PRECISION env var
-    /// overrides this at runtime; training always runs fp32.
-    Precision precision = Precision::kFp32;
     /// Byte budget of the content-addressed serving cache (two LRU tiers:
     /// rendered results + frontend artifacts). 0 disables caching.
     std::size_t cache_bytes = 64u << 20;
@@ -148,11 +142,6 @@ class Pipeline {
   /// behavior selected by Options::pool_threads. A server injects its own
   /// pool here so serving concurrency is owned by the server, not a global.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);
-
-  /// The precision the fused path actually serves: Options::precision
-  /// unless the G2P_PRECISION env override is set (stats / --json surface
-  /// this, not the configured value).
-  Precision active_precision() const { return resolve_precision(options_.precision); }
 
   /// Whether serving actually verifies: Options::verify_suggestions unless
   /// the G2P_VERIFY env override pins it (resolve_verify, analysis/verifier.h).

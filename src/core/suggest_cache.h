@@ -3,8 +3,8 @@
 // Serving traffic is highly repetitive (interactive advisement re-submits
 // the same translation unit after every keystroke-save), so identical
 // sources should never pay the frontend twice. The cache is keyed by a
-// 128-bit hash of the normalized source (hash_source: '\r'-insensitive) and
-// has two tiers:
+// 128-bit hash of the normalized source (hash_source folds each "\r\n" pair
+// to "\n"; a lone '\r' still changes the key) and has two tiers:
 //
 //   * full-result tier — the rendered LoopSuggestion list. A hit skips
 //     everything: frontend, model forward, clause analysis. Entries carry

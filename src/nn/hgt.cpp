@@ -7,36 +7,12 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include "support/failpoint.h"
 #include "tensor/backend.h"
 #include "tensor/fastmath.h"
 
 namespace g2p {
-
-Precision resolve_precision(Precision configured) {
-  // -1: no override, 0: force fp32, 1: force int8. Read once, like the
-  // other G2P_* knobs (docs/tuning.md).
-  static const int forced = [] {
-    const char* e = std::getenv("G2P_PRECISION");
-    if (e == nullptr) return -1;
-    const std::string_view v(e);
-    if (v == "int8") return 1;
-    if (v == "fp32") return 0;
-    if (!v.empty()) {
-      std::fprintf(stderr, "g2p: unknown G2P_PRECISION '%s' (want fp32|int8), ignoring\n", e);
-    }
-    return -1;
-  }();
-  if (forced == 0) return Precision::kFp32;
-  if (forced == 1) return Precision::kInt8;
-  return configured;
-}
-
-const char* precision_name(Precision p) {
-  return p == Precision::kInt8 ? "int8" : "fp32";
-}
 
 namespace {
 
@@ -56,40 +32,6 @@ void project_type_rows(const float* src, int dim, const std::vector<int>& rows,
   }
   projected.resize(static_cast<std::size_t>(rt) * out_cols);
   backend::matmul_mt(gathered.data(), weights, projected.data(), rt, dim, out_cols, pool);
-}
-
-/// Quantize the [*, dim] rows selected by `rows` straight out of the source
-/// buffer — the int8 path's gather and quantize are one pass, no float
-/// scratch. Sizes the outputs, then dispatches the scan/round work to
-/// Kernels::quantize_rows.
-void quantize_rows(const float* src, int dim, const std::vector<int>& rows,
-                   backend::detail::U8Vec& qa, FloatVec& scales, FloatVec& zeros) {
-  const auto count = rows.size();
-  qa.resize(count * static_cast<std::size_t>(dim));
-  scales.resize(count);
-  zeros.resize(count);
-  backend::active().quantize_rows(src, rows.data(), static_cast<int>(count), dim, qa.data(),
-                                  scales.data(), zeros.data());
-}
-
-/// Dequantize one GEMM accumulator row segment into fp32, folding the bias
-/// and, optionally, the residual in the same pass:
-///   out[j] = sa * (wsc[j] * acc[j]) + za * wzc[j] + bias[j] [+ res[j]]
-/// The __restrict contracts (all streams distinct) are what let the
-/// contiguous loops vectorize — the int8 epilogue's cost lives here.
-inline void dequant_row(const std::int32_t* __restrict acc, const float* __restrict wsc,
-                        const float* __restrict wzc, float sa, float za, int m,
-                        float* __restrict out, const float* __restrict bias,
-                        const float* __restrict res = nullptr) {
-  if (res != nullptr) {
-    for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j] + res[j];
-    }
-  } else {
-    for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j];
-    }
-  }
 }
 
 }  // namespace
@@ -307,18 +249,6 @@ const HgtLayer::FusedWeights* HgtLayer::fused_weights() const {
       fresh->a_b[ts].assign(dim_sz, 0.0f);
     }
   }
-  // Int8 images of every fused operand (see FusedWeights). Built even when
-  // serving fp32: they cost a few KB and one pass per rebuild, and keying
-  // them on the same stamp makes precision flips race-free by construction —
-  // the invalidation tests poke parameters and expect BOTH repacks fresh.
-  fresh->kqv_q.resize(static_cast<std::size_t>(kNumHetNodeTypes));
-  fresh->a_q.resize(static_cast<std::size_t>(kNumHetNodeTypes));
-  for (int t = 0; t < kNumHetNodeTypes; ++t) {
-    const auto ts = static_cast<std::size_t>(t);
-    backend::detail::quantize_weights(fresh->kqv_w[ts].data(), dim_, 3 * dim_,
-                                      fresh->kqv_q[ts]);
-    backend::detail::quantize_weights(fresh->a_w[ts].data(), dim_, dim_, fresh->a_q[ts]);
-  }
   const FusedWeights* published = fresh.get();
   fused_retired_.push_back(std::move(fresh));  // freed with the layer, never earlier
   fused_current_.store(published, std::memory_order_release);
@@ -334,16 +264,10 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const NoGradGuard no_grad;  // the fused path never tapes, even if entered directly
   const auto& kern = backend::active();
   const auto fused = fused_weights();
-  // Int8 serving: every projection GEMM goes through Kernels::gemm_s8 on
-  // the cached weight repacks — activations quantized per row during the
-  // gather, fp32 dequant folded into the same bias/residual scatters the
-  // fp32 path uses. The edge phases (logits, softmax, accumulate,
-  // normalize) are precision-invariant and shared.
-  const bool int8 = resolve_precision(precision_) == Precision::kInt8;
   // G2P_HGT_PROFILE (docs/tuning.md): per-stage wall times to stderr, one
   // line per stage per layer forward. Dev-only instrumentation for placing
-  // regressions (and the fp32/int8 A-B) without a profiler. Read once, like
-  // every other knob: unset, it costs a handful of predictable branches.
+  // regressions without a profiler. Read once, like every other knob: unset,
+  // it costs a handful of predictable branches.
   static const bool prof = std::getenv("G2P_HGT_PROFILE") != nullptr;
   auto tp = std::chrono::steady_clock::now();
   const auto mark = [&](const char* what) {
@@ -365,9 +289,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   FloatVec k_all(row_elems), q_all(row_elems), v_all(row_elems);
   {
     FloatVec gathered, projected;
-    backend::detail::U8Vec qa;
-    FloatVec a_scale, a_zero;
-    backend::detail::I32Vec acc;
     ThreadPool* pool = pool_.get();
     const float* xdata = x.data().data();
     for (int t = 0; t < kNumHetNodeTypes; ++t) {
@@ -376,29 +297,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       if (rows.empty()) continue;
       const int rt = static_cast<int>(rows.size());
       const float* bias = fused->kqv_b[ts].data();
-      if (int8) {
-        // Quantize straight out of x (the gather and the row quantizer are
-        // one pass), integer GEMM, dequantize in the scatter.
-        quantize_rows(xdata, dim_, rows, qa, a_scale, a_zero);
-        acc.resize(static_cast<std::size_t>(rt) * 3 * dim_sz);
-        backend::gemm_s8_mt(qa.data(), dim_, fused->kqv_q[ts].q.data(), acc.data(),
-                            3 * dim_, rt, dim_, 3 * dim_, pool);
-        const float* wsc = fused->kqv_q[ts].scale.data();
-        const float* wzc = fused->kqv_q[ts].zcomp.data();
-        for (int r = 0; r < rt; ++r) {
-          const std::int32_t* prow = acc.data() + static_cast<std::size_t>(r) * 3 * dim_sz;
-          const float sa = a_scale[static_cast<std::size_t>(r)];
-          const float za = a_zero[static_cast<std::size_t>(r)];
-          const std::size_t node =
-              static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-          dequant_row(prow, wsc, wzc, sa, za, dim_, k_all.data() + node, bias);
-          dequant_row(prow + dim_, wsc + dim_, wzc + dim_, sa, za, dim_,
-                      q_all.data() + node, bias + dim_);
-          dequant_row(prow + 2 * dim_, wsc + 2 * dim_, wzc + 2 * dim_, sa, za, dim_,
-                      v_all.data() + node, bias + 2 * dim_);
-        }
-        continue;
-      }
       project_type_rows(xdata, dim_, rows, fused->kqv_w[ts].data(), 3 * dim_, pool, gathered,
                         projected);
       for (int r = 0; r < rt; ++r) {
@@ -488,9 +386,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   FloatVec y(row_elems);
   {
     FloatVec gathered, projected;
-    backend::detail::U8Vec qa;
-    FloatVec a_scale, a_zero;
-    backend::detail::I32Vec acc;
     ThreadPool* pool = pool_.get();
     const float* xdata = x.data().data();
     for (int t = 0; t < kNumHetNodeTypes; ++t) {
@@ -499,22 +394,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       if (rows.empty()) continue;
       const int rt = static_cast<int>(rows.size());
       const float* bias = fused->a_b[ts].data();
-      if (int8) {
-        quantize_rows(h_tilde.data(), dim_, rows, qa, a_scale, a_zero);
-        acc.resize(static_cast<std::size_t>(rt) * dim_sz);
-        backend::gemm_s8_mt(qa.data(), dim_, fused->a_q[ts].q.data(), acc.data(), dim_, rt,
-                            dim_, dim_, pool);
-        const float* wsc = fused->a_q[ts].scale.data();
-        const float* wzc = fused->a_q[ts].zcomp.data();
-        for (int r = 0; r < rt; ++r) {
-          const std::size_t node =
-              static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-          dequant_row(acc.data() + static_cast<std::size_t>(r) * dim_sz, wsc, wzc,
-                      a_scale[static_cast<std::size_t>(r)], a_zero[static_cast<std::size_t>(r)],
-                      dim_, y.data() + node, bias, xdata + node);
-        }
-        continue;
-      }
       project_type_rows(h_tilde.data(), dim_, rows, fused->a_w[ts].data(), dim_, pool,
                         gathered, projected);
       for (int r = 0; r < rt; ++r) {
@@ -564,10 +443,6 @@ Tensor HgtEncoder::forward_reference(const Tensor& x, const HetGraphIndex& index
     state = norms_[i]->forward(layers_[i]->forward_reference(state, index));
   }
   return state;
-}
-
-void HgtEncoder::set_precision(Precision p) {
-  for (auto& layer : layers_) layer->set_precision(p);
 }
 
 void HgtEncoder::set_thread_pool(std::shared_ptr<ThreadPool> pool) {

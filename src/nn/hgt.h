@@ -26,27 +26,10 @@
 #include "graph/hetgraph_index.h"
 #include "nn/layers.h"
 #include "nn/module.h"
-#include "tensor/gemm_s8.h"
 
 namespace g2p {
 
 class ThreadPool;
-
-/// Serving precision of the fused inference path. kFp32 is the default and
-/// is numerically identical to the pre-quantization fused kernel; kInt8
-/// routes every projection GEMM through the quantized Kernels::gemm_s8
-/// contract (gemm_s8.h): dynamic asymmetric per-row activation quantization
-/// fused into the gather, cached symmetric per-output-channel int8 weight
-/// repacks, fp32 dequantization folded into the bias/residual scatters.
-/// Training and the taped reference path always run fp32 regardless.
-enum class Precision { kFp32, kInt8 };
-
-/// The precision actually served: the G2P_PRECISION environment override
-/// ("fp32" | "int8", read once) when set and valid, else `configured`.
-Precision resolve_precision(Precision configured);
-
-/// "fp32" / "int8" — stable strings for stats and --json reporting.
-const char* precision_name(Precision p);
 
 class HgtLayer : public Module {
  public:
@@ -84,19 +67,11 @@ class HgtLayer : public Module {
   /// checkpoint load — keyed on tensor mutation versions).
   Tensor forward_fused(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Configure the fused forward's serving precision (default fp32; the
-  /// G2P_PRECISION env var overrides it — see resolve_precision). Configure
-  /// at setup: not thread-safe against concurrent forwards. The int8 weight repacks live in the same fused
-  /// cache and share its stamp, so flipping precision never serves stale
-  /// weights and costs no rebuild.
-  void set_precision(Precision p) { precision_ = p; }
-  Precision precision() const { return precision_; }
-
   /// Worker pool for the fused forward's projection GEMMs (matmul_mt row
   /// panels) — batch-shaped forwards scale across cores with it, null runs
   /// them single-threaded. Nested use is safe: on a pool worker the panels
   /// run inline. Not thread-safe against concurrent forwards (configure at
-  /// setup, like set_precision).
+  /// setup).
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
   int dim() const { return dim_; }
@@ -133,12 +108,6 @@ class HgtLayer : public Module {
     std::vector<FloatVec> att, msg;      // φ-indexed; block layout is [h][k][j]
     std::vector<FloatVec> kqv_w, kqv_b;  // τ-indexed: [dim, 3*dim] / [3*dim]
     std::vector<FloatVec> a_w, a_b;      // τ-indexed: [dim, dim] / [dim]
-    // Int8 images of the projection operands for the quantized serving
-    // path (gemm_s8.h), built unconditionally at rebuild — they are a few KB
-    // per layer, and sharing the stamp means a precision flip (option or
-    // env) never races a rebuild. Each quantizes its τ-indexed GEMM operand
-    // per output column. The edge phases stay fp32 at either precision.
-    std::vector<backend::detail::QuantOperand> kqv_q, a_q;  // τ-indexed
   };
   const FusedWeights* fused_weights() const;
   std::uint64_t weight_stamp() const;
@@ -153,7 +122,6 @@ class HgtLayer : public Module {
   mutable std::mutex fused_mutex_;
   mutable std::vector<std::unique_ptr<const FusedWeights>> fused_retired_;
   mutable std::atomic<const FusedWeights*> fused_current_{nullptr};
-  Precision precision_ = Precision::kFp32;
   std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
   /// Apply the per-type linear `lins[type]` to the rows of each type and
@@ -177,9 +145,6 @@ class HgtEncoder : public Module {
   /// encoder-level equivalence oracle for `forward` under NoGradGuard (and
   /// the reference arm of bench_hgt_kernel).
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
-
-  /// Propagate the serving precision to every layer (see HgtLayer).
-  void set_precision(Precision p);
 
   /// Propagate the projection-GEMM worker pool to every layer (see HgtLayer).
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);

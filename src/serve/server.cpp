@@ -274,7 +274,6 @@ SuggestServer::~SuggestServer() { shutdown(); }
 
 ServerStatsSnapshot SuggestServer::stats() const {
   ServerStatsSnapshot snapshot = stats_->snapshot();
-  snapshot.precision = precision_name(pipeline_->active_precision());
   snapshot.verify = pipeline_->verify_active();
   const SuggestCache::Stats cache = pipeline_->cache_stats();
   snapshot.cache_full_hits = cache.full_hits;

@@ -73,11 +73,6 @@ struct ServerStatsSnapshot {
   std::uint64_t mode_shed_entered = 0;
   std::uint64_t mode_recovered = 0;
 
-  // Active serving precision of the fused forward ("fp32" or "int8" —
-  // stable strings from precision_name(), env override already resolved).
-  // Filled by SuggestServer::stats() from the pipeline.
-  const char* precision = "fp32";
-
   // Content-addressed serving cache (filled by SuggestServer::stats() from
   // the pipeline's SuggestCache counters; zero when caching is disabled).
   std::uint64_t cache_full_hits = 0;      // whole result served from cache

@@ -20,7 +20,6 @@
 #include "support/thread_pool.h"
 #include "tensor/fastmath.h"
 #include "tensor/gemm_blocked.h"
-#include "tensor/gemm_s8.h"
 
 #if defined(__ARM_NEON)
 #include <arm_neon.h>
@@ -197,61 +196,6 @@ void scalar_gemm(const float* a, const float* b, float* out, int n, int k, int m
 }
 
 // ---------------------------------------------------------------------------
-// Scalar quantized GEMM micro-kernel (gemm_s8.h drives blocking and packing)
-// ---------------------------------------------------------------------------
-
-/// 4x8 int32 tile over the depth-grouped panels — the reference semantics
-/// for Kernels::gemm_s8. Every product is exact in int32 and integer
-/// addition is associative, so the AVX2 maddubs tile (whose u8 operands are
-/// capped at 127 — see gemm_s8.h) reproduces it bitwise. The fixed-width
-/// inner loops auto-vectorize (including to NEON, which reuses this tile).
-struct ScalarS8Micro {
-  static constexpr int MR = 4;
-  static constexpr int NR = 8;
-  static void run(int kc4, const std::uint8_t* __restrict pa, const std::int8_t* __restrict pb,
-                  std::int32_t* __restrict c, int ldc, bool accumulate) {
-    std::int32_t acc[MR][NR] = {};
-    for (int kb = 0; kb < kc4; ++kb) {
-      for (int r = 0; r < MR; ++r) {
-        const std::uint8_t* ar = pa + r * detail::kQuantKP;
-        const std::int32_t a0 = ar[0], a1 = ar[1], a2 = ar[2], a3 = ar[3];
-        for (int j = 0; j < NR; ++j) {
-          const std::int8_t* bj = pb + j * detail::kQuantKP;
-          acc[r][j] += a0 * bj[0] + a1 * bj[1] + a2 * bj[2] + a3 * bj[3];
-        }
-      }
-      pa += MR * detail::kQuantKP;
-      pb += NR * detail::kQuantKP;
-    }
-    for (int r = 0; r < MR; ++r) {
-      std::int32_t* crow = c + static_cast<std::size_t>(r) * ldc;
-      if (accumulate) {
-        for (int j = 0; j < NR; ++j) crow[j] += acc[r][j];
-      } else {
-        for (int j = 0; j < NR; ++j) crow[j] = acc[r][j];
-      }
-    }
-  }
-};
-
-void scalar_gemm_s8(const std::uint8_t* a, int lda, const std::int8_t* b, std::int32_t* out,
-                    int ldc, int n, int k, int m) {
-  detail::gemm_s8_blocked<ScalarS8Micro>(a, lda, b, out, ldc, n, k, m);
-}
-
-/// Reference per-row activation quantizer: one quantize_row_u8 (gemm_s8.h)
-/// per selected row. The branch-free inner clamp keeps the row loop
-/// auto-vectorizable on targets whose compiler flags allow it.
-void scalar_quantize_rows(const float* src, const int* rows, int count, int dim,
-                          std::uint8_t* qa, float* scales, float* zeros) {
-  for (int i = 0; i < count; ++i) {
-    const int row = rows != nullptr ? rows[i] : i;
-    detail::quantize_row_u8(src + static_cast<std::size_t>(row) * dim, dim,
-                            qa + static_cast<std::size_t>(i) * dim, scales[i], zeros[i]);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Scalar fused-HGT primitives
 // ---------------------------------------------------------------------------
 
@@ -388,8 +332,6 @@ constexpr Kernels kScalar = {
     "scalar",
     scalar_matmul,
     scalar_gemm,
-    scalar_gemm_s8,
-    scalar_quantize_rows,
     scalar_hgt_logits,
     scalar_hgt_accumulate,
     scalar_row_dot,
@@ -427,8 +369,6 @@ constexpr Kernels kNeon = {
     "neon",
     scalar_matmul,   // the tuned scalar kernels auto-vectorize on aarch64
     scalar_gemm,     // ScalarMicro's fixed-width tile vectorizes likewise
-    scalar_gemm_s8,  // ScalarS8Micro's int32 tile vectorizes (smull/sadalp class)
-    scalar_quantize_rows,  // min/max scan + branch-free clamp vectorize likewise
     scalar_hgt_logits,  // per-edge register map: auto-vectorizes on aarch64
     scalar_hgt_accumulate,
     neon_row_dot,
@@ -567,26 +507,6 @@ void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
         std::min(per_chunk, static_cast<std::size_t>(n) - begin);
     kernel(a + begin * static_cast<std::size_t>(k), b,
            out + begin * static_cast<std::size_t>(m), static_cast<int>(rows), k, m);
-  });
-}
-
-void gemm_s8_mt(const std::uint8_t* a, int lda, const std::int8_t* b, std::int32_t* out,
-                int ldc, int n, int k, int m, ThreadPool* pool) {
-  // Same chunking policy as matmul_mt; the int32 accumulators make the row
-  // split bitwise-neutral, so no full-shape kernel pinning is needed.
-  const std::size_t chunks = row_panels(n, pool);
-  const auto kernel = active().gemm_s8;
-  if (chunks <= 1) {
-    kernel(a, lda, b, out, ldc, n, k, m);
-    return;
-  }
-  const std::size_t per_chunk = (static_cast<std::size_t>(n) + chunks - 1) / chunks;
-  pool->parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * per_chunk;
-    if (begin >= static_cast<std::size_t>(n)) return;
-    const std::size_t rows = std::min(per_chunk, static_cast<std::size_t>(n) - begin);
-    kernel(a + begin * static_cast<std::size_t>(lda), lda, b,
-           out + begin * static_cast<std::size_t>(ldc), ldc, static_cast<int>(rows), k, m);
   });
 }
 

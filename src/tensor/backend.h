@@ -19,23 +19,20 @@
 //
 // GEMM routing is a function of the shape and the pool alone: matmul_auto
 // picks the blocked `gemm` or the legacy `matmul` kernels from the product's
-// shape, and matmul_mt / gemm_s8_mt fan row panels out over at most the
-// pool's width (a one-thread pool pins them to the calling thread).
+// shape, and matmul_mt fans row panels out over at most the pool's width (a
+// one-thread pool pins it to the calling thread).
 //
 // Environment (every G2P_* runtime knob is documented in docs/tuning.md):
 //   G2P_BACKEND = auto (default) | scalar | avx2 | neon
 //     "auto" picks the best table the CPU supports; naming an unavailable
 //     backend falls back to auto with a stderr note. Read once, at the first
 //     call to active().
-//   G2P_PRECISION = fp32 | int8 (serving precision override; read once in
-//     nn/hgt.cpp — the int8 path dispatches through Kernels::gemm_s8 below).
 //   G2P_FAILPOINTS = site=action[@p[,seed]][;...] (fault injection into the
 //     serving path, including the pool.acquire tensor-buffer allocation
 //     seam in tensor.cpp; grammar in support/failpoint.h, semantics in
 //     docs/serving.md).
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 
 namespace g2p {
@@ -62,34 +59,6 @@ struct Kernels {
   /// n is large enough to amortize packing; matmul_auto() holds the shape
   /// heuristic so callers don't choose by hand.
   void (*gemm)(const float* a, const float* b, float* out, int n, int k, int m);
-
-  /// Quantized GEMM: row-major u8 activations [n, k] (row stride lda,
-  /// values in [0, 127] — the 7-bit activation range of the int8 serving
-  /// contract, see gemm_s8.h) times s8 weights [k, m] (contiguous), into
-  /// exact int32 accumulators [n, m] (row stride ldc), fully overwritten.
-  /// Same GotoBLAS-style packed/blocked driver as `gemm`
-  /// (gemm_s8_blocked<Micro> in gemm_s8.h) with a vpmaddubsw/vpmaddwd
-  /// micro-kernel on AVX2 and a scalar reference tile that defines the
-  /// semantics. Integer accumulation is exact, so every backend — and any
-  /// row-panel split (gemm_s8_mt) — is bitwise-identical. Scales,
-  /// zero-points, and the fp32 dequant epilogue are the caller's (the fused
-  /// HGT forward folds dequant into its bias+residual scatters).
-  void (*gemm_s8)(const std::uint8_t* a, int lda, const std::int8_t* b,
-                  std::int32_t* out, int ldc, int n, int k, int m);
-
-  /// Dynamic per-row activation quantization for the int8 serving path
-  /// (the gather half of the quantize-and-pack step): for each i in
-  /// [0, count), read the [dim] fp32 row `src + rows[i]*dim` (or row i when
-  /// `rows` is null), scan its min/max, and emit u8 codes in [0, 127] into
-  /// `qa + i*dim` with scales[i]/zeros[i] such that
-  ///   src[row, j] ~= zeros[i] + scales[i] * qa[i, j]
-  /// (asymmetric, 7-bit — see gemm_s8.h for why 127). Min/max are exact in
-  /// any evaluation order, so scales and zero-points are bitwise-identical
-  /// across backends; the fp32 rounding into codes may differ by one step
-  /// on half-ulp ties (callers compare dequantized values with tolerances,
-  /// like every other fp32 kernel here).
-  void (*quantize_rows)(const float* src, const int* rows, int count, int dim,
-                        std::uint8_t* qa, float* scales, float* zeros);
 
   /// Fused-HGT attention logits for one edge type's whole CSR block
   /// (`count` edges, all heads, one call). Each edge applies the cached
@@ -176,12 +145,5 @@ void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m
 /// saturation), so nested use under a parallel encode is harmless.
 void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
                ThreadPool* pool);
-
-/// Multithreaded quantized GEMM: the matmul_mt row-panel fan-out over the
-/// active table's gemm_s8 (same pool-width and min-rows chunking).
-/// Integer accumulation makes the split bitwise-neutral; null pool, tiny n,
-/// or a single worker degrade to one inline kernel call.
-void gemm_s8_mt(const std::uint8_t* a, int lda, const std::int8_t* b, std::int32_t* out,
-                int ldc, int n, int k, int m, ThreadPool* pool);
 
 }  // namespace g2p::backend

@@ -17,12 +17,9 @@
 #include <immintrin.h>
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 
 #include "tensor/fastmath.h"
 #include "tensor/gemm_blocked.h"
-#include "tensor/gemm_s8.h"
 
 namespace g2p::backend {
 
@@ -187,146 +184,6 @@ struct Avx2Micro {
 
 void avx2_gemm(const float* a, const float* b, float* out, int n, int k, int m) {
   detail::gemm_blocked<Avx2Micro>(a, b, out, n, k, m);
-}
-
-// ---------------------------------------------------------------------------
-// Quantized GEMM micro-kernel (gemm_s8.h drives blocking and packing)
-// ---------------------------------------------------------------------------
-
-/// 4x16 int32 tile on the maddubs/madd pair: per depth group of four, one
-/// u32 broadcast of a row's four activation bytes meets two packed weight
-/// vectors (16 columns x 4 k-bytes each); vpmaddubsw forms the u8*s8 pair
-/// sums in int16 — exact, because activations are capped at 127
-/// (gemm_s8.h) so 127*127*2 < 2^15 never saturates — and vpmaddwd folds
-/// them into one int32 per column. 8 accumulators + 2 B vectors + 1
-/// broadcast + the ones constant stay well inside the 16 YMM registers.
-struct Avx2S8Micro {
-  static constexpr int MR = 4;
-  static constexpr int NR = 16;
-  static void run(int kc4, const std::uint8_t* __restrict pa, const std::int8_t* __restrict pb,
-                  std::int32_t* __restrict c, int ldc, bool accumulate) {
-    __m256i acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
-      acc[r][0] = _mm256_setzero_si256();
-      acc[r][1] = _mm256_setzero_si256();
-    }
-    const __m256i ones = _mm256_set1_epi16(1);
-    for (int kb = 0; kb < kc4; ++kb) {
-      const __m256i b0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(pb));
-      const __m256i b1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(pb + 32));
-      for (int r = 0; r < MR; ++r) {
-        std::int32_t a4;
-        std::memcpy(&a4, pa + r * 4, sizeof(a4));
-        const __m256i av = _mm256_set1_epi32(a4);
-        const __m256i p0 = _mm256_maddubs_epi16(av, b0);
-        const __m256i p1 = _mm256_maddubs_epi16(av, b1);
-        acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(p0, ones));
-        acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(p1, ones));
-      }
-      pa += MR * 4;
-      pb += NR * 4;
-    }
-    for (int r = 0; r < MR; ++r) {
-      std::int32_t* crow = c + static_cast<std::size_t>(r) * ldc;
-      __m256i* crow0 = reinterpret_cast<__m256i*>(crow);
-      __m256i* crow1 = reinterpret_cast<__m256i*>(crow + 8);
-      if (accumulate) {
-        _mm256_storeu_si256(crow0, _mm256_add_epi32(_mm256_loadu_si256(crow0), acc[r][0]));
-        _mm256_storeu_si256(crow1, _mm256_add_epi32(_mm256_loadu_si256(crow1), acc[r][1]));
-      } else {
-        _mm256_storeu_si256(crow0, acc[r][0]);
-        _mm256_storeu_si256(crow1, acc[r][1]);
-      }
-    }
-  }
-};
-
-void avx2_gemm_s8(const std::uint8_t* a, int lda, const std::int8_t* b, std::int32_t* out,
-                  int ldc, int n, int k, int m) {
-  detail::gemm_s8_blocked<Avx2S8Micro>(a, lda, b, out, ldc, n, k, m);
-}
-
-/// Horizontal min / max of one YMM.
-inline float hmin_ps(__m256 v) {
-  __m128 lo = _mm_min_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-  lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_min_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-inline float hmax_ps(__m256 v) {
-  __m128 lo = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-  lo = _mm_max_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_max_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-
-/// Per-row dynamic activation quantizer: vectorized min/max scan, then
-/// (x - lo) * inv + 0.5 truncated to u8 with a float-side upper clamp
-/// (the value is >= 0.5 by construction, so no lower clamp). Min/max are
-/// exact in any lane order — scales and zero-points match the scalar
-/// reference bitwise; code rounding matches up to fp32 contraction ties.
-void avx2_quantize_rows(const float* src, const int* rows, int count, int dim,
-                        std::uint8_t* qa, float* scales, float* zeros) {
-  // i32 (a0 b0 a1 b1 | a2 b2 a3 b3) -> packed u8 lane order after the two
-  // in-lane pack steps; this permute restores ascending element order.
-  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 cap = _mm256_set1_ps(127.0f);
-  for (int i = 0; i < count; ++i) {
-    const int row = rows != nullptr ? rows[i] : i;
-    const float* x = src + static_cast<std::size_t>(row) * dim;
-    std::uint8_t* dst = qa + static_cast<std::size_t>(i) * dim;
-    if (dim == 0) {
-      scales[i] = 0.0f;
-      zeros[i] = 0.0f;
-      continue;
-    }
-    float lo, hi;
-    int j = 0;
-    if (dim >= 8) {
-      __m256 vlo = _mm256_loadu_ps(x);
-      __m256 vhi = vlo;
-      for (j = 8; j + 8 <= dim; j += 8) {
-        const __m256 v = _mm256_loadu_ps(x + j);
-        vlo = _mm256_min_ps(vlo, v);
-        vhi = _mm256_max_ps(vhi, v);
-      }
-      lo = hmin_ps(vlo);
-      hi = hmax_ps(vhi);
-    } else {
-      lo = hi = x[0];
-      j = 1;
-    }
-    for (; j < dim; ++j) {
-      lo = std::min(lo, x[j]);
-      hi = std::max(hi, x[j]);
-    }
-    zeros[i] = lo;
-    scales[i] = (hi - lo) / 127.0f;
-    const float inv = scales[i] > 0.0f ? 127.0f / (hi - lo) : 0.0f;
-    const __m256 vlo8 = _mm256_set1_ps(lo);
-    const __m256 vinv = _mm256_set1_ps(inv);
-    j = 0;
-    for (; j + 32 <= dim; j += 32) {
-      __m256i q[4];
-      for (int t = 0; t < 4; ++t) {
-        const __m256 v = _mm256_loadu_ps(x + j + t * 8);
-        const __m256 scaled =
-            _mm256_min_ps(_mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(v, vlo8), vinv), half),
-                          cap);
-        q[t] = _mm256_cvttps_epi32(scaled);
-      }
-      const __m256i p01 = _mm256_packs_epi32(q[0], q[1]);   // i16, in-lane interleave
-      const __m256i p23 = _mm256_packs_epi32(q[2], q[3]);
-      const __m256i bytes = _mm256_packus_epi16(p01, p23);  // u8, in-lane interleave
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + j),
-                          _mm256_permutevar8x32_epi32(bytes, order));
-    }
-    for (; j < dim; ++j) {
-      const float q = std::min((x[j] - lo) * inv + 0.5f, 127.0f);
-      dst[j] = static_cast<std::uint8_t>(static_cast<int>(q));
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -568,8 +425,6 @@ const Kernels kAvx2 = {
     "avx2",
     avx2_matmul,
     avx2_gemm,
-    avx2_gemm_s8,
-    avx2_quantize_rows,
     avx2_hgt_logits,
     avx2_hgt_accumulate,
     avx2_row_dot,

@@ -21,8 +21,8 @@ class Rng;
 
 using Shape = std::vector<int>;
 
-/// Tensor-buffer allocation seam: every FloatVec/U8Vec/I8Vec/I32Vec block is
-/// allocated by acquire() and freed by release(), straight from the system
+/// Tensor-buffer allocation seam: every FloatVec block is allocated by
+/// acquire() and freed by release(), straight from the system
 /// allocator. There is deliberately no recycling cache in front of it: batch
 /// shapes change on every call, so exact sizes rarely recur, and per-thread
 /// caches of them pinned memory on every worker and fragmented the heap.

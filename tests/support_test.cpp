@@ -13,7 +13,6 @@
 #include "support/rng.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "tensor/gemm_s8.h"
 #include "tensor/tensor.h"
 
 namespace g2p {
@@ -240,18 +239,16 @@ TEST(Arena, MoveTransfersOwnership) {
 // ---- tensor_pool ------------------------------------------------------------
 
 TEST(TensorPool, HandsOut64ByteAlignedBlocks) {
-  // The blocked GEMM packs panels into FloatVec scratch and the int8 driver
-  // into U8Vec/I8Vec scratch, and both read them with aligned SIMD loads —
-  // every size must come back 64-byte aligned, fresh or reallocated.
+  // The blocked GEMM packs panels into FloatVec scratch and reads them with
+  // aligned SIMD loads — every size must come back 64-byte aligned, fresh or
+  // reallocated.
   const auto aligned = [](const void* p) {
     return reinterpret_cast<std::uintptr_t>(p) % tensor_pool::kAlignment == 0;
   };
   for (const std::size_t bytes : {4u, 100u, 1u << 12, 1u << 16, (1u << 16) + 4, 1u << 20}) {
     for (int round = 0; round < 2; ++round) {
       FloatVec f(bytes / sizeof(float) + 1);
-      backend::detail::U8Vec u(bytes + 1);
-      EXPECT_TRUE(aligned(f.data())) << bytes << " bytes (FloatVec) round " << round;
-      EXPECT_TRUE(aligned(u.data())) << bytes << " bytes (U8Vec) round " << round;
+      EXPECT_TRUE(aligned(f.data())) << bytes << " bytes round " << round;
     }
   }
 }
