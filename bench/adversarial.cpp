@@ -238,7 +238,6 @@ int main(int argc, char** argv) {
 
   SuggestServer::Options server_options;
   server_options.max_batch_loops = 32;
-  server_options.max_delay = std::chrono::milliseconds(2);
   server_options.max_queue_depth = 256;
 
   // Phase 1: clean-only baseline.

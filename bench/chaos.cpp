@@ -123,13 +123,11 @@ int main(int argc, char** argv) {
 
   SuggestServer::Options server_options;
   server_options.max_batch_loops = 32;
-  server_options.max_delay = std::chrono::milliseconds(2);
   server_options.max_queue_depth = 256;
   server_options.max_retries = 3;
-  server_options.retry_backoff = std::chrono::milliseconds(1);
   server_options.batch_budget = std::chrono::milliseconds(2000);
-  // Degradation ladder at its defaults: shrink at 50% depth, cache-only at
-  // 75%, shed at 90% — at 1x capacity it should never leave kNormal.
+  // Degradation ladder at its defaults: cache-only at 75% depth, shed at
+  // 90% — at 1x capacity it should never leave kNormal.
   SuggestServer server(pipeline, server_options);
 
   // Open-loop arrivals at 1x the sequential worker's capacity.
@@ -241,13 +239,11 @@ int main(int argc, char** argv) {
   json.set("expired", static_cast<std::int64_t>(stats.expired));
   json.set("watchdog_abandoned", static_cast<std::int64_t>(stats.watchdog_abandoned));
   json.set("scheduler_faults", static_cast<std::int64_t>(stats.scheduler_faults));
-  json.set("mode_shrink_entered", static_cast<std::int64_t>(stats.mode_shrink_entered));
   json.set("mode_cache_only_entered",
            static_cast<std::int64_t>(stats.mode_cache_only_entered));
   json.set("mode_shed_entered", static_cast<std::int64_t>(stats.mode_shed_entered));
   json.set("mode_recovered", static_cast<std::int64_t>(stats.mode_recovered));
   // Resolved degradation config, mirroring bench_latency_server.
-  json.set("degrade_shrink_at", server_options.shrink_window_at);
   json.set("degrade_cache_only_at", server_options.cache_only_at);
   json.set("degrade_shed_at", server_options.shed_at);
   json.set("max_retries", server_options.max_retries);

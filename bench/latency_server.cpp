@@ -8,9 +8,9 @@
 //   * sequential: a FIFO single-server queue simulated from per-request
 //     service times measured on this machine (one Pipeline::suggest call per
 //     request, no batching), and
-//   * async server: real SuggestServer, scheduler collecting requests for
-//     max_delay / max_batch_loops and serving each batch with one batched
-//     forward.
+//   * async server: real SuggestServer, scheduler popping whatever is
+//     queued (up to max_batch_loops) and serving each batch with one
+//     batched forward.
 // Reports per-mode throughput and p50/p99 latency against the arrival
 // schedule, plus the server's mean achieved batch size. Fails (exit 1) if
 // server outputs are not equivalent to per-source suggest (same tolerance
@@ -141,13 +141,11 @@ int main(int argc, char** argv) {
   // ---- async micro-batching server (real run) ------------------------------
   SuggestServer::Options server_options;
   server_options.max_batch_loops = 32;
-  server_options.max_delay = std::chrono::milliseconds(2);
   server_options.max_queue_depth = num_requests + 1;  // pure open loop: never block
   // This bench measures the undegraded serving path (every future must hold
   // a value for the equivalence gate): the ladder is disabled here and
   // exercised by bench_chaos instead.
-  server_options.shrink_window_at = server_options.cache_only_at =
-      server_options.shed_at = 1.5;
+  server_options.cache_only_at = server_options.shed_at = 1.5;
   SuggestServer server(pipeline, server_options);
 
   // Warmup pass through every distinct source.
@@ -284,7 +282,6 @@ int main(int argc, char** argv) {
   // Resolved degradation config (this bench pins the ladder off; a value
   // > 1.0 means the rung is disabled) and the fault-tolerance counters —
   // all zero in a clean run, and loud in the json when they are not.
-  json.set("degrade_shrink_at", server_options.shrink_window_at);
   json.set("degrade_cache_only_at", server_options.cache_only_at);
   json.set("degrade_shed_at", server_options.shed_at);
   json.set("expired", static_cast<std::int64_t>(stats.expired));

@@ -23,7 +23,6 @@ int main() {
   std::printf("training pipeline...\n");
   SuggestServer::Options server_options;
   server_options.max_batch_loops = 16;
-  server_options.max_delay = std::chrono::milliseconds(5);
   SuggestServer server(Pipeline::train(options), server_options);
 
   const std::vector<std::string> requests = {

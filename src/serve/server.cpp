@@ -13,6 +13,9 @@ namespace g2p {
 
 namespace {
 
+/// First backoff of the transient-fault retry ladder; doubled per attempt.
+constexpr std::chrono::milliseconds kRetryBackoff{1};
+
 std::uint64_t latency_us(std::chrono::steady_clock::time_point enqueued,
                          std::chrono::steady_clock::time_point now) {
   return static_cast<std::uint64_t>(
@@ -115,7 +118,6 @@ struct SuggestServer::RunCtx {
   std::shared_ptr<Pipeline> pipeline;
   std::shared_ptr<ServerStats> stats;
   int max_retries = 0;
-  std::chrono::milliseconds retry_backoff{1};
 
   void run(Batch& batch) const;
 };
@@ -135,7 +137,7 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
   if (active.empty()) return;
   stats->on_batch(active.size());
 
-  auto backoff = retry_backoff.count() > 0 ? retry_backoff : std::chrono::milliseconds(1);
+  auto backoff = kRetryBackoff;
   int attempt = 0;
   bool retried = false;
 
@@ -256,7 +258,7 @@ SuggestServer::SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options
   pipeline_->set_thread_pool(pool_);
   stats_ = std::make_shared<ServerStats>();
   run_ctx_ = std::make_shared<RunCtx>(
-      RunCtx{pipeline_, stats_, options_.max_retries, options_.retry_backoff});
+      RunCtx{pipeline_, stats_, options_.max_retries});
   // Admission shed threshold: queue depth at or beyond it rejects new
   // submissions with Overloaded instead of blocking. shed_at > 1.0 keeps
   // the classic blocking backpressure (the threshold is unreachable).
@@ -296,10 +298,6 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::enqueue_locked(
   return future;
 }
 
-std::future<std::vector<LoopSuggestion>> SuggestServer::submit(std::string source) {
-  return submit(std::move(source), options_.default_deadline);
-}
-
 void SuggestServer::admission_check(const std::string& source) const {
   const std::uint64_t cap = pipeline_->active_budget().max_source_bytes;
   if (cap != 0 && source.size() > cap) {
@@ -329,11 +327,6 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::submit(
   lock.unlock();
   queue_cv_.notify_one();
   return future;
-}
-
-std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submit(
-    std::string source) {
-  return try_submit(std::move(source), options_.default_deadline);
 }
 
 std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submit(
@@ -383,11 +376,6 @@ DegradeMode SuggestServer::mode_for(std::size_t depth) const {
   const double f =
       static_cast<double>(depth) / static_cast<double>(options_.max_queue_depth);
   DegradeMode mode = DegradeMode::kNormal;
-  if (options_.degrade_latency.count() > 0 &&
-      ewma_batch_ms_ > static_cast<double>(options_.degrade_latency.count())) {
-    mode = DegradeMode::kShrinkWindow;
-  }
-  if (f >= options_.shrink_window_at) mode = DegradeMode::kShrinkWindow;
   if (f >= options_.cache_only_at) mode = DegradeMode::kCacheOnly;
   if (f >= options_.shed_at) mode = DegradeMode::kShed;
   return mode;
@@ -400,46 +388,13 @@ void SuggestServer::note_mode(DegradeMode mode) {
 }
 
 std::shared_ptr<SuggestServer::Batch> SuggestServer::collect_batch() {
-  // Adaptive window: arrivals pausing for this long close the batch early
-  // instead of sleeping out the rest of max_delay.
-  const auto grace = options_.idle_grace.count() >= 0
-                         ? options_.idle_grace
-                         : std::chrono::duration_cast<std::chrono::microseconds>(
-                               options_.max_delay / 4);
+  // Close-on-empty: serve whatever is queued, no window. Requests that
+  // arrive while this batch runs (dispatch is synchronous) form the next.
   std::unique_lock<std::mutex> lock(mutex_);
   queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
   if (queue_.empty()) return nullptr;  // stopping and fully drained
 
   note_mode(mode_for(queue_.size()));
-  if (mode_ == DegradeMode::kNormal) {
-    // Micro-batch window: hold the batch open until it fills, the oldest
-    // request has waited out max_delay, or the arrival stream pauses for
-    // idle_grace (no point holding an open window against idle traffic).
-    // Shutdown closes the window early so draining never sleeps.
-    const auto deadline = queue_.front().enqueued + options_.max_delay;
-    std::size_t seen = queue_.size();
-    auto last_arrival = Clock::now();
-    while (!stopping_ && queue_.size() < options_.max_batch_loops) {
-      const auto wake = std::min(deadline, Clock::time_point(last_arrival + grace));
-      const bool timed_out =
-          queue_cv_.wait_until(lock, wake) == std::cv_status::timeout;
-      if (queue_.size() > seen) {
-        seen = queue_.size();
-        last_arrival = Clock::now();
-        // Arrivals may have pushed the queue over a ladder threshold —
-        // stop holding the window open the moment pressure appears.
-        if (mode_for(queue_.size()) != DegradeMode::kNormal) break;
-        continue;
-      }
-      // No growth: a hard-deadline or idle-grace expiry closes the
-      // window; notifies without arrivals (spurious, shutdown) loop.
-      if (timed_out) break;
-    }
-    // The window wait may have changed the picture; the rung the batch is
-    // served under is the one that holds *now*.
-    note_mode(mode_for(queue_.size()));
-  }
-
   const std::size_t take = std::min(queue_.size(), options_.max_batch_loops);
   auto batch = std::make_shared<Batch>();
   batch->mode = mode_;
@@ -570,11 +525,7 @@ void SuggestServer::scheduler_loop() {
       if (batch->mode == DegradeMode::kCacheOnly || batch->mode == DegradeMode::kShed) {
         serve_degraded(*batch);
       } else {
-        const auto start = Clock::now();
         dispatch_and_wait(batch);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-        ewma_batch_ms_ = ewma_batch_ms_ == 0.0 ? ms : 0.7 * ewma_batch_ms_ + 0.3 * ms;
       }
     } catch (...) {
       // Top-level catch: nothing escaping one batch may kill the scheduler

@@ -2,14 +2,14 @@
 //
 // PR 1 made one synchronous call fast (`Pipeline::suggest_batch`); this
 // turns it into a server loop. Callers `submit` C sources and get a
-// `std::future` per request; a scheduler thread collects queued requests
-// until `max_batch_loops` of them are waiting or the oldest has waited
-// `max_delay` (whichever comes first), merges them into one
+// `std::future` per request; a scheduler thread waits for work, pops
+// everything queued (up to `max_batch_loops` requests), merges it into one
 // `suggest_batch_results` call, and completes every future — a request that
 // fails to parse completes *its* future exceptionally without poisoning its
-// batch-mates. Under light load a request costs one batch of 1 after at
-// most `max_delay`; under heavy load batches fill instantly and the model
-// forward is amortized across the whole batch.
+// batch-mates. There is no batching window: a lone request is served at
+// once as a batch of 1, and requests that arrive while a batch runs queue up
+// and form the next batch, so under load batches fill by themselves and the
+// model forward is amortized across the whole batch.
 //
 // Backpressure: the queue is bounded by `max_queue_depth`. `submit` blocks
 // until space frees up (so producers are throttled to the service rate);
@@ -19,9 +19,7 @@
 // batched pipeline call collapses duplicate keys onto one slot (see
 // Pipeline::suggest_batch_results) and reports which slots were copies, so
 // a thundering herd of one hot source costs one frontend + forward instead
-// of N. Collapses are counted in ServerStats::deduped. The window is also
-// adaptive: when arrivals pause for `idle_grace`, the batch closes early
-// rather than sleeping out `max_delay` (see Options).
+// of N. Collapses are counted in ServerStats::deduped.
 //
 // Fault tolerance (docs/serving.md):
 //  - Requests may carry a deadline; the scheduler expels expired requests
@@ -34,9 +32,8 @@
 //    are retried with doubled backoff up to `max_retries`, capped by the
 //    requests' deadlines.
 //  - Overload steps down a degradation ladder (DegradeMode in stats.h):
-//    shrink the batching window -> serve cache hits only -> shed with
-//    Overloaded. Every error is typed (serve/errors.h); every future always
-//    completes.
+//    serve cache hits only -> shed with Overloaded. Every error is typed
+//    (serve/errors.h); every future always completes.
 //
 // Shutdown is graceful: `shutdown()` (and the destructor) stops accepting
 // new work, serves everything already queued, then joins the scheduler.
@@ -71,17 +68,10 @@ namespace g2p {
 class SuggestServer {
  public:
   struct Options {
-    /// Batch-closing thresholds: serve once this many requests are queued
-    /// (each request is one translation unit whose loops join the batched
-    /// forward), or once the oldest queued request has waited `max_delay`.
+    /// Largest batch: one scheduler pop serves at most this many queued
+    /// requests (each request is one translation unit whose loops join the
+    /// batched forward).
     std::size_t max_batch_loops = 32;
-    std::chrono::milliseconds max_delay{2};
-    /// Adaptive window: when the arrival stream pauses — no new request for
-    /// this long while a batch is open — the window closes early instead of
-    /// sleeping out the rest of `max_delay` (idle traffic shouldn't pay the
-    /// worst-case batching delay). Negative (default) auto-sizes to
-    /// max_delay / 4; values >= max_delay effectively disable early close.
-    std::chrono::microseconds idle_grace{-1};
     /// Queue bound. `submit` blocks (backpressure) when this many requests
     /// are already waiting; `try_submit` returns nullopt instead. (With the
     /// default degradation ladder the shed rung triggers first — see
@@ -91,9 +81,6 @@ class SuggestServer {
     /// 0 = hardware concurrency.
     unsigned pool_threads = 0;
 
-    /// Deadline attached to `submit(source)` calls that don't pass one
-    /// explicitly. <= 0 means no deadline (requests wait forever).
-    std::chrono::milliseconds default_deadline{0};
     /// Watchdog budget for one batch execution (all retry attempts
     /// included). A batch still running after this long is abandoned: its
     /// futures complete with BatchAbandoned, the stuck serve worker is
@@ -102,24 +89,17 @@ class SuggestServer {
     std::chrono::milliseconds batch_budget{0};
     /// Transient-fault retry ladder: a batch attempt that fails with a
     /// transient error (failpoint::FailpointError) is re-run up to this many
-    /// times, sleeping `retry_backoff` doubled per attempt between runs.
+    /// times, sleeping a backoff (1 ms, doubled per attempt) between runs.
     /// Retries never extend past a request's deadline.
     int max_retries = 2;
-    std::chrono::milliseconds retry_backoff{1};
 
     /// Degradation ladder thresholds, as fractions of max_queue_depth.
-    /// Queue depth >= shrink_window_at * max_queue_depth closes batching
-    /// windows immediately; >= cache_only_at serves full-result cache hits
-    /// only (misses are shed with Overloaded, no forward runs); >= shed_at
-    /// sheds queued work and rejects new submissions with Overloaded.
-    /// Any value > 1.0 disables that rung.
-    double shrink_window_at = 0.50;
+    /// Queue depth >= cache_only_at * max_queue_depth serves full-result
+    /// cache hits only (misses are shed with Overloaded, no forward runs);
+    /// >= shed_at sheds queued work and rejects new submissions with
+    /// Overloaded. Any value > 1.0 disables that rung.
     double cache_only_at = 0.75;
     double shed_at = 0.90;
-    /// Optional latency trigger: when > 0 and the EWMA of batch wall time
-    /// exceeds this, the ladder steps at least to kShrinkWindow even if the
-    /// queue is shallow. 0 keeps the ladder depth-driven only.
-    std::chrono::milliseconds degrade_latency{0};
   };
 
   /// Takes shared ownership of the pipeline and injects the server's worker
@@ -142,22 +122,19 @@ class SuggestServer {
   /// Drains the queue, completes every outstanding future, joins.
   ~SuggestServer();
 
-  /// Enqueue one translation unit with Options::default_deadline. Blocks
-  /// while the queue is full (unless the shed rung rejects first, with
-  /// Overloaded); throws ServerStopped once the server is shutting down
-  /// (futures already obtained remain valid and will complete).
-  std::future<std::vector<LoopSuggestion>> submit(std::string source);
-  /// Same, with an explicit per-request deadline (measured from now;
-  /// <= 0 means none). A request whose deadline passes before it is served
-  /// completes with DeadlineExceeded instead of waiting forever.
+  /// Enqueue one translation unit. Blocks while the queue is full (unless
+  /// the shed rung rejects first, with Overloaded); throws ServerStopped
+  /// once the server is shutting down (futures already obtained remain
+  /// valid and will complete). `deadline` is measured from now; <= 0 (the
+  /// default) means none. A request whose deadline passes before it is
+  /// served completes with DeadlineExceeded instead of waiting forever.
   std::future<std::vector<LoopSuggestion>> submit(std::string source,
-                                                  std::chrono::milliseconds deadline);
+                                                  std::chrono::milliseconds deadline = {});
 
   /// Non-blocking submit: nullopt when the queue is full, the shed rung is
   /// active, or the server is shutting down (load shedding, never blocks).
-  std::optional<std::future<std::vector<LoopSuggestion>>> try_submit(std::string source);
   std::optional<std::future<std::vector<LoopSuggestion>>> try_submit(
-      std::string source, std::chrono::milliseconds deadline);
+      std::string source, std::chrono::milliseconds deadline = {});
 
   /// Stop accepting requests, serve everything queued, join the scheduler.
   /// Idempotent and safe to call concurrently with submitters (their
@@ -199,8 +176,9 @@ class SuggestServer {
                                                           Clock::time_point deadline);
 
   void scheduler_loop();
-  /// Wait for work, hold the batching window (degradation-aware), pop up to
-  /// max_batch_loops requests. Null return: stopping and fully drained.
+  /// Wait for work, then pop up to max_batch_loops of the queued requests
+  /// under the ladder rung the queue depth selects. Null return: stopping
+  /// and fully drained.
   std::shared_ptr<Batch> collect_batch();
   /// Complete expired requests with DeadlineExceeded; keep the rest.
   void expel_expired(Batch& batch);
@@ -232,7 +210,6 @@ class SuggestServer {
 
   // Scheduler-thread-only state (no locking needed).
   DegradeMode mode_ = DegradeMode::kNormal;
-  double ewma_batch_ms_ = 0.0;
 
   std::shared_ptr<WorkerCtrl> worker_ctrl_;
   std::thread serve_worker_;  // replaced (old one detached) on abandon

@@ -17,21 +17,18 @@
 namespace g2p {
 
 /// Rung of the overload degradation ladder the server is standing on.
-/// Ordered by severity: each step trades result quality/coverage for queue
-/// survival. The scheduler recomputes the rung from queue depth (and,
-/// optionally, observed batch latency) at every batch boundary, so the
-/// server steps back up as soon as pressure relents.
+/// Ordered by severity: each step trades result coverage for queue
+/// survival. The scheduler recomputes the rung from queue depth at every
+/// batch boundary, so the server steps back up as soon as pressure relents.
 enum class DegradeMode : int {
-  kNormal = 0,       // full batching window, full forward
-  kShrinkWindow = 1, // batch window closes immediately: smaller batches, no delay
-  kCacheOnly = 2,    // serve full-result cache hits only; misses are shed
-  kShed = 3,         // shed queued work with Overloaded; admission rejects new
+  kNormal = 0,     // full forward over everything popped
+  kCacheOnly = 1,  // serve full-result cache hits only; misses are shed
+  kShed = 2,       // shed queued work with Overloaded; admission rejects new
 };
 
 inline const char* degrade_mode_name(DegradeMode m) {
   switch (m) {
     case DegradeMode::kNormal: return "normal";
-    case DegradeMode::kShrinkWindow: return "shrink_window";
     case DegradeMode::kCacheOnly: return "cache_only";
     case DegradeMode::kShed: return "shed";
   }
@@ -68,7 +65,6 @@ struct ServerStatsSnapshot {
   // often each non-normal rung was entered (kNormal re-entries count as
   // recoveries).
   int mode = 0;  // DegradeMode as int
-  std::uint64_t mode_shrink_entered = 0;
   std::uint64_t mode_cache_only_entered = 0;
   std::uint64_t mode_shed_entered = 0;
   std::uint64_t mode_recovered = 0;
@@ -153,9 +149,6 @@ class ServerStats {
       case DegradeMode::kNormal:
         mode_recovered_.fetch_add(1, std::memory_order_relaxed);
         break;
-      case DegradeMode::kShrinkWindow:
-        mode_shrink_entered_.fetch_add(1, std::memory_order_relaxed);
-        break;
       case DegradeMode::kCacheOnly:
         mode_cache_only_entered_.fetch_add(1, std::memory_order_relaxed);
         break;
@@ -206,7 +199,6 @@ class ServerStats {
     s.scheduler_faults = scheduler_faults_.load(std::memory_order_relaxed);
     s.stopped_unserved = stopped_unserved_.load(std::memory_order_relaxed);
     s.mode = mode_.load(std::memory_order_relaxed);
-    s.mode_shrink_entered = mode_shrink_entered_.load(std::memory_order_relaxed);
     s.mode_cache_only_entered = mode_cache_only_entered_.load(std::memory_order_relaxed);
     s.mode_shed_entered = mode_shed_entered_.load(std::memory_order_relaxed);
     s.mode_recovered = mode_recovered_.load(std::memory_order_relaxed);
@@ -242,7 +234,6 @@ class ServerStats {
   std::atomic<std::uint64_t> scheduler_faults_{0};
   std::atomic<std::uint64_t> stopped_unserved_{0};
   std::atomic<int> mode_{0};
-  std::atomic<std::uint64_t> mode_shrink_entered_{0};
   std::atomic<std::uint64_t> mode_cache_only_entered_{0};
   std::atomic<std::uint64_t> mode_shed_entered_{0};
   std::atomic<std::uint64_t> mode_recovered_{0};

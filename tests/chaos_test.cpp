@@ -34,11 +34,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Disarms failpoints when a test exits, pass or fail — an armed schedule
-/// leaking into the next test would make failures non-local.
-struct FailpointGuard {
-  ~FailpointGuard() { failpoint::disarm(); }
-};
+using test_env::FailpointGuard;
 
 std::shared_ptr<Pipeline> shared_pipeline() {
   static const std::shared_ptr<Pipeline> pipeline = [] {
@@ -117,9 +113,7 @@ TEST(Chaos, RandomizedFaultScheduleInvariants) {
 
   SuggestServer::Options options;
   options.max_batch_loops = 8;
-  options.max_delay = 1ms;
   options.max_retries = 3;
-  options.retry_backoff = 1ms;
   options.batch_budget = 10s;  // generous: the watchdog has its own test
   SuggestServer server(pipeline, options);
 
@@ -185,7 +179,6 @@ TEST(Chaos, SchedulerSurvivesEscapingExceptions) {
   const auto sources = chaos_sources(4);
 
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.max_retries = 0;
   SuggestServer server(pipeline, options);
 
@@ -205,19 +198,20 @@ TEST(Chaos, SchedulerSurvivesEscapingExceptions) {
 // ---- shutdown-aware backpressure --------------------------------------------
 
 TEST(Chaos, ShutdownUnblocksBackpressuredSubmitter) {
+  FailpointGuard guard;
   auto pipeline = shared_pipeline();
   const auto sources = chaos_sources(4);
 
-  // Park the queue at its bound: wide-open window, ladder disabled so the
-  // shed rung cannot preempt the blocking backpressure being tested.
+  // Park the queue at its bound behind a stalled scheduler, ladder disabled
+  // so the shed rung cannot preempt the blocking backpressure being tested.
+  // The stall outlasts the submitter's 50 ms head start below by far.
   SuggestServer::Options options;
   options.max_batch_loops = 1000;
-  options.max_delay = 30s;
-  options.idle_grace = 30s;
   options.max_queue_depth = 2;
-  options.shrink_window_at = options.cache_only_at = options.shed_at = 1.5;
+  options.cache_only_at = options.shed_at = 1.5;
   SuggestServer server(pipeline, options);
 
+  auto blocker = test_env::park_scheduler(server, sources[3], 500);
   auto a = server.try_submit(sources[0]);
   auto b = server.try_submit(sources[1]);
   ASSERT_TRUE(a.has_value());
@@ -242,6 +236,7 @@ TEST(Chaos, ShutdownUnblocksBackpressuredSubmitter) {
   EXPECT_TRUE(saw_stopped.load());
 
   // The parked requests were still drained, not stranded.
+  EXPECT_NO_THROW((void)blocker.get());
   EXPECT_NO_THROW((void)a->get());
   EXPECT_NO_THROW((void)b->get());
 }
@@ -249,20 +244,21 @@ TEST(Chaos, ShutdownUnblocksBackpressuredSubmitter) {
 // ---- request deadlines ------------------------------------------------------
 
 TEST(Chaos, ExpiredRequestsAreExpelledBeforeTheForward) {
+  FailpointGuard guard;
   auto pipeline = shared_pipeline();
   const auto sources = chaos_sources(4);
 
-  // Hold the batching window far longer than the request's deadline.
+  // Stall the scheduler far longer than the request's deadline.
   SuggestServer::Options options;
   options.max_batch_loops = 1000;
-  options.max_delay = 300ms;
-  options.idle_grace = 300ms;
   SuggestServer server(pipeline, options);
 
+  auto blocker = test_env::park_scheduler(server, sources[2], 300);
   auto doomed = server.submit(sources[0], 30ms);
   auto healthy = server.submit(sources[1]);  // no deadline, same batch
   EXPECT_THROW(doomed.get(), DeadlineExceeded);
   EXPECT_NO_THROW((void)healthy.get());
+  EXPECT_NO_THROW((void)blocker.get());
   EXPECT_EQ(server.stats().expired, 1u);
 }
 
@@ -275,7 +271,6 @@ TEST(Chaos, WatchdogAbandonsStuckBatchAndKeepsServing) {
   pipeline->clear_cache();  // the stall is in the forward: force one
 
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.batch_budget = 50ms;
   options.max_retries = 0;
   SuggestServer server(pipeline, options);
@@ -311,9 +306,7 @@ TEST(Chaos, CacheOnlyModeServesHitsAndShedsMisses) {
   // without a forward; misses are shed with the typed error.
   const auto expected = pipeline->suggest(sources[0]);
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.cache_only_at = 0.0;
-  options.shrink_window_at = 0.0;
   options.shed_at = 1.5;  // admission stays open; only the scheduler sheds
   SuggestServer server(pipeline, options);
 
@@ -355,9 +348,7 @@ TEST(Chaos, RetryRecoversTransientFault) {
   // parse, the retry succeeds.
   failpoint::configure("frontend.parse=throw@0.5,3");
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.max_retries = 2;
-  options.retry_backoff = 1ms;
   SuggestServer server(pipeline, options);
 
   auto recovered = server.submit(sources[8]);
@@ -378,9 +369,7 @@ TEST(Chaos, RetryRecoversWholeBatchForwardFault) {
   // error); the retry's forward (hit 1) passes and serves the same answer.
   failpoint::configure("encode.forward=error@0.5,3");
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.max_retries = 2;
-  options.retry_backoff = 1ms;
   SuggestServer server(pipeline, options);
 
   expect_bitwise(server.submit(sources[9]).get(), expected, "recovered forward");
@@ -399,9 +388,7 @@ TEST(Chaos, RetryBudgetExhaustsOnPersistentFault) {
   // Seed 20 at p=0.5: hits 0..3 all inject — two retries cannot save it.
   failpoint::configure("frontend.parse=throw@0.5,20");
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.max_retries = 2;
-  options.retry_backoff = 1ms;
   SuggestServer server(pipeline, options);
 
   auto doomed = server.submit(sources[9]);
@@ -421,9 +408,7 @@ TEST(Chaos, FailedCheckpointLoadKeepsPreviousGenerationServing) {
 
   const auto expected = pipeline->suggest(sources[0]);
 
-  SuggestServer::Options options;
-  options.max_delay = 1ms;
-  SuggestServer server(pipeline, options);
+  SuggestServer server(pipeline);
   EXPECT_NO_THROW((void)server.submit(sources[1]).get());  // serving is live
 
   // Injected open-failure: the swap must report failure and change nothing.
@@ -498,7 +483,6 @@ TEST(Chaos, ShutdownWhileDegradedCompletesQueuedMissesTyped) {
   // they complete with ServerStopped (a client re-resolves elsewhere), not
   // that they vanish into the shed counter as if load protection fired.
   SuggestServer::Options options;
-  options.max_delay = 1ms;
   options.max_batch_loops = 2;
   options.max_queue_depth = 4;
   options.cache_only_at = 0.5;  // 2 queued / 4 >= 0.5

@@ -1,8 +1,13 @@
 // Tests for the async micro-batching server: equivalence of concurrently
 // submitted requests to per-source Pipeline::suggest, per-request error
-// isolation inside a batch, backpressure, graceful drain on shutdown, the
-// batching window, stats accounting, and running the batched pipeline from
-// the server's own pool threads (the nested-parallel_for scenario).
+// isolation inside a batch, backpressure, graceful drain on shutdown,
+// close-on-empty batching, stats accounting, and running the batched
+// pipeline from the server's own pool threads (the nested-parallel_for
+// scenario).
+//
+// Tests that need several requests in one batch park them behind a stalled
+// scheduler (test_env::park_scheduler): one blocker batch sleeps on the
+// `scheduler.batch` failpoint while the batch-mates queue up behind it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,11 +22,13 @@
 #include "core/pipeline.h"
 #include "serve/errors.h"
 #include "serve/server.h"
-#include "testing_env.h"
 #include "support/thread_pool.h"
+#include "testing_env.h"
 
 namespace g2p {
 namespace {
+
+using test_env::FailpointGuard;
 
 /// One small trained pipeline shared by every test in this binary (training
 /// dominates the suite's runtime; the pipeline is const-thread-safe for
@@ -92,7 +99,6 @@ TEST(SuggestServer, ConcurrentSubmittersMatchPerSourceSuggest) {
 
   SuggestServer::Options options;
   options.max_batch_loops = 16;
-  options.max_delay = std::chrono::milliseconds(2);
   SuggestServer server(pipeline, options);
 
   // >= 8 concurrent submitters, each firing every source several times in a
@@ -135,15 +141,16 @@ TEST(SuggestServer, ConcurrentSubmittersMatchPerSourceSuggest) {
 // ---- per-request error isolation --------------------------------------------
 
 TEST(SuggestServer, ParseErrorCompletesOnlyThatFutureExceptionally) {
+  FailpointGuard guard;
   auto pipeline = shared_pipeline();
   const auto sources = test_sources();
   const auto expected0 = pipeline->suggest(sources[0]);
 
   SuggestServer::Options options;
   options.max_batch_loops = 8;
-  options.max_delay = std::chrono::milliseconds(50);  // wide window: one batch
   SuggestServer server(pipeline, options);
 
+  auto blocker = test_env::park_scheduler(server, sources[3]);
   auto good1 = server.submit(sources[0]);
   auto bad = server.submit("int broken( {");
   auto good2 = server.submit(sources[0]);
@@ -153,60 +160,76 @@ TEST(SuggestServer, ParseErrorCompletesOnlyThatFutureExceptionally) {
   EXPECT_THROW(bad2.get(), std::exception);
   expect_equivalent(good1.get(), expected0, "good batch-mate 1");
   expect_equivalent(good2.get(), expected0, "good batch-mate 2");
+  (void)blocker.get();
 
   const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.completed, 3u);  // the blocker plus the two good batch-mates
   EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.batches, 2u);    // the blocker's, then one with all four
+  EXPECT_EQ(stats.max_batch, 4u);
 }
 
-// ---- batching window --------------------------------------------------------
+// ---- close-on-empty batching ------------------------------------------------
 
-TEST(SuggestServer, WindowClosesByDelayAndByCount) {
+TEST(SuggestServer, LoneRequestIsServedWithoutWaiting) {
   auto pipeline = shared_pipeline();
   const auto sources = test_sources();
+  pipeline->clear_cache();
 
-  // max_batch_loops is far away, so a lone request is served by the
-  // max_delay timeout, not the count threshold.
+  // A count threshold far out of reach: there is no window to wait out, so
+  // a lone request is popped and served at once as a batch of 1.
   SuggestServer::Options options;
   options.max_batch_loops = 1000;
-  options.max_delay = std::chrono::milliseconds(5);
   SuggestServer server(pipeline, options);
+
+  const auto start = std::chrono::steady_clock::now();
   auto future = server.submit(sources[0]);
   ASSERT_EQ(future.wait_for(std::chrono::seconds(30)), std::future_status::ready);
   (void)future.get();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // Generous bound for sanitizer/CI machines: one cold frontend + forward.
+  EXPECT_LT(elapsed, test_env::scaled_ms(500)) << "lone request waited for company";
   EXPECT_EQ(server.stats().batches, 1u);
+}
 
-  // Count threshold: a burst of exactly max_batch_loops closes immediately.
-  SuggestServer::Options burst_options;
-  burst_options.max_batch_loops = 4;
-  burst_options.max_delay = std::chrono::seconds(30);  // never the trigger
-  SuggestServer burst_server(pipeline, burst_options);
+TEST(SuggestServer, BatchIsCappedAtMaxBatchLoops) {
+  FailpointGuard guard;
+  auto pipeline = shared_pipeline();
+  const auto sources = test_sources();
+
+  // Six requests parked behind the blocker are popped as 4 + 2.
+  SuggestServer::Options options;
+  options.max_batch_loops = 4;
+  SuggestServer server(pipeline, options);
+  auto blocker = test_env::park_scheduler(server, sources[0]);
   std::vector<std::future<std::vector<LoopSuggestion>>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(burst_server.submit(sources[1]));
+  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(sources[1]));
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
     (void)f.get();
   }
-  EXPECT_EQ(burst_server.stats().batches, 1u);
-  EXPECT_EQ(burst_server.stats().max_batch, 4u);
+  (void)blocker.get();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.batches, 3u);  // the blocker's, then 4, then 2
+  EXPECT_EQ(stats.max_batch, 4u);
 }
 
 // ---- cache-aware scheduling (in-flight dedup) -------------------------------
 
 TEST(SuggestServer, IdenticalInFlightSourcesAreDedupedOnceComputed) {
+  FailpointGuard guard;
   auto pipeline = shared_pipeline();
   const auto sources = test_sources();
   const auto expected = pipeline->suggest(sources[0]);
   const auto expected1 = pipeline->suggest(sources[1]);
 
-  // A wide-open window parks the whole burst in one batch, so the scheduler
-  // sees every duplicate at once.
+  // The whole burst parks behind the blocker and is popped as one batch, so
+  // the scheduler sees every duplicate at once.
   SuggestServer::Options options;
   options.max_batch_loops = 16;
-  options.max_delay = std::chrono::milliseconds(50);
-  options.idle_grace = std::chrono::milliseconds(50);  // count closes the batch
   SuggestServer server(pipeline, options);
 
+  auto blocker = test_env::park_scheduler(server, sources[2]);
   std::vector<std::future<std::vector<LoopSuggestion>>> hot;
   for (int i = 0; i < 6; ++i) hot.push_back(server.submit(sources[0]));
   // CRLF-encoded copy of the same source: the normalized hash collapses it
@@ -217,67 +240,35 @@ TEST(SuggestServer, IdenticalInFlightSourcesAreDedupedOnceComputed) {
   }
   hot.push_back(server.submit(crlf));
   auto other = server.submit(sources[1]);
-  // 8 requests close the window... except max_batch_loops is 16, so rely on
-  // idle grace/delay; every future must still complete correctly.
   for (auto& f : hot) expect_equivalent(f.get(), expected, "deduped duplicate");
   expect_equivalent(other.get(), expected1, "non-duplicate batch-mate");
+  (void)blocker.get();
 
   const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  // 7 copies of source 0 → 6 collapsed (the batch may have split under
-  // scheduling jitter, so assert a floor, not equality... but every split
-  // still dedups within itself only if copies landed together; the wide
-  // window makes one batch overwhelmingly likely, and ≥5 tolerates one
-  // straggler batch).
-  EXPECT_GE(stats.deduped, 5u);
-  EXPECT_LE(stats.deduped, 6u);
-}
-
-// ---- adaptive batching window -----------------------------------------------
-
-TEST(SuggestServer, IdleGraceClosesWindowWellBeforeMaxDelay) {
-  auto pipeline = shared_pipeline();
-  const auto sources = test_sources();
-  pipeline->clear_cache();
-
-  // Huge count threshold and a 10 s max_delay: without the adaptive window a
-  // lone request would sit the full 10 s. With a short idle grace it must
-  // complete orders of magnitude sooner.
-  SuggestServer::Options options;
-  options.max_batch_loops = 1000;
-  options.max_delay = std::chrono::seconds(10);
-  options.idle_grace = std::chrono::milliseconds(10);
-  SuggestServer server(pipeline, options);
-
-  const auto start = std::chrono::steady_clock::now();
-  auto future = server.submit(sources[0]);
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-  (void)future.get();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // Generous bound for sanitizer/CI machines — still 20x under max_delay,
-  // which only the early close can achieve.
-  EXPECT_LT(elapsed, test_env::scaled_ms(500))
-      << "adaptive window did not close early";
-  EXPECT_EQ(server.stats().batches, 1u);
+  EXPECT_EQ(stats.completed, 9u);  // the blocker plus the 8-request batch
+  EXPECT_EQ(stats.max_batch, 8u);
+  // 7 copies of source 0 in one batch → 6 collapsed.
+  EXPECT_EQ(stats.deduped, 6u);
 }
 
 // ---- backpressure -----------------------------------------------------------
 
 TEST(SuggestServer, TrySubmitShedsLoadWhenQueueIsFull) {
+  FailpointGuard guard;
   auto pipeline = shared_pipeline();
   const auto sources = test_sources();
 
-  // A wide-open window with a huge count threshold parks requests in the
-  // queue, so the bound is observable without timing games.
+  // A stalled scheduler parks requests in the queue, so the bound is
+  // observable without timing games.
   SuggestServer::Options options;
   options.max_batch_loops = 1000;
-  options.max_delay = std::chrono::seconds(30);
   options.max_queue_depth = 2;
   // This test is about the hard queue bound, so the degradation ladder must
   // not fire first (its rungs trigger at fractions of this tiny bound).
-  options.shrink_window_at = options.cache_only_at = options.shed_at = 1.5;
+  options.cache_only_at = options.shed_at = 1.5;
   SuggestServer server(pipeline, options);
 
+  auto blocker = test_env::park_scheduler(server, sources[3]);
   auto a = server.try_submit(sources[0]);
   auto b = server.try_submit(sources[1]);
   ASSERT_TRUE(a.has_value());
@@ -286,12 +277,14 @@ TEST(SuggestServer, TrySubmitShedsLoadWhenQueueIsFull) {
   EXPECT_FALSE(server.try_submit(sources[2]).has_value());
   EXPECT_EQ(server.stats().queue_depth, 2u);
 
-  // ...and shutdown still serves the queued two (drain, one batch).
+  // ...and shutdown still serves the queued two (drain, one batch after the
+  // blocker's).
   server.shutdown();
   (void)a->get();
   (void)b->get();
-  EXPECT_EQ(server.stats().completed, 2u);
-  EXPECT_EQ(server.stats().batches, 1u);
+  (void)blocker.get();
+  EXPECT_EQ(server.stats().completed, 3u);
+  EXPECT_EQ(server.stats().batches, 2u);
 }
 
 // ---- graceful shutdown ------------------------------------------------------
@@ -304,7 +297,6 @@ TEST(SuggestServer, ShutdownDrainsOutstandingFuturesAndRejectsNewWork) {
   {
     SuggestServer::Options options;
     options.max_batch_loops = 4;
-    options.max_delay = std::chrono::milliseconds(20);
     SuggestServer server(pipeline, options);
     for (int round = 0; round < 5; ++round) {
       for (const auto& src : sources) futures.push_back(server.submit(src));
@@ -420,6 +412,7 @@ void expect_bitwise_suggestions(const std::vector<LoopSuggestion>& got,
 }
 
 TEST(SuggestServer, ResourceExhaustedFailsOnlyTheOffendingSlot) {
+  FailpointGuard guard;
   auto pipeline = shared_pipeline();
   const auto sources = test_sources();
   const auto expected0 = pipeline->suggest(sources[0]);
@@ -427,9 +420,9 @@ TEST(SuggestServer, ResourceExhaustedFailsOnlyTheOffendingSlot) {
 
   SuggestServer::Options options;
   options.max_batch_loops = 8;
-  options.max_delay = std::chrono::milliseconds(50);  // wide window: one batch
   SuggestServer server(pipeline, options);
 
+  auto blocker = test_env::park_scheduler(server, sources[3]);
   auto good1 = server.submit(sources[0]);
   auto poison = server.submit(poison_deep_parens());
   auto good2 = server.submit(sources[1]);
@@ -444,10 +437,12 @@ TEST(SuggestServer, ResourceExhaustedFailsOnlyTheOffendingSlot) {
   // …while its batch-mates are bitwise-identical to the synchronous path.
   expect_bitwise_suggestions(good1.get(), expected0, "batch-mate before poison");
   expect_bitwise_suggestions(good2.get(), expected1, "batch-mate after poison");
+  (void)blocker.get();
 
   const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.completed, 3u);  // the blocker plus the two good batch-mates
   EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.max_batch, 3u);  // poison and batch-mates served together
   EXPECT_EQ(stats.resource_exhausted, 1u);
   EXPECT_EQ(stats.resource_exhausted_by_limit[static_cast<int>(
                 ResourceLimit::kParseDepth)],
@@ -459,9 +454,7 @@ TEST(SuggestServer, ResourceExhaustedFailsOnlyTheOffendingSlot) {
 
 TEST(SuggestServer, OversizeSourceRejectedAtAdmission) {
   auto pipeline = shared_pipeline();
-  SuggestServer::Options options;
-  options.max_delay = std::chrono::milliseconds(1);
-  SuggestServer server(pipeline, options);
+  SuggestServer server(pipeline);
 
   // Larger than the default 2 MiB source cap: statically detectable, so
   // admission rejects synchronously without ever enqueueing the request.
