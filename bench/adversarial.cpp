@@ -14,14 +14,14 @@
 // Gates (exit 1 on violation):
 //   * every poison request fails with a *typed* error (ResourceExhausted /
 //     ParseError / LexError) — a poison success or an untyped escape fails
-//   * clean availability under attack >= G2P_ADV_FLOOR (default 0.99)
-//   * clean p99 under attack <= baseline p99 * G2P_ADV_P99_FACTOR (default
-//     3.0) + G2P_ADV_P99_SLACK_MS (default 25 ms absolute slack, so
-//     sub-millisecond baselines don't gate on scheduler noise)
+//   * clean availability under attack >= kAvailabilityFloor (0.99)
+//   * clean p99 under attack <= baseline p99 * kP99Factor (3.0) +
+//     kP99SlackMs (25 ms absolute slack, so sub-millisecond baselines don't
+//     gate on scheduler noise)
 //
 // Knobs: G2P_SCALE / G2P_EPOCHS / G2P_SEED as in bench_common.h, plus
-// G2P_ADV_REQUESTS (per-phase stream length, default 320) and the gate
-// knobs above. Results go to --json (BENCH_adversarial.json in CI).
+// G2P_ADV_REQUESTS (per-phase stream length, default 320). Results go to
+// --json (BENCH_adversarial.json in CI).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -46,6 +46,11 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Gates (see the header comment).
+constexpr double kAvailabilityFloor = 0.99;
+constexpr double kP99Factor = 3.0;
+constexpr double kP99SlackMs = 25.0;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -215,12 +220,6 @@ int main(int argc, char** argv) {
   if (const char* env_n = std::getenv("G2P_ADV_REQUESTS")) {
     num_requests = static_cast<std::size_t>(std::strtoull(env_n, nullptr, 10));
   }
-  double floor = 0.99;
-  if (const char* env_floor = std::getenv("G2P_ADV_FLOOR")) floor = std::atof(env_floor);
-  double p99_factor = 3.0;
-  if (const char* env_f = std::getenv("G2P_ADV_P99_FACTOR")) p99_factor = std::atof(env_f);
-  double p99_slack_ms = 25.0;
-  if (const char* env_s = std::getenv("G2P_ADV_P99_SLACK_MS")) p99_slack_ms = std::atof(env_s);
 
   // Capacity calibration (cache off), as in bench_chaos.
   pipeline->set_cache_bytes(0);
@@ -262,7 +261,7 @@ int main(int argc, char** argv) {
     adv_stats = server.stats();
   }
   const double adv_p99_ms = bench::percentile(adv.clean_latency_s, 0.99) * 1e3;
-  const double p99_budget_ms = baseline_p99_ms * p99_factor + p99_slack_ms;
+  const double p99_budget_ms = baseline_p99_ms * kP99Factor + kP99SlackMs;
   const double availability = adv.clean_availability();
 
   TextTable table({"metric", "baseline", "adversarial"});
@@ -306,17 +305,18 @@ int main(int argc, char** argv) {
                 adv.poison_total);
     ok = false;
   }
-  if (availability < floor) {
-    std::printf("FAIL: clean availability %.4f below the %.4f floor\n", availability, floor);
+  if (availability < kAvailabilityFloor) {
+    std::printf("FAIL: clean availability %.4f below the %.4f floor\n", availability,
+                kAvailabilityFloor);
     ok = false;
   }
   if (adv_p99_ms > p99_budget_ms) {
     std::printf("FAIL: clean p99 %.2f ms exceeds budget %.2f ms (baseline %.2f ms x %.1f + %.0f ms)\n",
-                adv_p99_ms, p99_budget_ms, baseline_p99_ms, p99_factor, p99_slack_ms);
+                adv_p99_ms, p99_budget_ms, baseline_p99_ms, kP99Factor, kP99SlackMs);
     ok = false;
   }
   std::printf("clean availability %.4f (floor %.4f) | clean p99 %.2f ms (budget %.2f ms)\n",
-              availability, floor, adv_p99_ms, p99_budget_ms);
+              availability, kAvailabilityFloor, adv_p99_ms, p99_budget_ms);
 
   bench::JsonMetrics json;
   bench::set_common_header(json, "adversarial");
@@ -335,10 +335,10 @@ int main(int argc, char** argv) {
   json.set("adv_p50_ms", bench::percentile(adv.clean_latency_s, 0.50) * 1e3);
   json.set("adv_p99_ms", adv_p99_ms);
   json.set("clean_availability", availability);
-  json.set("availability_floor", floor);
+  json.set("availability_floor", kAvailabilityFloor);
   json.set("p99_budget_ms", p99_budget_ms);
-  json.set("p99_factor", p99_factor);
-  json.set("p99_slack_ms", p99_slack_ms);
+  json.set("p99_factor", kP99Factor);
+  json.set("p99_slack_ms", kP99SlackMs);
   json.set("resource_exhausted", static_cast<std::int64_t>(adv_stats.resource_exhausted));
   for (int i = 0; i < kNumResourceLimits; ++i) {
     json.set(std::string("resource_exhausted_") +

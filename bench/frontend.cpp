@@ -4,11 +4,11 @@
 //
 //  1. Frontend microbench: single-thread lex + parse + loop-extract +
 //     aug-AST-build over the deterministic serving-shaped corpus
-//     (generator seed 20230509, scale G2P_FRONTEND_SCALE, default 0.05).
-//     Reported as us/KB and compared against the PR 3 frontend measured on
-//     the same corpus before the arena refactor:
-//     G2P_FRONTEND_BASELINE_USPKB (default 120.6, -O3 -march=native on the
-//     reference machine). Floor: G2P_FRONTEND_FLOOR x (default 2.0) —
+//     (generator seed 20230509, scale kFrontendScale = 0.05). Reported as
+//     us/KB and compared against the frontend as measured on the same
+//     corpus before the arena refactor: kBaselineUsPerKb = 120.6 (-O3
+//     -march=native on the reference machine; valid only at this corpus
+//     shape). Floor: G2P_FRONTEND_FLOOR x (default 2.0) —
 //     measured ~2.1-2.8x after the arena + string_view + FunctionRef
 //     rewrite.
 //  2. Cached end-to-end `suggest` on a 90%-repeat stream (48 distinct
@@ -24,8 +24,7 @@
 // BENCH_frontend.json at the repo root is the checked-in reference run.
 //
 // Knobs: G2P_SCALE / G2P_EPOCHS / G2P_SEED as in bench_common.h, plus
-// G2P_FRONTEND_SCALE, G2P_FRONTEND_REPS (default 10),
-// G2P_FRONTEND_BASELINE_USPKB, G2P_FRONTEND_FLOOR, G2P_CACHE_FLOOR,
+// G2P_FRONTEND_REPS (default 10), G2P_FRONTEND_FLOOR, G2P_CACHE_FLOOR,
 // G2P_CACHE_ROUNDS (default 10).
 #include <algorithm>
 #include <chrono>
@@ -48,6 +47,11 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// The frontend corpus shape and the pre-arena us/KB baseline measured at
+// exactly that shape.
+constexpr double kFrontendScale = 0.05;
+constexpr double kBaselineUsPerKb = 120.6;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -76,7 +80,7 @@ int main(int argc, char** argv) {
   // the PR 3 number was measured on exactly this generator configuration.
   GeneratorConfig frontend_cfg;
   frontend_cfg.seed = env.seed;
-  frontend_cfg.scale = env_double("G2P_FRONTEND_SCALE", 0.05);
+  frontend_cfg.scale = kFrontendScale;
   const auto files = CorpusGenerator(frontend_cfg).generate_files();
   std::vector<std::string> sources;
   std::set<std::string_view> seen;
@@ -127,14 +131,13 @@ int main(int argc, char** argv) {
   }
   const double us_per_kb = best_pass_s * 1e6 / (static_cast<double>(total_bytes) / 1024.0);
   const double us_per_loop = best_pass_s * 1e6 / static_cast<double>(loops_built);
-  const double baseline_uspkb = env_double("G2P_FRONTEND_BASELINE_USPKB", 120.6);
-  const double frontend_speedup = baseline_uspkb / us_per_kb;
+  const double frontend_speedup = kBaselineUsPerKb / us_per_kb;
   const double frontend_floor = env_double("G2P_FRONTEND_FLOOR", 2.0);
 
   std::printf("frontend: %zu sources, %zu loops, %zu KB | best of %d reps\n", sources.size(),
               loops_built, total_bytes / 1024, reps);
   std::printf("lex+parse+extract+build: %.1f us/KB  %.2f us/loop  (PR 3 baseline %.1f us/KB)\n",
-              us_per_kb, us_per_loop, baseline_uspkb);
+              us_per_kb, us_per_loop, kBaselineUsPerKb);
   std::printf("frontend speedup: %.2fx (floor %.2fx)\n", frontend_speedup, frontend_floor);
   if (frontend_speedup < frontend_floor) {
     std::printf("FAIL: frontend speedup %.2fx below the %.2fx floor\n", frontend_speedup,
@@ -258,7 +261,7 @@ int main(int argc, char** argv) {
   json.set("loops", static_cast<std::int64_t>(loops_built));
   json.set("frontend_us_per_kb", us_per_kb);
   json.set("frontend_us_per_loop", us_per_loop);
-  json.set("frontend_baseline_us_per_kb", baseline_uspkb);
+  json.set("frontend_baseline_us_per_kb", kBaselineUsPerKb);
   json.set("frontend_speedup", frontend_speedup);
   json.set("frontend_floor", frontend_floor);
   json.set("stream_requests", static_cast<std::int64_t>(num_requests));

@@ -1,10 +1,7 @@
 #include "analysis/verifier.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
-#include <string_view>
 #include <utility>
 
 namespace g2p {
@@ -29,25 +26,6 @@ void erase_reduction_var(std::vector<OmpPragma::Reduction>& reds, const std::str
 }
 
 }  // namespace
-
-bool resolve_verify(bool configured) {
-  // -1: no override, 0: force off, 1: force on. Read once, like the other
-  // G2P_* knobs (docs/tuning.md).
-  static const int forced = [] {
-    const char* e = std::getenv("G2P_VERIFY");
-    if (e == nullptr) return -1;
-    const std::string_view v(e);
-    if (v == "1" || v == "on" || v == "true") return 1;
-    if (v == "0" || v == "off" || v == "false") return 0;
-    if (!v.empty()) {
-      std::fprintf(stderr, "g2p: unknown G2P_VERIFY '%s' (want 1|0), ignoring\n", e);
-    }
-    return -1;
-  }();
-  if (forced == 0) return false;
-  if (forced == 1) return true;
-  return configured;
-}
 
 VerifierResult verify_clauses(const LoopFacts& facts, PragmaCategory category,
                               const std::vector<std::string>& private_vars,

@@ -33,10 +33,10 @@
 // verdict is a pure function of the loop's AST, so it is deterministic
 // across suggest / suggest_batch_results / cache replay.
 //
-// Knobs: Pipeline::Options::verify_suggestions (default on) wires this into
-// serving; the G2P_VERIFY env var (1/0) overrides it process-wide, read
-// once like every other knob (docs/tuning.md). The full story, including
-// the lattice's guarantees and worked examples, lives in docs/analysis.md.
+// Knob: Pipeline::Options::verify_suggestions (default on) wires this into
+// serving; Pipeline::set_verify_suggestions toggles it on a live pipeline.
+// The full story, including the lattice's guarantees and worked examples,
+// lives in docs/analysis.md.
 #pragma once
 
 #include <string>
@@ -84,9 +84,5 @@ void verify_suggestion(const Stmt& loop, const TranslationUnit* tu, LoopSuggesti
 /// Apply a VerifierResult to a suggestion (shared by verify_suggestion and
 /// the pipeline): sets verdict fields and rewrites or withdraws the pragma.
 void apply_verifier_result(VerifierResult result, LoopSuggestion& s);
-
-/// Resolved on/off state of serving-path verification: `configured` unless
-/// the G2P_VERIFY env override pins it. Read once per process.
-bool resolve_verify(bool configured);
 
 }  // namespace g2p

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/verifier.h"
 #include "dataset/generator.h"
 #include "frontend/loop_extractor.h"
 #include "support/failpoint.h"
@@ -111,10 +112,10 @@ LoopSuggestion make_suggestion(const ExtractedLoop& loop, const TranslationUnit*
   return suggestion;
 }
 
-/// Full-result cache keys are salted with the resolved verifier config:
+/// Full-result cache keys are salted with the verifier config:
 /// verified/vetoed renders and raw model renders must never alias when
-/// G2P_VERIFY or set_verify_suggestions toggles between calls. The frontend
-/// tier stays on the raw content hash — artifacts are config-independent.
+/// set_verify_suggestions toggles between calls. The frontend tier stays on
+/// the raw content hash — artifacts are config-independent.
 Hash128 result_cache_key(Hash128 key, bool verify) {
   if (verify) {
     key.lo ^= 0x9e3779b97f4a7c15ull;
@@ -126,14 +127,11 @@ Hash128 result_cache_key(Hash128 key, bool verify) {
 }  // namespace
 
 Pipeline::Pipeline(Options options, Vocab vocab)
-    : options_(std::move(options)),
-      vocab_(std::move(vocab)),
-      budget_(resolve_budget(options_.budget)) {
+    : options_(std::move(options)), vocab_(std::move(vocab)) {
   options_.model.vocab_size = vocab_.size();
   Rng rng(options_.train.seed);
   model_ = std::make_unique<Graph2ParModel>(options_.model, rng);
   cache_ = std::make_unique<SuggestCache>(options_.cache_bytes);
-  if (options_.pool_threads > 0) pool_ = std::make_shared<ThreadPool>(options_.pool_threads);
   // The encoder's projection GEMMs fan row panels across the serving pool
   // (single big forwards scale across cores; nested calls from pool workers
   // run inline, so per-chunk encodes are unaffected).
@@ -143,7 +141,6 @@ Pipeline::Pipeline(Options options, Vocab vocab)
 Pipeline::Pipeline(Pipeline&& other) noexcept
     : options_(std::move(other.options_)),
       vocab_(std::move(other.vocab_)),
-      budget_(other.budget_),
       model_(std::move(other.model_)),
       pool_(std::move(other.pool_)),
       cache_(std::move(other.cache_)),
@@ -153,7 +150,6 @@ Pipeline& Pipeline::operator=(Pipeline&& other) noexcept {
   if (this != &other) {
     options_ = std::move(other.options_);
     vocab_ = std::move(other.vocab_);
-    budget_ = other.budget_;
     model_ = std::move(other.model_);
     pool_ = std::move(other.pool_);
     cache_ = std::move(other.cache_);
@@ -178,9 +174,6 @@ std::shared_ptr<ThreadPool> Pipeline::shared_pool() const {
 }
 
 void Pipeline::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  if (!pool && options_.pool_threads > 0) {
-    pool = std::make_shared<ThreadPool>(options_.pool_threads);
-  }
   pool_ = std::move(pool);
   model_->set_thread_pool(shared_pool());
 }
@@ -281,7 +274,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   std::vector<std::unique_ptr<ResourceGovernor>> governors(sources.size());
   pool.parallel_for(sources.size(), [&](std::size_t i) {
     if (done[i] || artifacts[i]) return;
-    governors[i] = std::make_unique<ResourceGovernor>(budget_);
+    governors[i] = std::make_unique<ResourceGovernor>(options_.budget);
     const GovernorScope governor_scope(governors[i].get());
     try {
       artifacts[i] = build_artifact(sources[i], vocab_, options_.aug);

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "analysis/dependence.h"
-#include "analysis/verifier.h"
 #include "core/graph2par.h"
 #include "core/suggest_cache.h"
 #include "core/suggestion.h"
@@ -37,24 +36,19 @@ class Pipeline {
     Graph2ParConfig model;       // vocab_size is filled in automatically
     TrainConfig train;
     AugAstOptions aug;           // full aug-AST by default
-    /// Worker threads for the batched serving path. 0 keeps the process-wide
-    /// shared default pool (hardware-sized); nonzero gives this pipeline a
-    /// private pool of that size. `set_thread_pool` overrides either.
-    unsigned pool_threads = 0;
     /// Byte budget of the content-addressed serving cache (two LRU tiers:
     /// rendered results + frontend artifacts). 0 disables caching.
     std::size_t cache_bytes = 64u << 20;
     /// Run the static race verifier (analysis/verifier.h) on every
     /// suggestion: provable races are vetoed, missing/wrong clauses are
-    /// repaired, unanalyzable loops pass through flagged kUnknown. The
-    /// G2P_VERIFY env var overrides this at runtime (docs/analysis.md).
+    /// repaired, unanalyzable loops pass through flagged kUnknown
+    /// (docs/analysis.md).
     bool verify_suggestions = true;
     /// Per-request resource caps enforced through lex, parse, loop
     /// extraction, aug-AST build, and verification (the adversarial-input
     /// governor, support/resource_governor.h). The defaults admit any
     /// reasonable translation unit; `ResourceBudget::unlimited()` restores
-    /// the ungoverned behaviour. G2P_MAX_* / G2P_GOVERNOR env vars override
-    /// individual caps at construction (docs/tuning.md).
+    /// the ungoverned behaviour.
     ResourceBudget budget;
     Options() { corpus.scale = 0.03; }
   };
@@ -139,16 +133,15 @@ class Pipeline {
   Pipeline clone() const;
 
   /// Replace the worker pool used by `suggest_batch*`. Null restores the
-  /// behavior selected by Options::pool_threads. A server injects its own
-  /// pool here so serving concurrency is owned by the server, not a global.
+  /// process-wide shared default pool (hardware-sized). A server injects its
+  /// own pool here so serving concurrency is owned by the server, not a global.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);
 
-  /// Whether serving actually verifies: Options::verify_suggestions unless
-  /// the G2P_VERIFY env override pins it (resolve_verify, analysis/verifier.h).
-  bool verify_active() const { return resolve_verify(options_.verify_suggestions); }
+  /// Whether serving verifies: Options::verify_suggestions.
+  bool verify_active() const { return options_.verify_suggestions; }
   /// Runtime toggle (benches/tests compare model-only vs model+verifier on
   /// one trained pipeline). The result-cache key is salted with the
-  /// resolved verifier config, so toggling can never serve stale verdicts.
+  /// verifier config, so toggling can never serve stale verdicts.
   void set_verify_suggestions(bool on) { options_.verify_suggestions = on; }
 
   /// Serving-cache counters (hits per tier, bytes, frontend time saved).
@@ -161,11 +154,10 @@ class Pipeline {
   const Graph2ParModel& model() const { return *model_; }
   const Vocab& vocab() const { return vocab_; }
 
-  /// The per-request budget serving enforces: Options::budget with env
-  /// overrides applied once at construction. SuggestServer admission uses
-  /// `max_source_bytes` to reject statically-oversized requests before they
-  /// ever occupy a batch slot.
-  const ResourceBudget& active_budget() const { return budget_; }
+  /// The per-request budget serving enforces: Options::budget. SuggestServer
+  /// admission uses `max_source_bytes` to reject statically-oversized
+  /// requests before they ever occupy a batch slot.
+  const ResourceBudget& active_budget() const { return options_.budget; }
 
   Pipeline(Pipeline&& other) noexcept;
   Pipeline& operator=(Pipeline&& other) noexcept;
@@ -181,8 +173,6 @@ class Pipeline {
 
   Options options_;
   Vocab vocab_;
-  /// Options::budget with G2P_MAX_* / G2P_GOVERNOR overrides resolved.
-  ResourceBudget budget_;
   std::unique_ptr<Graph2ParModel> model_;
   std::shared_ptr<ThreadPool> pool_;  // null: shared process-wide default
   /// Content-addressed serving cache; mutable because `suggest` is

@@ -10,10 +10,9 @@
 //     everything: frontend, model forward, clause analysis. Entries carry
 //     the pipeline's model-version stamp; a checkpoint swap bumps the stamp,
 //     so stale suggestions can never be served (lazy invalidation). The
-//     pipeline salts this tier's key with the resolved verifier config
-//     (pipeline.cpp result_cache_key), so toggling G2P_VERIFY or
-//     set_verify_suggestions can never replay a verdict rendered under the
-//     other configuration.
+//     pipeline salts this tier's key with the verifier config
+//     (pipeline.cpp result_cache_key), so toggling set_verify_suggestions
+//     can never replay a verdict rendered under the other configuration.
 //   * frontend tier — the built frontend artifact (parse result, extracted
 //     loops, aug-AST graphs). A hit skips lex/parse/extract/build but still
 //     runs the model forward — exactly what is needed right after a

@@ -15,7 +15,7 @@ namespace g2p {
 /// Static race-verifier verdict lattice for one suggestion (see
 /// analysis/verifier.h and docs/analysis.md). Ordered by severity:
 /// vetoed > unknown > repaired > verified; kUnchecked means the verifier
-/// did not run (Options::verify_suggestions off / G2P_VERIFY=0).
+/// did not run (Options::verify_suggestions off).
 enum class Verdict {
   kUnchecked,
   kVerified,  // no provable cross-iteration dependence under the clauses

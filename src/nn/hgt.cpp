@@ -1,10 +1,7 @@
 #include "nn/hgt.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -264,19 +261,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const NoGradGuard no_grad;  // the fused path never tapes, even if entered directly
   const auto& kern = backend::active();
   const auto fused = fused_weights();
-  // G2P_HGT_PROFILE (docs/tuning.md): per-stage wall times to stderr, one
-  // line per stage per layer forward. Dev-only instrumentation for placing
-  // regressions without a profiler. Read once, like every other knob: unset,
-  // it costs a handful of predictable branches.
-  static const bool prof = std::getenv("G2P_HGT_PROFILE") != nullptr;
-  auto tp = std::chrono::steady_clock::now();
-  const auto mark = [&](const char* what) {
-    if (!prof) return;
-    const auto now = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "  %-10s %7.1f us\n", what,
-                 std::chrono::duration<double>(now - tp).count() * 1e6);
-    tp = now;
-  };
 
   // Fused projection stage: per node type, one wide [rows, dim] x
   // [dim, 3*dim] GEMM against the cached K|Q|V repack computes all three
@@ -315,7 +299,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     }
   }
 
-  mark("kqv");
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   const float* mu = mu_.data().data();
   const float* q = q_all.data();
@@ -350,7 +333,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
                     meta + slice.concat_offset, mu, slice.size(), heads_, head_dim_, inv_sqrt_d,
                     block, node_max.data());
   }
-  mark("logits");
   for (int et = 0; et < kNumHetEdgeTypes; ++et) {
     const auto e = static_cast<std::size_t>(et);
     const auto& slice = index.per_edge_type[e];
@@ -361,7 +343,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
                         slice.size(), block, node_max.data(), heads_, head_dim_, h_tilde.data(),
                         denom.data());
   }
-  mark("accum");
   for (int v = 0; v < n; ++v) {
     float* out_row = h_tilde.data() + static_cast<std::size_t>(v) * dim_;
     const float* drow = denom.data() + static_cast<std::size_t>(v) * heads_;
@@ -380,9 +361,7 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   // type — the A block lives in the same repack as K|Q|V but applies here,
   // to the activated aggregate — with bias and residual folded into the
   // scatter back to node order.
-  mark("norm");
   kern.gelu(h_tilde.data(), h_tilde.data(), static_cast<int>(row_elems));
-  mark("gelu");
   FloatVec y(row_elems);
   {
     FloatVec gathered, projected;
@@ -406,7 +385,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       }
     }
   }
-  mark("a_stage");
   return make_result({n, dim_}, std::move(y), {}, nullptr);
 }
 

@@ -76,11 +76,10 @@ struct ServerStatsSnapshot {
   std::uint64_t cache_misses = 0;         // cold sources (frontend built)
   std::uint64_t cache_frontend_saved_us = 0;  // frontend time not spent
 
-  // Whether the pipeline runs the static race verifier (env override
-  // already resolved), plus per-verdict tallies over every suggestion in
-  // the unique (non-duplicate) slots of every batch served. All zero when
-  // verification is off — suggestions then carry Verdict::kUnchecked,
-  // which is deliberately not counted.
+  // Whether the pipeline runs the static race verifier, plus per-verdict
+  // tallies over every suggestion in the unique (non-duplicate) slots of
+  // every batch served. All zero when verification is off — suggestions
+  // then carry Verdict::kUnchecked, which is deliberately not counted.
   bool verify = false;
   std::uint64_t verdict_verified = 0;
   std::uint64_t verdict_repaired = 0;

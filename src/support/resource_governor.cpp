@@ -1,40 +1,11 @@
 #include "support/resource_governor.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <string>
-
 #include "support/failpoint.h"
 
 namespace g2p {
 namespace {
 
 thread_local ResourceGovernor* t_current = nullptr;
-
-/// Parse a non-negative integer env override; returns `fallback` when the
-/// variable is unset or malformed (a bad knob must never weaken a limit to
-/// "unlimited" by accident).
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  // Digits only: strtoull alone would accept "-1" and wrap it to 2^64-1,
-  // silently turning a typo into an effectively unlimited budget.
-  for (const char* p = raw; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE) return fallback;
-  return static_cast<std::uint64_t>(value);
-}
-
-bool env_disabled(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return false;
-  const std::string value(raw);
-  return value == "0" || value == "off" || value == "false";
-}
 
 [[noreturn]] void exhausted(ResourceLimit limit, std::uint64_t observed,
                             std::uint64_t cap) {
@@ -66,20 +37,6 @@ ResourceBudget ResourceBudget::unlimited() {
   budget.max_loops = 0;
   budget.frontend_budget_ms = 0;
   return budget;
-}
-
-ResourceBudget resolve_budget(ResourceBudget configured) {
-  if (env_disabled("G2P_GOVERNOR")) return ResourceBudget::unlimited();
-  configured.max_source_bytes = env_u64("G2P_MAX_SOURCE_BYTES", configured.max_source_bytes);
-  configured.max_tokens = env_u64("G2P_MAX_TOKENS", configured.max_tokens);
-  configured.max_ast_nodes = env_u64("G2P_MAX_AST_NODES", configured.max_ast_nodes);
-  configured.max_arena_bytes = env_u64("G2P_MAX_ARENA_BYTES", configured.max_arena_bytes);
-  configured.max_parse_depth = static_cast<std::uint32_t>(
-      env_u64("G2P_MAX_PARSE_DEPTH", configured.max_parse_depth));
-  configured.max_loops = env_u64("G2P_MAX_LOOPS", configured.max_loops);
-  configured.frontend_budget_ms = static_cast<std::uint32_t>(
-      env_u64("G2P_FRONTEND_BUDGET_MS", configured.frontend_budget_ms));
-  return configured;
 }
 
 ResourceGovernor::ResourceGovernor(const ResourceBudget& budget)

@@ -43,12 +43,6 @@ struct ResourceBudget {
   static ResourceBudget unlimited();
 };
 
-/// `configured` with any `G2P_MAX_SOURCE_BYTES` / `G2P_MAX_TOKENS` /
-/// `G2P_MAX_AST_NODES` / `G2P_MAX_ARENA_BYTES` / `G2P_MAX_PARSE_DEPTH` /
-/// `G2P_MAX_LOOPS` / `G2P_FRONTEND_BUDGET_MS` environment overrides applied;
-/// `G2P_GOVERNOR=0|off` returns `unlimited()`.
-ResourceBudget resolve_budget(ResourceBudget configured);
-
 /// Mutable per-request tally against one ResourceBudget. Not thread-safe:
 /// one request's frontend stage runs on one thread (install via
 /// GovernorScope); successive stages of the same request may run on

@@ -1,9 +1,10 @@
-// Per-request resource governor: budget accounting, env resolution, the
-// parser's depth/fuel guards, the arena byte cap, and the checked-in
-// pathological corpus gate (every entry must fail *typed*, never crash).
+// Per-request resource governor: budget accounting, the parser's depth/fuel
+// guards, the arena byte cap, and the checked-in pathological corpus gate
+// (every entry must fail *typed*, never crash). The budget a pipeline
+// serves under is Pipeline::Options::budget (serve_test's PipelineBudget
+// tests).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -47,18 +48,6 @@ void frontend_pass(std::string_view src, const ResourceBudget& budget) {
     governor.checkpoint();
   }
 }
-
-/// RAII setenv/unsetenv so env-resolution tests can't leak state.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 // ---- budget accounting ------------------------------------------------------
 
@@ -176,42 +165,6 @@ TEST(Governor, ScopeInstallsAndRestoresNesting) {
     EXPECT_EQ(ResourceGovernor::current(), &outer);
   }
   EXPECT_EQ(ResourceGovernor::current(), nullptr);
-}
-
-// ---- env resolution ---------------------------------------------------------
-
-TEST(Governor, ResolveAppliesEnvOverrides) {
-  const ScopedEnv tokens("G2P_MAX_TOKENS", "1234");
-  const ScopedEnv depth("G2P_MAX_PARSE_DEPTH", "77");
-  const ResourceBudget resolved = resolve_budget(ResourceBudget{});
-  EXPECT_EQ(resolved.max_tokens, 1234u);
-  EXPECT_EQ(resolved.max_parse_depth, 77u);
-  // Untouched dimensions keep their configured values.
-  EXPECT_EQ(resolved.max_source_bytes, ResourceBudget{}.max_source_bytes);
-}
-
-TEST(Governor, ResolveMalformedEnvKeepsConfiguredValue) {
-  const ScopedEnv tokens("G2P_MAX_TOKENS", "banana");
-  ResourceBudget configured;
-  configured.max_tokens = 555;
-  EXPECT_EQ(resolve_budget(configured).max_tokens, 555u);
-}
-
-TEST(Governor, ResolveNegativeEnvKeepsConfiguredValue) {
-  // strtoull would wrap "-1" to 2^64-1 — effectively unlimited. A malformed
-  // knob must never weaken a limit, so it falls back to the configured cap.
-  const ScopedEnv tokens("G2P_MAX_TOKENS", "-1");
-  ResourceBudget configured;
-  configured.max_tokens = 555;
-  EXPECT_EQ(resolve_budget(configured).max_tokens, 555u);
-}
-
-TEST(Governor, GovernorOffYieldsUnlimited) {
-  const ScopedEnv off("G2P_GOVERNOR", "off");
-  const ResourceBudget resolved = resolve_budget(ResourceBudget{});
-  EXPECT_EQ(resolved.max_tokens, 0u);
-  EXPECT_EQ(resolved.max_source_bytes, 0u);
-  EXPECT_EQ(resolved.max_parse_depth, 0u);
 }
 
 // ---- frontend integration ---------------------------------------------------

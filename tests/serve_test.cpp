@@ -1,9 +1,9 @@
 // Tests for the async micro-batching server: equivalence of concurrently
 // submitted requests to per-source Pipeline::suggest, per-request error
 // isolation inside a batch, backpressure, graceful drain on shutdown,
-// close-on-empty batching, stats accounting, and running the batched
+// close-on-empty batching, stats accounting, running the batched
 // pipeline from the server's own pool threads (the nested-parallel_for
-// scenario).
+// scenario), and the per-request budget set through Pipeline::Options.
 //
 // Tests that need several requests in one batch park them behind a stalled
 // scheduler (test_env::park_scheduler): one blocker batch sleeps on the
@@ -13,11 +13,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>  // getpid(), for the per-process checkpoint directory
 
 #include "core/pipeline.h"
 #include "serve/errors.h"
@@ -337,7 +340,6 @@ TEST(SuggestServer, SuggestBatchRunsOnItsOwnPoolThreads) {
   Pipeline::Options options;
   options.corpus.scale = 0.01;
   options.train.epochs = 1;
-  options.pool_threads = 2;
   auto pipeline = std::make_shared<Pipeline>(Pipeline::train(options));
 
   auto pool = std::make_shared<ThreadPool>(2);
@@ -484,6 +486,107 @@ TEST(SuggestServer, OversizeSourceRejectedAtAdmission) {
   const auto sources = test_sources();
   expect_bitwise_suggestions(server.submit(sources[0]).get(),
                              pipeline->suggest(sources[0]), "post-rejection");
+}
+
+// ---- Options::budget: the one way to configure the governor ----------------
+
+/// The shared pipeline's weights reloaded under `budget`: a pipeline that
+/// differs from shared_pipeline() only in Options::budget. Null if the
+/// save/load round trip fails.
+std::shared_ptr<Pipeline> pipeline_with_budget(const ResourceBudget& budget) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("g2p_serve_test_budget_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string model_path = (dir / "model.bin").string();
+  const std::string vocab_path = (dir / "vocab.txt").string();
+  std::shared_ptr<Pipeline> out;
+  if (shared_pipeline()->save(model_path, vocab_path)) {
+    Pipeline::Options options;
+    options.corpus.scale = 0.01;
+    options.train.epochs = 1;
+    options.budget = budget;
+    if (auto loaded = Pipeline::load(options, model_path, vocab_path)) {
+      out = std::make_shared<Pipeline>(std::move(*loaded));
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
+TEST(PipelineBudget, LoopCapFailsOnlyTheOverBudgetSlot) {
+  ResourceBudget budget;
+  budget.max_loops = 1;
+  const auto pipeline = pipeline_with_budget(budget);
+  ASSERT_NE(pipeline, nullptr);
+  EXPECT_EQ(pipeline->active_budget().max_loops, 1u);
+
+  const std::string two_loops =
+      "void two(double* x, double* y, int n) {\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i++) x[i] = 0.0;\n"
+      "  for (i = 0; i < n; i++) y[i] = x[i] + 1.0;\n"
+      "}\n";
+  const auto sources = test_sources();
+  const std::vector<std::string_view> batch = {two_loops, sources[0]};
+  const auto results = pipeline->suggest_batch_results(batch);
+  ASSERT_EQ(results.size(), 2u);
+
+  ASSERT_FALSE(results[0].ok());
+  try {
+    std::rethrow_exception(results[0].error);
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.limit(), ResourceLimit::kLoops);
+    EXPECT_EQ(e.observed(), 2u);
+    EXPECT_EQ(e.cap(), 1u);
+  } catch (...) {
+    FAIL() << "expected ResourceExhausted(kLoops)";
+  }
+
+  // The one-loop batch-mate is served exactly as the default pipeline
+  // serves it, and the default budget admits the two-loop source.
+  ASSERT_TRUE(results[1].ok());
+  expect_bitwise_suggestions(results[1].suggestions, shared_pipeline()->suggest(sources[0]),
+                             "one-loop batch-mate");
+  EXPECT_EQ(shared_pipeline()->suggest(two_loops).size(), 2u);
+}
+
+TEST(PipelineBudget, ServerAdmitsAgainstTheConfiguredSourceCap) {
+  ResourceBudget budget;
+  budget.max_source_bytes = 256;
+  const auto pipeline = pipeline_with_budget(budget);
+  ASSERT_NE(pipeline, nullptr);
+  SuggestServer server(pipeline);
+
+  const auto sources = test_sources();
+  const std::string oversize = sources[0] + std::string(256, ' ');
+  try {
+    auto f = server.submit(oversize);
+    FAIL() << "expected synchronous ResourceExhausted";
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.limit(), ResourceLimit::kSourceBytes);
+    EXPECT_EQ(e.observed(), oversize.size());
+    EXPECT_EQ(e.cap(), 256u);
+  }
+
+  auto maybe = server.try_submit(oversize);
+  ASSERT_TRUE(maybe.has_value());
+  ASSERT_EQ(maybe->wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  try {
+    maybe->get();
+    FAIL() << "expected ResourceExhausted";
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.limit(), ResourceLimit::kSourceBytes);
+  }
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.resource_exhausted_by_limit[static_cast<int>(
+                ResourceLimit::kSourceBytes)],
+            2u);
+
+  // A source under the cap is served as the default pipeline serves it.
+  expect_bitwise_suggestions(server.submit(sources[0]).get(),
+                             shared_pipeline()->suggest(sources[0]), "under the cap");
 }
 
 }  // namespace
