@@ -286,10 +286,10 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   });
 
   // Stage 2 (batched): every loop of every healthy, not-yet-complete source
-  // joins a disjoint union so the request costs one batched forward per
-  // worker — a single forward on a one-thread pool, or per-worker
-  // sub-batches that encode concurrently (disjoint unions pool per graph,
-  // so sub-batching is output-identical).
+  // joins a disjoint union, split into at most pool.size() sub-batches that
+  // encode concurrently on the pool's threads, the calling thread among
+  // them — a single forward on a one-thread pool (disjoint unions pool per
+  // graph, so sub-batching is output-identical).
   std::vector<const HetGraph*> graph_ptrs;
   for (std::size_t s = 0; s < sources.size(); ++s) {
     if (done[s] || out[s].error) continue;
@@ -307,7 +307,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
       const std::size_t per_chunk = (graph_ptrs.size() + num_chunks - 1) / num_chunks;
       std::vector<Tensor> chunk_pooled((graph_ptrs.size() + per_chunk - 1) / per_chunk);
       pool.parallel_for(chunk_pooled.size(), [&](std::size_t c) {
-        const NoGradGuard worker_no_grad;  // thread-local: set per worker
+        const NoGradGuard worker_no_grad;  // thread-local: set on every thread
         const std::size_t begin = c * per_chunk;
         const std::size_t end = std::min(graph_ptrs.size(), begin + per_chunk);
         chunk_pooled[c] = model_->encode(batch_graphs(

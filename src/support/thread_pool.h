@@ -3,13 +3,19 @@
 // The suggest pipeline parallelizes the per-source CPU work (lexing, parsing,
 // loop extraction, aug-AST construction, clause analysis) across a pool and
 // funnels the results into one batched model forward. The pool is
-// deliberately minimal: a locked queue, std::packaged_task for result/
-// exception transport, and join-on-destruction. Sized to the hardware by
-// default; a single-threaded pool degrades to eager inline execution order
-// without special-casing.
+// deliberately minimal: a locked queue, join-on-destruction, and two entry
+// points. `submit` carries a result or exception back through a
+// std::packaged_task. `parallel_for` is an OpenMP-style fork-join in which
+// the calling thread joins the team and every thread claims indices from one
+// shared counter. Sized to the hardware by default; a single-threaded pool
+// runs parallel_for entirely on the caller.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -19,6 +25,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "support/function_ref.h"
 
 namespace g2p {
 
@@ -74,56 +82,110 @@ class ThreadPool {
     return result;
   }
 
-  /// Run fn(i) for every i in [0, n), blocking until all complete. Indices
-  /// are dispatched as contiguous chunks (a few per worker) so the per-task
-  /// queue/future overhead is paid O(workers) times, not O(n). The first
-  /// exception (lowest chunk) is rethrown after every task has finished.
+  /// Run fn(i) for every i in [0, n), blocking until all complete. Fork-join
+  /// with the caller in the team: the calling thread runs indices too, next
+  /// to at most min(n, size()) - 1 queued helpers, so a loop occupies at
+  /// most size() threads and a ThreadPool(1) runs every index on the caller.
+  /// Indices are claimed one at a time from a shared counter, so a helper
+  /// that starts late (its worker was busy) just finds nothing left: the
+  /// caller waits only for indices already claimed, never for a helper to
+  /// be scheduled. Every index runs; the exception of the lowest throwing
+  /// index is rethrown once all have finished.
   ///
-  /// Re-entrant: called from one of this pool's own workers, the loop runs
-  /// inline on the calling thread instead of enqueueing. Enqueue-and-wait
-  /// from a worker deadlocks at saturation — every worker blocks in
-  /// future::get() on chunks that sit behind the waiters in the queue.
-  /// A single index also runs inline: there is nothing to overlap, so a
-  /// worker hand-off would only add latency.
+  /// Re-entrant: a nested call from inside a loop body — on one of this
+  /// pool's workers or on the participating caller — runs inline on the
+  /// calling thread. Its enclosing loop already spreads over the pool, so
+  /// fanning out again would only queue helpers behind busy workers. A
+  /// single index also runs inline: there is nothing to overlap.
   template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
     if (n == 0) return;
-    if (n == 1 || on_worker_thread()) {
-      // Inline, but with the same drain-then-rethrow contract as the pooled
-      // path: every index runs; the first exception surfaces at the end.
-      std::exception_ptr first_error;
-      for (std::size_t i = 0; i < n; ++i) {
-        try {
-          fn(i);
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
+    const std::size_t helpers = std::min(n, workers_.size()) - 1;
+    if (helpers == 0 || on_worker_thread() || loop_caller() == this) {
+      Loop loop(n, fn);
+      loop.run();
+      loop.rethrow();
       return;
     }
-    const std::size_t chunks = std::min(n, workers_.size() * 4);
-    const std::size_t per_chunk = (n + chunks - 1) / chunks;
-    std::vector<std::future<void>> pending;
-    pending.reserve(chunks);
-    for (std::size_t begin = 0; begin < n; begin += per_chunk) {
-      const std::size_t end = std::min(n, begin + per_chunk);
-      pending.push_back(submit([&fn, begin, end] {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      }));
+    // Heap-held and shared with the helpers: one that starts after the loop
+    // is over still owns live state, claims an index >= n and never calls fn.
+    auto loop = std::make_shared<Loop>(n, fn);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) throw std::runtime_error("ThreadPool: parallel_for after shutdown");
+      for (std::size_t h = 0; h < helpers; ++h) queue_.push([loop] { loop->run(); });
     }
-    std::exception_ptr first_error;
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
+    if (helpers == 1) {
+      cv_.notify_one();
+    } else {
+      cv_.notify_all();
     }
-    if (first_error) std::rethrow_exception(first_error);
+    ThreadPool* const outer = std::exchange(loop_caller(), this);
+    loop->run();
+    loop_caller() = outer;
+    loop->wait();
+    loop->rethrow();
   }
 
  private:
+  /// One parallel_for's shared state. Indices are claimed from `next_`; fn
+  /// is reached only through a claimed index, and the caller does not return
+  /// before every claimed index has finished, so the borrowed fn outlives
+  /// every call made to it.
+  class Loop {
+   public:
+    Loop(std::size_t n, FunctionRef<void(std::size_t)> fn) : n_(n), fn_(fn), error_index_(n) {}
+
+    /// Claim and run indices until none are left.
+    void run() {
+      for (std::size_t i; (i = next_.fetch_add(1, std::memory_order_relaxed)) < n_;) {
+        try {
+          fn_(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          if (i < error_index_) {
+            error_index_ = i;
+            error_ = std::current_exception();
+          }
+        }
+        if (finished_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          all_done_ = true;
+          done_cv_.notify_one();
+        }
+      }
+    }
+
+    /// Block until every index has finished.
+    void wait() {
+      if (finished_.load(std::memory_order_acquire) == n_) return;
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, [this] { return all_done_; });
+    }
+
+    void rethrow() {
+      if (error_) std::rethrow_exception(error_);
+    }
+
+   private:
+    const std::size_t n_;
+    const FunctionRef<void(std::size_t)> fn_;
+    std::atomic<std::size_t> next_{0};
+    std::atomic<std::size_t> finished_{0};
+    std::mutex mutex_;
+    std::condition_variable done_cv_;
+    bool all_done_ = false;
+    std::size_t error_index_;  // guarded by mutex_
+    std::exception_ptr error_;  // guarded by mutex_
+  };
+
+  /// The pool whose parallel_for loop the calling thread is running as the
+  /// participating caller, if any; nested calls into that pool run inline.
+  static ThreadPool*& loop_caller() {
+    thread_local ThreadPool* pool = nullptr;
+    return pool;
+  }
+
   /// Which pool (if any) the calling thread works for. One marker suffices:
   /// pool workers are dedicated threads, never shared between pools.
   static ThreadPool*& current_pool() {

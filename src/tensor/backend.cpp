@@ -465,9 +465,9 @@ bool gemm_profitable(int n, int k, int m) {
 }
 
 /// Row panels a threaded GEMM over `n` rows fans out to on `pool`: one per
-/// worker, but each at least kMinRowsPerChunk rows — below that the
-/// per-chunk B re-pack and queue round trip outweigh the parallelism. 0 or 1
-/// means run inline.
+/// pool thread (the caller runs one too), but each at least kMinRowsPerChunk
+/// rows — below that the per-chunk B re-pack and hand-off outweigh the
+/// parallelism. 0 or 1 means run inline.
 std::size_t row_panels(int n, const ThreadPool* pool) {
   constexpr int kMinRowsPerChunk = 64;
   const std::size_t workers = pool != nullptr ? pool->size() : 1;

@@ -136,13 +136,14 @@ const Kernels* by_name(std::string_view name);
 /// forward kernels (ops.cpp) call.
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m);
 
-/// Multithreaded matmul: splits the row dimension into per-worker panels on
-/// `pool` and runs the active table's kernel (via matmul_auto) on each slice
-/// concurrently. Output is identical to the single-thread kernel — row
-/// panels don't change any element's reduction order. Null pool, a
-/// single-thread pool, or tiny n degrade to one inline matmul_auto call. Re-entrancy-safe: called from one of `pool`'s own
-/// workers, parallel_for runs the slices inline (no deadlock at
-/// saturation), so nested use under a parallel encode is harmless.
+/// Multithreaded matmul: splits the row dimension into at most `pool->size()`
+/// panels and runs the active table's kernel on them with parallel_for, the
+/// calling thread taking panels too. Output is identical to the
+/// single-thread kernel — row panels don't change any element's reduction
+/// order. Null pool, a single-thread pool, or tiny n degrade to one inline
+/// matmul_auto call. Re-entrancy-safe: called from inside another
+/// parallel_for body on `pool` (a worker or the participating caller), the
+/// panels run inline, so nested use under a parallel encode is harmless.
 void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
                ThreadPool* pool);
 

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
+#include <latch>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +23,7 @@
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "tensor/ops.h"
+#include "testing_env.h"
 
 namespace g2p {
 namespace {
@@ -308,6 +314,96 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                                    if (i == 5) throw std::runtime_error("boom");
                                  }),
                std::runtime_error);
+
+  // Two throwing indices: every index still runs, and the lowest one's
+  // exception is the one rethrown, whichever thread finished first.
+  std::vector<std::atomic<int>> ran(8);
+  try {
+    pool.parallel_for(8, [&](std::size_t i) {
+      ++ran[i];
+      if (i == 3) throw std::runtime_error("index 3");
+      if (i == 6) throw std::runtime_error("index 6");
+    });
+    ADD_FAILURE() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerIsBusy) {
+  // The caller runs indices itself and waits only for claimed ones, so a
+  // loop finishes even when no worker is free to pick up its helpers.
+  ThreadPool pool(2);
+  std::latch busy(static_cast<std::ptrdiff_t>(pool.size()));
+  std::latch release(1);
+  std::vector<std::future<void>> blockers;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    blockers.push_back(pool.submit([&] {
+      busy.count_down();
+      release.wait();
+    }));
+  }
+  busy.wait();
+  std::vector<std::atomic<int>> hits(8);
+  auto loop = std::async(std::launch::async, [&] {
+    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  });
+  const auto status = loop.wait_for(test_env::scaled_ms(10000));
+  release.count_down();
+  EXPECT_EQ(status, std::future_status::ready) << "parallel_for waited for a busy worker";
+  loop.get();
+  for (auto& b : blockers) b.get();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRunsOnAtMostPoolWidthThreadsCallerIncluded) {
+  const std::thread::id caller = std::this_thread::get_id();
+  {
+    ThreadPool pool(1);
+    std::vector<std::thread::id> ran_on(16);
+    pool.parallel_for(ran_on.size(),
+                      [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+  }
+
+  // Each loop runs on the caller plus at most one helper; which worker the
+  // helper lands on may differ from loop to loop.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  for (int rep = 0; rep < 200; ++rep) {
+    std::set<std::thread::id> threads;
+    pool.parallel_for(16, [&](std::size_t) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(threads.size(), 2u) << "loop " << rep;
+    EXPECT_LE(threads.size() - threads.count(caller), 1u) << "loop " << rep;
+  }
+
+  // A nested loop inside a body running on the caller stays on the caller.
+  // A helper's body waits (bounded) until the caller has run one, so the
+  // caller is sure to claim an index even if a hot worker grabs the first.
+  for (int rep = 0; rep < 20; ++rep) {
+    std::atomic<bool> caller_ran{false};
+    std::vector<std::thread::id> nested_on;
+    pool.parallel_for(2, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        const auto deadline = std::chrono::steady_clock::now() + test_env::scaled_ms(10000);
+        while (!caller_ran.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        return;
+      }
+      pool.parallel_for(8, [&](std::size_t) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        nested_on.push_back(std::this_thread::get_id());
+      });
+      caller_ran = true;
+    });
+    ASSERT_FALSE(nested_on.empty()) << "loop " << rep;
+    for (const auto& id : nested_on) EXPECT_EQ(id, caller) << "loop " << rep;
+  }
 }
 
 TEST(ThreadPool, SingleIndexRunsInlineOnTheCaller) {
