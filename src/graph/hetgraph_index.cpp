@@ -14,12 +14,21 @@ HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
     rows_of_type[static_cast<std::size_t>(graph.nodes[static_cast<std::size_t>(i)].type)]
         .push_back(i);
   }
+  type_offsets.assign(static_cast<std::size_t>(kNumHetNodeTypes) + 1, 0);
   nodes_by_type.reserve(static_cast<std::size_t>(num_nodes));
-  for (const auto& rows : rows_of_type) {
-    for (int v : rows) nodes_by_type.push_back(v);
+  for (std::size_t t = 0; t < rows_of_type.size(); ++t) {
+    type_offsets[t + 1] = type_offsets[t] + static_cast<int>(rows_of_type[t].size());
+    nodes_by_type.insert(nodes_by_type.end(), rows_of_type[t].begin(), rows_of_type[t].end());
   }
+  position_of_node.resize(static_cast<std::size_t>(num_nodes));
+  for (int p = 0; p < num_nodes; ++p) {
+    position_of_node[static_cast<std::size_t>(nodes_by_type[static_cast<std::size_t>(p)])] = p;
+  }
+  const auto position = [&](int node) {
+    return position_of_node[static_cast<std::size_t>(node)];
+  };
 
-  // Pass 1: count incoming edges per (edge type, destination).
+  // Pass 1: count incoming edges per (edge type, destination position).
   for (auto& slice : per_edge_type) {
     slice.row_offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
   }
@@ -28,7 +37,7 @@ HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
       throw std::invalid_argument("HetGraphIndex: edge endpoint out of range");
     }
     ++per_edge_type[static_cast<std::size_t>(e.type)]
-          .row_offsets[static_cast<std::size_t>(e.dst) + 1];
+          .row_offsets[static_cast<std::size_t>(position(e.dst)) + 1];
   }
   int concat_offset = 0;
   for (auto& slice : per_edge_type) {
@@ -43,7 +52,11 @@ HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
     concat_offset += count;
   }
 
-  // Pass 2: stable scatter into CSR order (insertion order kept per node).
+  // Pass 2: stable scatter of the original edge list into CSR order
+  // (insertion order kept per destination), filling the type-major concat
+  // arrays alongside.
+  dst_concat.resize(static_cast<std::size_t>(num_edges));
+  meta_concat.resize(static_cast<std::size_t>(num_edges));
   std::vector<std::vector<int>> cursor(per_edge_type.size());
   for (std::size_t t = 0; t < per_edge_type.size(); ++t) {
     cursor[t].assign(per_edge_type[t].row_offsets.begin(),
@@ -51,23 +64,17 @@ HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
   }
   for (const auto& e : graph.edges) {
     const auto t = static_cast<std::size_t>(e.type);
-    const int pos = cursor[t][static_cast<std::size_t>(e.dst)]++;
-    per_edge_type[t].src[static_cast<std::size_t>(pos)] = e.src;
-    per_edge_type[t].dst[static_cast<std::size_t>(pos)] = e.dst;
-  }
-
-  dst_concat.reserve(static_cast<std::size_t>(num_edges));
-  meta_concat.reserve(static_cast<std::size_t>(num_edges));
-  for (int et = 0; et < kNumHetEdgeTypes; ++et) {
-    const auto& slice = per_edge_type[static_cast<std::size_t>(et)];
-    for (int i = 0; i < slice.size(); ++i) {
-      const int src = slice.src[static_cast<std::size_t>(i)];
-      const int dst = slice.dst[static_cast<std::size_t>(i)];
-      dst_concat.push_back(dst);
-      const int src_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(src)].type);
-      const int dst_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(dst)].type);
-      meta_concat.push_back((src_type * kNumHetEdgeTypes + et) * kNumHetNodeTypes + dst_type);
-    }
+    auto& slice = per_edge_type[t];
+    const int dst = position(e.dst);
+    const auto at = static_cast<std::size_t>(cursor[t][static_cast<std::size_t>(dst)]++);
+    slice.src[at] = position(e.src);
+    slice.dst[at] = dst;
+    const auto edge = static_cast<std::size_t>(slice.concat_offset) + at;
+    dst_concat[edge] = dst;
+    const int src_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(e.src)].type);
+    const int dst_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(e.dst)].type);
+    meta_concat[edge] =
+        (src_type * kNumHetEdgeTypes + static_cast<int>(t)) * kNumHetNodeTypes + dst_type;
   }
 }
 

@@ -7,13 +7,25 @@
 // forward; a HetGraphIndex computes them once per graph (or per batch) as
 // per-edge-type CSR adjacency and is shared by every layer of the encoder.
 //
-// Layout. Edges are ordered type-major: all edges of edge type 0 first, then
-// type 1, ... Within one type they are in CSR order — sorted by destination
-// node, ties kept in insertion order (the counting sort is stable), so the
-// incoming-edge list of each node preserves the original edge order. This
-// makes a batched forward accumulate per-node sums in exactly the same order
-// as a single-graph forward, which is what the batched-vs-sequential parity
-// tests rely on.
+// Layout. Nodes are numbered type-major once, here: all nodes of node type
+// 0 first, then type 1, ..., ties in node-id order. A node's place in that
+// order is its *position*; type τ owns positions [type_offsets[τ],
+// type_offsets[τ+1]), so every per-node-type projection of the HGT layer is
+// one GEMM on a contiguous slice of a position-order buffer. Everything
+// below the node-type grouping speaks positions: CSR row_offsets are
+// indexed by destination position, and src / dst / dst_concat hold
+// positions. `nodes_by_type` maps position -> node id and
+// `position_of_node` maps back; `rows_of_type` holds node ids and
+// `meta_concat` node types.
+//
+// Edges are ordered type-major: all edges of edge type 0 first, then type
+// 1, ... Within one type they are in CSR order — sorted by destination
+// position, ties kept in insertion order (the counting sort is stable and
+// walks the original edge list), so the incoming-edge list of each node
+// preserves the original edge order. This makes a batched forward
+// accumulate per-node sums in exactly the same order as a single-graph
+// forward, which is what the batched-vs-sequential parity tests rely on,
+// and keeps a node's numbers independent of the position it lands on.
 #pragma once
 
 #include <vector>
@@ -23,18 +35,18 @@
 namespace g2p {
 
 struct HetGraphIndex {
-  /// CSR block of one edge type φ. Incoming edges of node v occupy positions
-  /// [row_offsets[v], row_offsets[v+1]) of `src` / `dst`.
+  /// CSR block of one edge type φ. Incoming edges of the node at position v
+  /// occupy entries [row_offsets[v], row_offsets[v+1]) of `src` / `dst`.
   struct EdgeTypeSlice {
-    std::vector<int> row_offsets;  // size num_nodes + 1
-    std::vector<int> src;          // source node of each edge, CSR order
-    std::vector<int> dst;          // destination node of each edge, CSR order
+    std::vector<int> row_offsets;  // size num_nodes + 1, by destination position
+    std::vector<int> src;          // source position of each edge, CSR order
+    std::vector<int> dst;          // destination position of each edge, CSR order
     int concat_offset = 0;         // block start in the type-major edge order
     bool empty() const { return src.empty(); }
     int size() const { return static_cast<int>(src.size()); }
 
-    // Per-destination walk: incoming edges of node v occupy CSR positions
-    // [in_begin(v), in_end(v)) of `src`; position p is edge
+    // Per-destination walk: incoming edges of the node at position v
+    // occupy CSR entries [in_begin(v), in_end(v)) of `src`; entry p is edge
     // `concat_offset + p` of the type-major order (the dst_concat /
     // meta_concat index). Valid on every slice of a built index — the
     // constructor sizes row_offsets to num_nodes + 1 even for edge types
@@ -49,21 +61,26 @@ struct HetGraphIndex {
 
   /// One CSR block per edge type, φ-indexed (size kNumHetEdgeTypes).
   std::vector<EdgeTypeSlice> per_edge_type;
-  /// Node ids grouped by node type τ (size kNumHetNodeTypes) — the per-type
-  /// K/Q/V/A-Linear projections gather rows through these.
+  /// Node ids grouped by node type τ (size kNumHetNodeTypes), ascending.
   std::vector<std::vector<int>> rows_of_type;
-  /// rows_of_type concatenated (node id at each type-major position).
-  /// concat_rows_to scatters through this to place per-type projection
-  /// blocks directly back into node order in one pass.
+  /// Positions owned by node type τ: [type_offsets[τ], type_offsets[τ+1])
+  /// (size kNumHetNodeTypes + 1).
+  std::vector<int> type_offsets;
+  /// rows_of_type concatenated: the node id at each position. Gathering
+  /// node-order rows through it yields position order.
   std::vector<int> nodes_by_type;
-  /// Destination node of every edge in the type-major order (size num_edges);
-  /// the segment key for attention softmax and message aggregation.
+  /// Inverse of nodes_by_type: the position of each node id. Gathering
+  /// position-order rows through it yields node order.
+  std::vector<int> position_of_node;
+  /// Destination position of every edge in the type-major order (size
+  /// num_edges); the segment key for attention softmax and message
+  /// aggregation.
   std::vector<int> dst_concat;
   /// Meta-relation id (τ(s), φ(e), τ(t)) of every edge, same order; gathers
   /// the µ prior of formula 2.
   std::vector<int> meta_concat;
 
-  /// Total incoming edges of node v across every edge type.
+  /// Total incoming edges of the node at position v across every edge type.
   int total_in_degree(int v) const {
     int deg = 0;
     for (const auto& slice : per_edge_type) {

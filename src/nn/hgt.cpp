@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "support/failpoint.h"
@@ -13,22 +14,17 @@ namespace g2p {
 
 namespace {
 
-/// One node type's projection stage: gather the type's rows of the [*, dim]
-/// source buffer into contiguous scratch, multiply by the cached [dim,
-/// out_cols] operand (pool-parallel row panels). Callers scatter `projected`
-/// back to node order with their own epilogue (bias / residual folds).
-void project_type_rows(const float* src, int dim, const std::vector<int>& rows,
-                       const float* weights, int out_cols, ThreadPool* pool,
-                       FloatVec& gathered, FloatVec& projected) {
-  const auto dim_sz = static_cast<std::size_t>(dim);
-  const int rt = static_cast<int>(rows.size());
-  gathered.resize(static_cast<std::size_t>(rt) * dim_sz);
-  for (int r = 0; r < rt; ++r) {
-    std::copy_n(src + static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz,
-                dim_sz, gathered.data() + static_cast<std::size_t>(r) * dim_sz);
+/// Node-order rows -> position order (row p = x[nodes_by_type[p]]).
+Tensor to_positions(const Tensor& x, const HetGraphIndex& index) {
+  if (x.rank() != 2 || x.dim(0) != index.num_nodes) {
+    throw std::invalid_argument("HgtLayer::forward: state shape mismatch");
   }
-  projected.resize(static_cast<std::size_t>(rt) * out_cols);
-  backend::matmul_mt(gathered.data(), weights, projected.data(), rt, dim, out_cols, pool);
+  return index_select_rows(x, index.nodes_by_type);
+}
+
+/// Position-order rows -> node order (row v = x[position_of_node[v]]).
+Tensor to_nodes(const Tensor& x, const HetGraphIndex& index) {
+  return index_select_rows(x, index.position_of_node);
 }
 
 }  // namespace
@@ -64,18 +60,19 @@ HgtLayer::HgtLayer(int dim, int heads, Rng& rng)
 
 Tensor HgtLayer::per_type_projection(const Tensor& x, const HetGraphIndex& index,
                                      const std::vector<std::unique_ptr<Linear>>& lins) const {
-  const int n = index.num_nodes;
-  std::vector<Tensor> parts;  // projected rows, type-major order
+  std::vector<Tensor> parts;  // projected slices, in position order
+  std::vector<int> rows;
   for (int t = 0; t < kNumHetNodeTypes; ++t) {
-    const auto& rows = index.rows_of_type[static_cast<std::size_t>(t)];
-    if (rows.empty()) continue;
-    parts.push_back(lins[static_cast<std::size_t>(t)]->forward(index_select_rows(x, rows)));
+    const auto ts = static_cast<std::size_t>(t);
+    const int begin = index.type_offsets[ts];
+    const int count = index.type_offsets[ts + 1] - begin;
+    if (count == 0) continue;
+    rows.resize(static_cast<std::size_t>(count));
+    std::iota(rows.begin(), rows.end(), begin);
+    parts.push_back(lins[ts]->forward(index_select_rows(x, rows)));
   }
-  if (parts.empty()) return Tensor::zeros({n, dim_});
-  // One fused scatter-on-write pass places the per-type blocks back into
-  // node order — cheaper than per-type scatter-add chains over full
-  // [N, dim] buffers or a concat followed by a gather.
-  return concat_rows_to(parts, index.nodes_by_type);
+  if (parts.empty()) return Tensor::zeros({index.num_nodes, dim_});
+  return concat_rows(parts);
 }
 
 Tensor HgtLayer::forward(const Tensor& x, const HetGraphIndex& index) const {
@@ -157,7 +154,8 @@ Tensor HgtLayer::forward_reference(const Tensor& x, const HetGraphIndex& index) 
 }
 
 Tensor HgtLayer::forward(const Tensor& x, const HetGraph& graph) const {
-  return forward(x, HetGraphIndex(graph));
+  const HetGraphIndex index(graph);
+  return to_nodes(forward(to_positions(x, index), index), index);
 }
 
 std::uint64_t HgtLayer::weight_stamp() const {
@@ -264,44 +262,35 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
 
   // Fused projection stage: per node type, one wide [rows, dim] x
   // [dim, 3*dim] GEMM against the cached K|Q|V repack computes all three
-  // projections of the type's rows at once — one packed-operand GEMM (with
-  // matmul_mt row panels on the configured pool) instead of three taped
-  // square matmuls and their gather/concat tensors. The bias folds into the
-  // scatter pass that places rows back into node order.
+  // projections of the type's contiguous slice of x at once (matmul_mt row
+  // panels on the configured pool), written straight into that slice of the
+  // position-order [N, 3*dim] K|Q|V buffer; the bias is then added in place.
   const std::size_t dim_sz = static_cast<std::size_t>(dim_);
-  const std::size_t row_elems = static_cast<std::size_t>(index.num_nodes) * dim_sz;
-  FloatVec k_all(row_elems), q_all(row_elems), v_all(row_elems);
-  {
-    FloatVec gathered, projected;
-    ThreadPool* pool = pool_.get();
-    const float* xdata = x.data().data();
-    for (int t = 0; t < kNumHetNodeTypes; ++t) {
-      const auto ts = static_cast<std::size_t>(t);
-      const auto& rows = index.rows_of_type[ts];
-      if (rows.empty()) continue;
-      const int rt = static_cast<int>(rows.size());
-      const float* bias = fused->kqv_b[ts].data();
-      project_type_rows(xdata, dim_, rows, fused->kqv_w[ts].data(), 3 * dim_, pool, gathered,
-                        projected);
-      for (int r = 0; r < rt; ++r) {
-        const float* prow = projected.data() + static_cast<std::size_t>(r) * 3 * dim_sz;
-        const std::size_t node =
-            static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-        float* krow = k_all.data() + node;
-        float* qrow = q_all.data() + node;
-        float* vrow = v_all.data() + node;
-        for (int j = 0; j < dim_; ++j) {
-          krow[j] = prow[j] + bias[j];
-          qrow[j] = prow[dim_ + j] + bias[dim_ + j];
-          vrow[j] = prow[2 * dim_ + j] + bias[2 * dim_ + j];
-        }
-      }
+  const int kqv_cols = 3 * dim_;
+  const std::size_t row_elems = static_cast<std::size_t>(n) * dim_sz;
+  ThreadPool* pool = pool_.get();
+  const float* xdata = x.data().data();
+  FloatVec kqv(static_cast<std::size_t>(n) * kqv_cols);
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    const int begin = index.type_offsets[ts];
+    const int rows = index.type_offsets[ts + 1] - begin;
+    if (rows == 0) continue;
+    float* out = kqv.data() + static_cast<std::size_t>(begin) * kqv_cols;
+    backend::matmul_mt(xdata + static_cast<std::size_t>(begin) * dim_sz,
+                       fused->kqv_w[ts].data(), out, rows, dim_, kqv_cols, pool);
+    const float* bias = fused->kqv_b[ts].data();
+    for (int r = 0; r < rows; ++r) {
+      float* row = out + static_cast<std::size_t>(r) * kqv_cols;
+      for (int j = 0; j < kqv_cols; ++j) row[j] += bias[j];
     }
   }
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   const float* mu = mu_.data().data();
-  const float* q = q_all.data();
+  const float* k_all = kqv.data();
+  const float* q_all = k_all + dim_;
+  const float* v_all = q_all + dim_;
   const int* meta = index.meta_concat.data();
 
   // Edge-blocked pass, one backend call per edge type per phase (the CSR
@@ -329,9 +318,9 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const auto& slice = index.per_edge_type[e];
     if (slice.empty()) continue;
     float* block = logits.data() + static_cast<std::size_t>(slice.concat_offset) * heads_;
-    kern.hgt_logits(k_all.data(), q, fused->att[e].data(), slice.src.data(), slice.dst.data(),
-                    meta + slice.concat_offset, mu, slice.size(), heads_, head_dim_, inv_sqrt_d,
-                    block, node_max.data());
+    kern.hgt_logits(k_all, q_all, fused->att[e].data(), slice.src.data(), slice.dst.data(),
+                    meta + slice.concat_offset, mu, slice.size(), heads_, head_dim_, kqv_cols,
+                    inv_sqrt_d, block, node_max.data());
   }
   for (int et = 0; et < kNumHetEdgeTypes; ++et) {
     const auto e = static_cast<std::size_t>(et);
@@ -339,9 +328,9 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     if (slice.empty()) continue;
     const float* block =
         logits.data() + static_cast<std::size_t>(slice.concat_offset) * heads_;
-    kern.hgt_accumulate(v_all.data(), fused->msg[e].data(), slice.src.data(), slice.dst.data(),
-                        slice.size(), block, node_max.data(), heads_, head_dim_, h_tilde.data(),
-                        denom.data());
+    kern.hgt_accumulate(v_all, fused->msg[e].data(), slice.src.data(), slice.dst.data(),
+                        slice.size(), block, node_max.data(), heads_, head_dim_, kqv_cols,
+                        h_tilde.data(), denom.data());
   }
   for (int v = 0; v < n; ++v) {
     float* out_row = h_tilde.data() + static_cast<std::size_t>(v) * dim_;
@@ -359,30 +348,25 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   // Formula 5 on raw buffers: σ(H~) through the backend GELU (in place),
   // then the per-target-type A-Linear as one cached-operand GEMM per node
   // type — the A block lives in the same repack as K|Q|V but applies here,
-  // to the activated aggregate — with bias and residual folded into the
-  // scatter back to node order.
+  // to the activated aggregate — writing the type's slice of y directly,
+  // with bias and residual added in one contiguous pass over the slice.
   kern.gelu(h_tilde.data(), h_tilde.data(), static_cast<int>(row_elems));
   FloatVec y(row_elems);
-  {
-    FloatVec gathered, projected;
-    ThreadPool* pool = pool_.get();
-    const float* xdata = x.data().data();
-    for (int t = 0; t < kNumHetNodeTypes; ++t) {
-      const auto ts = static_cast<std::size_t>(t);
-      const auto& rows = index.rows_of_type[ts];
-      if (rows.empty()) continue;
-      const int rt = static_cast<int>(rows.size());
-      const float* bias = fused->a_b[ts].data();
-      project_type_rows(h_tilde.data(), dim_, rows, fused->a_w[ts].data(), dim_, pool,
-                        gathered, projected);
-      for (int r = 0; r < rt; ++r) {
-        const float* prow = projected.data() + static_cast<std::size_t>(r) * dim_sz;
-        const std::size_t node =
-            static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-        const float* xrow = xdata + node;
-        float* yrow = y.data() + node;
-        for (int j = 0; j < dim_; ++j) yrow[j] = prow[j] + bias[j] + xrow[j];
-      }
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    const int begin = index.type_offsets[ts];
+    const int rows = index.type_offsets[ts + 1] - begin;
+    if (rows == 0) continue;
+    const std::size_t first = static_cast<std::size_t>(begin) * dim_sz;
+    backend::matmul_mt(h_tilde.data() + first, fused->a_w[ts].data(), y.data() + first, rows,
+                       dim_, dim_, pool);
+    const float* bias = fused->a_b[ts].data();
+    for (int r = 0; r < rows; ++r) {
+      const std::size_t row = first + static_cast<std::size_t>(r) * dim_sz;
+      float* yrow = y.data() + row;
+      const float* xrow = xdata + row;
+      // (A h + b) + x, in that order: served outputs stay bitwise stable.
+      for (int j = 0; j < dim_; ++j) yrow[j] = yrow[j] + bias[j] + xrow[j];
     }
   }
   return make_result({n, dim_}, std::move(y), {}, nullptr);
@@ -404,11 +388,11 @@ Tensor HgtEncoder::forward(const Tensor& x, const HetGraphIndex& index) const {
   if (failpoint::triggered("encode.forward")) {
     throw failpoint::FailpointError("encode.forward");
   }
-  Tensor state = x;
+  Tensor state = to_positions(x, index);
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     state = norms_[i]->forward(layers_[i]->forward(state, index));
   }
-  return state;
+  return to_nodes(state, index);
 }
 
 Tensor HgtEncoder::forward(const Tensor& x, const HetGraph& graph) const {
@@ -416,11 +400,11 @@ Tensor HgtEncoder::forward(const Tensor& x, const HetGraph& graph) const {
 }
 
 Tensor HgtEncoder::forward_reference(const Tensor& x, const HetGraphIndex& index) const {
-  Tensor state = x;
+  Tensor state = to_positions(x, index);
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     state = norms_[i]->forward(layers_[i]->forward_reference(state, index));
   }
-  return state;
+  return to_nodes(state, index);
 }
 
 void HgtEncoder::set_thread_pool(std::shared_ptr<ThreadPool> pool) {

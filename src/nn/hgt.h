@@ -37,8 +37,11 @@ class HgtLayer : public Module {
 
   /// One round of heterogeneous message passing over a precomputed CSR
   /// index (single graph or disjoint batch union — the math is identical).
-  /// `x`: [N, dim] node states. Nodes with no incoming edges keep their
-  /// residual state.
+  /// `x`: [N, dim] node states in the index's *position* order (row p is
+  /// node index.nodes_by_type[p]); the result is in position order too, so
+  /// each node type's rows are one contiguous slice and stacked layers pass
+  /// states along without permuting. Nodes with no incoming edges keep
+  /// their residual state.
   ///
   /// Routing: under grad (training) this is the taped reference
   /// implementation; in inference mode (NoGradGuard active) it is the fused
@@ -46,20 +49,24 @@ class HgtLayer : public Module {
   /// bitwise.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Single-graph convenience wrapper: indexes `graph` and forwards.
-  /// Callers running several layers should index once and use the overload
-  /// above (HgtEncoder does).
+  /// Single-graph convenience wrapper: indexes `graph` and forwards. Takes
+  /// and returns node-order rows (row v is node v), permuting into position
+  /// order on entry and back on exit. Callers running several layers should
+  /// index once and use the overload above (HgtEncoder does).
   Tensor forward(const Tensor& x, const HetGraph& graph) const;
 
   /// The taped per-head implementation (formulas 2-5 op by op): the training
   /// path, and the equivalence oracle for the fused kernel. Under
-  /// NoGradGuard it runs the same ops without recording a tape.
+  /// NoGradGuard it runs the same ops without recording a tape. Position
+  /// order in and out, like forward(x, index).
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Fused inference kernel: cached per-edge-type W_ATT/W_MSG head blocks,
-  /// applied per edge in registers during an edge-blocked pass over the
-  /// per-edge-type CSR that computes all-head logits, applies the µ prior,
-  /// runs a streaming-max online segment softmax per destination, and
+  /// Fused inference kernel, position order in and out: per node type one
+  /// K|Q|V GEMM from the type's contiguous slice of `x` into its slice of
+  /// one [N, 3*dim] buffer, then cached per-edge-type W_ATT/W_MSG head
+  /// blocks applied per edge in registers during an edge-blocked pass over
+  /// the per-edge-type CSR that computes all-head logits, applies the µ
+  /// prior, runs a streaming-max online segment softmax per destination, and
   /// scatters weighted messages straight into the [N, dim] output — no
   /// [E, head_dim] intermediates, no per-head gather/concat tensors. Always
   /// runs under NoGradGuard (the result carries no tape). The fused weight
@@ -99,8 +106,10 @@ class HgtLayer : public Module {
   ///
   /// Per node type τ: the K/Q/V projection weights packed side by side as
   /// one [dim, 3*dim] GEMM operand (columns [K | Q | V]) with the biases
-  /// concatenated to [3*dim] — all three projections of a type's rows cost
-  /// one wide GEMM instead of three square ones. The A-Linear block rides in
+  /// concatenated to [3*dim] — all three projections of a type's slice cost
+  /// one wide GEMM instead of three square ones, and its [rows, 3*dim]
+  /// output is the type's slice of one K|Q|V buffer that the edge kernels
+  /// read with row stride 3*dim. The A-Linear block rides in
   /// the same cache but stays a separate [dim, dim] operand: it applies to
   /// the *activated aggregate*, not to x, so it cannot join the x-side GEMM.
   struct FusedWeights {
@@ -124,8 +133,9 @@ class HgtLayer : public Module {
   mutable std::atomic<const FusedWeights*> fused_current_{nullptr};
   std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
-  /// Apply the per-type linear `lins[type]` to the rows of each type and
-  /// reassemble a full [N, dim] tensor.
+  /// Apply the per-type linear `lins[type]` to each type's contiguous slice
+  /// of the position-order `x`; the projected slices, concatenated, are the
+  /// full position-order [N, dim] result.
   Tensor per_type_projection(const Tensor& x, const HetGraphIndex& index,
                              const std::vector<std::unique_ptr<Linear>>& lins) const;
 };
@@ -136,6 +146,8 @@ class HgtEncoder : public Module {
   HgtEncoder(int dim, int heads, int layers, Rng& rng);
 
   /// Run all layers over one precomputed index (built once per batch).
+  /// Node order in and out (row v is node v): the states are permuted into
+  /// the index's position order once on entry and back once on exit.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Single-graph convenience wrapper: indexes `graph` once, then forwards.
@@ -143,7 +155,7 @@ class HgtEncoder : public Module {
 
   /// Every layer's taped reference forward followed by its norm — the
   /// encoder-level equivalence oracle for `forward` under NoGradGuard (and
-  /// the reference arm of bench_hgt_kernel).
+  /// the reference arm of bench_hgt_kernel). Node order in and out.
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Propagate the projection-GEMM worker pool to every layer (see HgtLayer).

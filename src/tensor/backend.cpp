@@ -216,15 +216,14 @@ inline constexpr int kMaxHeadDim = 64;
 
 void scalar_hgt_logits(const float* k_all, const float* q, const float* w_att,
                        const int* srcs, const int* dsts, const int* metas, const float* mu,
-                       int count, int heads, int hd, float scale, float* logits,
+                       int count, int heads, int hd, int stride, float scale, float* logits,
                        float* node_max) {
-  const int dim = heads * hd;
   float mk_stack[kMaxHeadDim];
   std::vector<float> mk_heap(hd > kMaxHeadDim ? static_cast<std::size_t>(hd) : 0);
   float* const mk = hd > kMaxHeadDim ? mk_heap.data() : mk_stack;
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
+    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * stride;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * stride;
     const float mu_e = mu[metas[p]];
     float* lrow = logits + static_cast<std::size_t>(p) * heads;
     float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
@@ -246,14 +245,14 @@ void scalar_hgt_logits(const float* k_all, const float* q, const float* w_att,
 
 void scalar_hgt_accumulate(const float* v_all, const float* w_msg, const int* srcs,
                            const int* dsts, int count, const float* logits,
-                           const float* node_max, int heads, int hd, float* out,
+                           const float* node_max, int heads, int hd, int stride, float* out,
                            float* denom) {
   const int dim = heads * hd;
   float mv_stack[kMaxHeadDim];
   std::vector<float> mv_heap(hd > kMaxHeadDim ? static_cast<std::size_t>(hd) : 0);
   float* const mv = hd > kMaxHeadDim ? mv_heap.data() : mv_stack;
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * dim;
+    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * stride;
     const float* lrow = logits + static_cast<std::size_t>(p) * heads;
     const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
     float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;

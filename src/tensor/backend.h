@@ -61,30 +61,36 @@ struct Kernels {
   void (*gemm)(const float* a, const float* b, float* out, int n, int k, int m);
 
   /// Fused-HGT attention logits for one edge type's whole CSR block
-  /// (`count` edges, all heads, one call). Each edge applies the cached
-  /// per-edge-type weight blocks `w_att` (`heads` dense [hd, hd] blocks back
-  /// to back) to its source's K row in registers, then dots with Q:
-  ///   mk[h, :] = k_all[srcs[p]*dim + h*hd ..] · w_att[h]
-  ///   logits[p*heads + h] = dot(mk[h, :], q[dsts[p]*dim + h*hd ..])
-  ///                         * scale * mu[metas[p]]        (dim = heads*hd)
+  /// (`count` edges, all heads, one call). `srcs` / `dsts` index rows of the
+  /// K and Q tables, each `stride` floats apart (the fused layer passes the
+  /// K and Q column blocks of one position-order [N, 3*dim] K|Q|V buffer,
+  /// stride 3*dim). Each edge applies the cached per-edge-type weight blocks
+  /// `w_att` (`heads` dense [hd, hd] blocks back to back) to its source's K
+  /// row in registers, then dots with Q:
+  ///   mk[h, :] = k_all[srcs[p]*stride + h*hd ..] · w_att[h]
+  ///   logits[p*heads + h] = dot(mk[h, :], q[dsts[p]*stride + h*hd ..])
+  ///                         * scale * mu[metas[p]]
   /// and node_max[dsts[p]*heads + h] streams the running per-destination
   /// per-head maximum (callers seed it with -inf once per forward — the
   /// online-softmax max pass, shared across edge types). The map reduces k
   /// in ascending order, like every other kernel here.
   void (*hgt_logits)(const float* k_all, const float* q, const float* w_att, const int* srcs,
                      const int* dsts, const int* metas, const float* mu, int count, int heads,
-                     int hd, float scale, float* logits, float* node_max);
+                     int hd, int stride, float scale, float* logits, float* node_max);
 
   /// Fused-HGT weighted message scatter for the same block: maps the
-  /// source's V row through `w_msg` in registers, then
+  /// source's V row (rows `stride` floats apart, as in hgt_logits) through
+  /// `w_msg` in registers, then
   ///   w = exp(logits[p*heads + h] - node_max[dsts[p]*heads + h]);
   ///   denom[dsts[p]*heads + h] += w;
-  ///   out[dsts[p]*dim + h*hd ..] += w * (v_all[srcs[p]*dim + h*hd ..] · w_msg[h])
-  /// `out` accumulates the un-normalized aggregate; the caller divides by
-  /// denom per (destination, head) afterwards (the online-softmax sum pass).
+  ///   out[dsts[p]*dim + h*hd ..] += w * (v_all[srcs[p]*stride + h*hd ..] · w_msg[h])
+  /// where `out` is a dense [N, dim] buffer (dim = heads*hd). `out`
+  /// accumulates the un-normalized aggregate; the caller divides by denom
+  /// per (destination, head) afterwards (the online-softmax sum pass).
   void (*hgt_accumulate)(const float* v_all, const float* w_msg, const int* srcs,
                          const int* dsts, int count, const float* logits,
-                         const float* node_max, int heads, int hd, float* out, float* denom);
+                         const float* node_max, int heads, int hd, int stride, float* out,
+                         float* denom);
 
   /// out[i] = dot(a[i,:], b[i,:]) for [n,d] inputs.
   void (*row_dot)(const float* a, const float* b, float* out, int n, int d);

@@ -278,11 +278,11 @@ void avx2_row_dot(const float* a, const float* b, float* out, int n, int d) {
 /// together (hadd tree), and the logits and the per-destination max are
 /// handled as 4-lane vectors.
 void hgt_logits_h4d8(const float* k_all, const float* q, const float* w_att, const int* srcs,
-                     const int* dsts, const int* metas, const float* mu, int count,
+                     const int* dsts, const int* metas, const float* mu, int count, int stride,
                      float scale, float* logits, float* node_max) {
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * 32;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * 32;
+    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * stride;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * stride;
     __m256 prod[4];
     for (int h = 0; h < 4; ++h) {
       const float* kh = krow + h * 8;
@@ -307,13 +307,13 @@ void hgt_logits_h4d8(const float* k_all, const float* q, const float* w_att, con
 
 void avx2_hgt_logits(const float* k_all, const float* q, const float* w_att, const int* srcs,
                      const int* dsts, const int* metas, const float* mu, int count, int heads,
-                     int hd, float scale, float* logits, float* node_max) {
+                     int hd, int stride, float scale, float* logits, float* node_max) {
   if (heads == 4 && hd == 8) {
-    return hgt_logits_h4d8(k_all, q, w_att, srcs, dsts, metas, mu, count, scale, logits,
-                           node_max);
+    return hgt_logits_h4d8(k_all, q, w_att, srcs, dsts, metas, mu, count, stride, scale,
+                           logits, node_max);
   }
-  scalar().hgt_logits(k_all, q, w_att, srcs, dsts, metas, mu, count, heads, hd, scale, logits,
-                      node_max);
+  scalar().hgt_logits(k_all, q, w_att, srcs, dsts, metas, mu, count, heads, hd, stride, scale,
+                      logits, node_max);
 }
 
 /// Serving-shape accumulate: mapped V row per head in one register, the
@@ -321,9 +321,9 @@ void avx2_hgt_logits(const float* k_all, const float* q, const float* w_att, con
 /// vector, and each head's scatter a single fmadd.
 void hgt_accumulate_h4d8(const float* v_all, const float* w_msg, const int* srcs,
                          const int* dsts, int count, const float* logits,
-                         const float* node_max, float* out, float* denom) {
+                         const float* node_max, int stride, float* out, float* denom) {
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * 32;
+    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * stride;
     const std::size_t d = static_cast<std::size_t>(dsts[p]);
     const __m128 l = _mm_loadu_ps(logits + static_cast<std::size_t>(p) * 4);
     const __m128 w = exp128(_mm_sub_ps(l, _mm_loadu_ps(node_max + d * 4)));
@@ -349,12 +349,14 @@ void hgt_accumulate_h4d8(const float* v_all, const float* w_msg, const int* srcs
 
 void avx2_hgt_accumulate(const float* v_all, const float* w_msg, const int* srcs,
                          const int* dsts, int count, const float* logits,
-                         const float* node_max, int heads, int hd, float* out, float* denom) {
+                         const float* node_max, int heads, int hd, int stride, float* out,
+                         float* denom) {
   if (heads == 4 && hd == 8) {
-    return hgt_accumulate_h4d8(v_all, w_msg, srcs, dsts, count, logits, node_max, out, denom);
+    return hgt_accumulate_h4d8(v_all, w_msg, srcs, dsts, count, logits, node_max, stride, out,
+                               denom);
   }
-  scalar().hgt_accumulate(v_all, w_msg, srcs, dsts, count, logits, node_max, heads, hd, out,
-                          denom);
+  scalar().hgt_accumulate(v_all, w_msg, srcs, dsts, count, logits, node_max, heads, hd, stride,
+                          out, denom);
 }
 
 void avx2_gelu(const float* x, float* out, int n) {

@@ -840,55 +840,6 @@ Tensor concat_rows(const std::vector<Tensor>& parts) {
                      });
 }
 
-Tensor concat_rows_to(const std::vector<Tensor>& parts, std::span<const int> dest_row) {
-  if (parts.empty()) throw std::invalid_argument("concat_rows_to: no parts");
-  const int d = parts[0].dim(1);
-  int total = 0;
-  for (const auto& p : parts) {
-    if (p.rank() != 2 || p.dim(1) != d) {
-      throw std::invalid_argument("concat_rows_to: shape mismatch");
-    }
-    total += p.dim(0);
-  }
-  if (static_cast<int>(dest_row.size()) != total) {
-    throw std::invalid_argument("concat_rows_to: dest_row size != total rows");
-  }
-  FloatVec out(static_cast<std::size_t>(total) * d);
-  std::size_t p_row = 0;
-  for (const auto& p : parts) {
-    const int rows = p.dim(0);
-    for (int i = 0; i < rows; ++i, ++p_row) {
-      const int dst = dest_row[p_row];
-      if (dst < 0 || dst >= total) throw std::out_of_range("concat_rows_to: bad dest row");
-      std::copy_n(p.data().begin() + static_cast<std::ptrdiff_t>(i) * d, d,
-                  out.begin() + static_cast<std::ptrdiff_t>(dst) * d);
-    }
-  }
-  if (!grad_enabled()) return make_result({total, d}, std::move(out), {}, nullptr);
-  std::vector<int> dest(dest_row.begin(), dest_row.end());
-  std::vector<std::shared_ptr<TensorImpl>> impls;
-  std::vector<int> heights;
-  for (const auto& p : parts) {
-    impls.push_back(p.impl());
-    heights.push_back(p.dim(0));
-  }
-  return make_result({total, d}, std::move(out), parts,
-                     [impls, heights, dest, d](const TensorImpl& self) {
-                       std::size_t p_row = 0;
-                       for (std::size_t pi = 0; pi < impls.size(); ++pi) {
-                         impls[pi]->ensure_grad();
-                         for (int i = 0; i < heights[pi]; ++i, ++p_row) {
-                           const std::size_t src =
-                               static_cast<std::size_t>(dest[p_row]) * d;
-                           const std::size_t dst = static_cast<std::size_t>(i) * d;
-                           for (int j = 0; j < d; ++j) {
-                             impls[pi]->grad[dst + j] += self.grad[src + j];
-                           }
-                         }
-                       }
-                     });
-}
-
 // ---------------------------------------------------------------------------
 // Normalization
 // ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ Tensor row_dot(const Tensor& a, const Tensor& b);
 Tensor col_slice(const Tensor& x, int start, int len);   // [N,D] -> [N,len]
 Tensor concat_cols(const std::vector<Tensor>& parts);    // [N,di] -> [N,sum di]
 Tensor concat_rows(const std::vector<Tensor>& parts);    // [ni,D] -> [sum ni,D]
-/// Fused concat + row permutation: out[dest_row[p]] = concat(parts)[p].
-/// `dest_row` must be a permutation of [0, sum ni); one output pass instead
-/// of concat followed by index_select.
-Tensor concat_rows_to(const std::vector<Tensor>& parts, std::span<const int> dest_row);
 
 // ---- normalization ----
 Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

@@ -122,6 +122,75 @@ TEST(HetGraphIndex, CsrStructureOfHandBuiltGraph) {
             (std::vector<int>{1}));
 }
 
+TEST(HetGraphIndex, TypeMajorPositions) {
+  // Node types interleave, so positions differ from node ids: Loop nodes
+  // {1, 3} take positions {0, 1}, BinaryOp nodes {0, 4} positions {2, 3},
+  // the VarRef node 2 position 4.
+  HetGraph g;
+  g.add_node(HetNodeType::kBinaryOp, 1, 0);  // 0
+  g.add_node(HetNodeType::kLoop, 2, 0);      // 1
+  g.add_node(HetNodeType::kVarRef, 3, 0);    // 2
+  g.add_node(HetNodeType::kLoop, 4, 0);      // 3
+  g.add_node(HetNodeType::kBinaryOp, 5, 0);  // 4
+  g.add_edge(4, 3, HetEdgeType::kAstChild);
+  g.add_edge(0, 3, HetEdgeType::kAstChild);
+  g.add_edge(2, 1, HetEdgeType::kAstChild);
+  g.add_edge(1, 4, HetEdgeType::kLexNext);
+  g.add_edge(2, 3, HetEdgeType::kAstChild);  // third in-edge of node 3
+  g.add_edge(3, 0, HetEdgeType::kCfgNext);
+  const HetGraphIndex index(g);
+
+  ASSERT_EQ(index.type_offsets.size(), static_cast<std::size_t>(kNumHetNodeTypes) + 1);
+  EXPECT_EQ(index.type_offsets.front(), 0);
+  EXPECT_EQ(index.type_offsets.back(), 5);
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    EXPECT_EQ(index.type_offsets[ts + 1] - index.type_offsets[ts],
+              static_cast<int>(index.rows_of_type[ts].size()))
+        << "node type " << t;
+  }
+  EXPECT_EQ(index.type_offsets[static_cast<std::size_t>(HetNodeType::kBinaryOp)], 2);
+  EXPECT_EQ(index.type_offsets[static_cast<std::size_t>(HetNodeType::kVarRef)], 4);
+
+  EXPECT_EQ(index.nodes_by_type, (std::vector<int>{1, 3, 0, 4, 2}));
+  EXPECT_EQ(index.position_of_node, (std::vector<int>{2, 0, 4, 1, 3}));
+  for (int v = 0; v < index.num_nodes; ++v) {
+    EXPECT_EQ(index.nodes_by_type[static_cast<std::size_t>(
+                  index.position_of_node[static_cast<std::size_t>(v)])],
+              v);
+  }
+
+  // CSR by destination position, sources as positions: position 0 (node 1)
+  // has one kAstChild in-edge from node 2 (position 4); position 1 (node 3)
+  // has three, from nodes 4, 0, 2 (positions 3, 2, 4) in insertion order.
+  const auto& ast = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kAstChild)];
+  EXPECT_EQ(ast.row_offsets, (std::vector<int>{0, 1, 4, 4, 4, 4}));
+  EXPECT_EQ(ast.src, (std::vector<int>{4, 3, 2, 4}));
+  EXPECT_EQ(ast.dst, (std::vector<int>{0, 1, 1, 1}));
+  const auto& cfg = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kCfgNext)];
+  EXPECT_EQ(cfg.src, (std::vector<int>{1}));
+  EXPECT_EQ(cfg.dst, (std::vector<int>{2}));
+  const auto& lex = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kLexNext)];
+  EXPECT_EQ(lex.src, (std::vector<int>{0}));
+  EXPECT_EQ(lex.dst, (std::vector<int>{3}));
+  EXPECT_EQ(index.dst_concat, (std::vector<int>{0, 1, 1, 1, 2, 3}));
+
+  // Meta-relation ids are computed from node types, whatever the numbering.
+  const auto meta = [](HetNodeType s, HetEdgeType e, HetNodeType t) {
+    return (static_cast<int>(s) * kNumHetEdgeTypes + static_cast<int>(e)) * kNumHetNodeTypes +
+           static_cast<int>(t);
+  };
+  EXPECT_EQ(index.meta_concat,
+            (std::vector<int>{
+                meta(HetNodeType::kVarRef, HetEdgeType::kAstChild, HetNodeType::kLoop),
+                meta(HetNodeType::kBinaryOp, HetEdgeType::kAstChild, HetNodeType::kLoop),
+                meta(HetNodeType::kBinaryOp, HetEdgeType::kAstChild, HetNodeType::kLoop),
+                meta(HetNodeType::kVarRef, HetEdgeType::kAstChild, HetNodeType::kLoop),
+                meta(HetNodeType::kLoop, HetEdgeType::kCfgNext, HetNodeType::kBinaryOp),
+                meta(HetNodeType::kLoop, HetEdgeType::kLexNext, HetNodeType::kBinaryOp),
+            }));
+}
+
 TEST(HetGraphIndex, ThrowsOnOutOfRangeEdge) {
   HetGraph g;
   g.add_node(HetNodeType::kLoop, 1, 0);
@@ -213,13 +282,19 @@ TEST(BatchedEngine, EncoderForwardMatchesPerGraphWithin1e6) {
 }
 
 TEST(BatchedEngine, IndexedForwardMatchesWrapperExactly) {
+  // The HetGraph wrapper takes node-order rows; the index overload takes
+  // the index's position order. Permuting in and back out by hand must
+  // reproduce the wrapper bit for bit.
   Rng rng(43);
   const int dim = 8;
   HgtLayer layer(dim, 2, rng);
   const HetGraph g = make_graph(rng, 6);
   const Tensor x = Tensor::randn({g.num_nodes(), dim}, rng, 0.5f);
   const Tensor via_graph = layer.forward(x, g);
-  const Tensor via_index = layer.forward(x, HetGraphIndex(g));
+  const HetGraphIndex index(g);
+  const Tensor via_index = index_select_rows(
+      layer.forward(index_select_rows(x, index.nodes_by_type), index), index.position_of_node);
+  ASSERT_EQ(via_graph.shape(), via_index.shape());
   for (std::size_t i = 0; i < via_graph.numel(); ++i) {
     EXPECT_EQ(via_graph.data()[i], via_index.data()[i]);
   }

@@ -4,11 +4,14 @@
 // (HgtLayer::forward_reference) within 1e-5 relative tolerance on any graph:
 // the two compute the same formulas with different op fusion, so only float
 // rounding may differ. Also covered: the fused weight cache noticing
-// parameter mutation (optimizer step, checkpoint load), and scalar vs SIMD
-// backend dispatch agreement.
+// parameter mutation (optimizer step, checkpoint load), scalar vs SIMD
+// backend dispatch agreement, and bitwise invariance of the encoder output
+// under node relabelling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -226,6 +229,55 @@ TEST(HgtFused, CheckpointLoadInvalidatesWeightCache) {
       << "fused cache served stale weights after checkpoint load";
   EXPECT_LE(max_rel_diff(target.forward_reference(x, index), fused), kTol);
   EXPECT_GT(max_rel_diff(stale, fused), 1e-4) << "load had no observable effect";
+}
+
+TEST(HgtFused, EncoderOutputIsInvariantUnderNodeRelabelling) {
+  // Node ids fix each node's position in the type-major order (and so its
+  // row inside its type's projection GEMM), but a position must never enter
+  // a node's numerics: relabelling the nodes, with the edges remapped and
+  // kept in insertion order, gives every node bitwise the same output row.
+  // Serving shape; enough nodes per type for the blocked GEMM and its
+  // ragged tiles, with and without a pool splitting it into row panels.
+  Rng rng(2718);
+  HgtEncoder encoder(32, 4, 2, rng);
+  const int n = 400;
+  const HetGraph g = random_graph(rng, n, 1400,
+                                  {HetEdgeType::kAstChild, HetEdgeType::kAstParent,
+                                   HetEdgeType::kCfgNext, HetEdgeType::kCfgPrev,
+                                   HetEdgeType::kLexNext, HetEdgeType::kLexPrev});
+  const Tensor x = Tensor::randn({n, 32}, rng, 0.5f);
+
+  std::vector<int> new_id(static_cast<std::size_t>(n));
+  std::iota(new_id.begin(), new_id.end(), 0);
+  rng.shuffle(new_id);
+  HetGraph relabelled;
+  relabelled.nodes.resize(g.nodes.size());
+  std::vector<float> moved(x.numel());
+  for (int v = 0; v < n; ++v) {
+    const auto to = static_cast<std::size_t>(new_id[static_cast<std::size_t>(v)]);
+    relabelled.nodes[to] = g.nodes[static_cast<std::size_t>(v)];
+    std::copy_n(x.data().begin() + static_cast<std::ptrdiff_t>(v) * 32, 32,
+                moved.begin() + static_cast<std::ptrdiff_t>(to) * 32);
+  }
+  for (const auto& e : g.edges) {
+    relabelled.add_edge(new_id[static_cast<std::size_t>(e.src)],
+                        new_id[static_cast<std::size_t>(e.dst)], e.type);
+  }
+  const Tensor x_relabelled = Tensor::from_vector({n, 32}, std::move(moved));
+
+  const NoGradGuard no_grad;
+  for (const bool pooled : {false, true}) {
+    encoder.set_thread_pool(pooled ? std::make_shared<ThreadPool>(3) : nullptr);
+    const Tensor out = encoder.forward(x, HetGraphIndex(g));
+    const Tensor out_relabelled = encoder.forward(x_relabelled, HetGraphIndex(relabelled));
+    for (int v = 0; v < n; ++v) {
+      const int w = new_id[static_cast<std::size_t>(v)];
+      for (int d = 0; d < 32; ++d) {
+        ASSERT_EQ(out.at({v, d}), out_relabelled.at({w, d}))
+            << "node " << v << " dim " << d << (pooled ? " (pooled)" : "");
+      }
+    }
+  }
 }
 
 TEST(HgtFused, FusedProjectionsMatchPerTypeLinears) {

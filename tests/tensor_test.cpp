@@ -392,28 +392,6 @@ TEST(Ops, SegmentWeightedSumMatchesComposite) {
   }
 }
 
-TEST(Grad, ConcatRowsTo) {
-  Rng rng(31);
-  auto a = make_rand({2, 3}, rng);
-  auto b = make_rand({3, 3}, rng);
-  const std::vector<int> dest = {4, 0, 2, 1, 3};
-  auto w = Tensor::randn({5, 3}, rng, 1.0f);
-  grad_check({a, b}, [&] { return sum_all(mul(concat_rows_to({a, b}, dest), w)); });
-}
-
-TEST(Ops, ConcatRowsToMatchesComposite) {
-  Rng rng(32);
-  auto a = Tensor::randn({2, 4}, rng);
-  auto b = Tensor::randn({2, 4}, rng);
-  const std::vector<int> dest = {3, 1, 0, 2};   // position p -> output row
-  const std::vector<int> inverse = {2, 1, 3, 0};  // output row -> position p
-  auto fused = concat_rows_to({a, b}, dest);
-  auto composite = index_select_rows(concat_rows({a, b}), inverse);
-  for (std::size_t i = 0; i < fused.numel(); ++i) {
-    EXPECT_EQ(fused.data()[i], composite.data()[i]);
-  }
-}
-
 TEST(Grad, SegmentSumRows) {
   Rng rng(27);
   auto x = make_rand({5, 2}, rng);
