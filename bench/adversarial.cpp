@@ -95,14 +95,12 @@ struct PhaseResult {
   std::size_t poison_typed = 0;    // rejected with a typed error (required)
   std::size_t poison_accepted = 0; // produced a value (a gate failure)
   std::size_t untyped_errors = 0;
-  std::size_t shed = 0;
   std::vector<double> clean_latency_s;
 
   double clean_availability() const {
-    const std::size_t not_shed = clean_total - std::min(clean_total, shed);
-    return not_shed == 0 ? 0.0
-                         : static_cast<double>(clean_completed) /
-                               static_cast<double>(not_shed);
+    return clean_total == 0 ? 0.0
+                            : static_cast<double>(clean_completed) /
+                                  static_cast<double>(clean_total);
   }
 };
 
@@ -115,11 +113,10 @@ PhaseResult run_phase(g2p::SuggestServer& server, const std::vector<std::string>
   using namespace g2p;
   PhaseResult r;
   std::vector<std::future<std::vector<LoopSuggestion>>> futures(num_requests);
-  // 0 = not admitted, 1 = admitted clean, 2 = admitted poison,
-  // 3 = poison rejected synchronously at admission (already typed).
+  // 1 = admitted clean, 2 = admitted poison, 3 = poison rejected
+  // synchronously at admission (already typed).
   std::vector<char> slot(num_requests, 0);
   std::atomic<std::size_t> submitted{0};
-  std::atomic<std::size_t> shed{0};
   const auto t0 = Clock::now();
   std::thread producer([&] {
     std::size_t poison_i = 0;
@@ -136,8 +133,6 @@ PhaseResult run_phase(g2p::SuggestServer& server, const std::vector<std::string>
           futures[i] = server.submit(clean[i % clean.size()]);
           slot[i] = 1;
         }
-      } catch (const Overloaded&) {
-        shed.fetch_add(1, std::memory_order_relaxed);
       } catch (const ResourceExhausted&) {
         slot[i] = 3;  // admission governor said no: typed, synchronous
       }
@@ -147,7 +142,6 @@ PhaseResult run_phase(g2p::SuggestServer& server, const std::vector<std::string>
 
   for (std::size_t i = 0; i < num_requests; ++i) {
     while (submitted.load(std::memory_order_acquire) <= i) std::this_thread::yield();
-    if (slot[i] == 0) continue;
     const bool is_poison = slot[i] >= 2;
     if (is_poison) ++r.poison_total; else ++r.clean_total;
     if (slot[i] == 3) {
@@ -175,7 +169,6 @@ PhaseResult run_phase(g2p::SuggestServer& server, const std::vector<std::string>
     }
   }
   producer.join();
-  r.shed = shed.load();
   return r;
 }
 
@@ -278,7 +271,6 @@ int main(int argc, char** argv) {
   table.add_row({"clean p99 (ms)", fmt_fixed(baseline_p99_ms, 2), fmt_fixed(adv_p99_ms, 2)});
   table.add_row({"clean availability", fmt_fixed(baseline.clean_availability() * 100, 2) + "%",
                  fmt_fixed(availability * 100, 2) + "%"});
-  table.add_row({"shed", std::to_string(baseline.shed), std::to_string(adv.shed)});
   std::printf("%s", table.render().c_str());
   std::printf("governor rejections: %llu total",
               static_cast<unsigned long long>(adv_stats.resource_exhausted));
@@ -331,7 +323,6 @@ int main(int argc, char** argv) {
   json.set("adv_poison_typed", static_cast<std::int64_t>(adv.poison_typed));
   json.set("adv_poison_accepted", static_cast<std::int64_t>(adv.poison_accepted));
   json.set("adv_untyped_errors", static_cast<std::int64_t>(adv.untyped_errors));
-  json.set("adv_shed", static_cast<std::int64_t>(adv.shed));
   json.set("adv_p50_ms", bench::percentile(adv.clean_latency_s, 0.50) * 1e3);
   json.set("adv_p99_ms", adv_p99_ms);
   json.set("clean_availability", availability);

@@ -3,15 +3,15 @@
 //
 // Trains a small pipeline, measures a sequential worker's mean service time
 // (cache off), then fires an open-loop stream at that capacity through a
-// SuggestServer with the default degradation ladder, the watchdog, and the
+// SuggestServer with the default cache-only threshold, the watchdog, and the
 // transient-retry ladder armed — while failpoints (support/failpoint.h)
 // inject faults into the frontend, the cache, the forward, the tensor pool,
 // and the scheduler. Every future must complete (value or typed error);
-// the headline gate is *non-shed availability*: of the requests the server
-// accepted (not shed by the overload ladder), the fraction that completed
-// with a value must be at least G2P_CHAOS_FLOOR (default 0.99 — CI pins a
-// lenient floor on shared runners). p50/p99 latency under chaos and every
-// fault-tolerance counter are reported and written to --json.
+// the headline gate is *non-shed availability*: of the requests not shed
+// by cache-only mode, the fraction that completed with a value must be at
+// least G2P_CHAOS_FLOOR (default 0.99 — CI pins a lenient floor on shared
+// runners). p50/p99 latency under chaos and every fault-tolerance counter
+// are reported and written to --json.
 //
 // The fault schedule: G2P_FAILPOINTS, when set, is used as-is (the chaos CI
 // job randomizes the seeds this way); otherwise a default low-probability
@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
   server_options.max_queue_depth = 256;
   server_options.max_retries = 3;
   server_options.batch_budget = std::chrono::milliseconds(2000);
-  // Degradation ladder at its defaults: cache-only at 75% depth, shed at
-  // 90% — at 1x capacity it should never leave kNormal.
+  // Cache-only mode at its default 75% depth — at 1x capacity it should
+  // never leave kNormal.
   SuggestServer server(pipeline, server_options);
 
   // Open-loop arrivals at 1x the sequential worker's capacity.
@@ -137,33 +137,25 @@ int main(int argc, char** argv) {
   const auto source_of = [&](std::size_t i) { return i % sources.size(); };
 
   std::vector<std::future<std::vector<LoopSuggestion>>> futures(num_requests);
-  std::vector<char> admitted(num_requests, 0);
   std::atomic<std::size_t> submitted{0};
-  std::atomic<std::size_t> admission_shed{0};
   const auto t0 = Clock::now();
   std::thread producer([&] {
     for (std::size_t i = 0; i < num_requests; ++i) {
       std::this_thread::sleep_until(
           t0 + std::chrono::duration_cast<Clock::duration>(
                    std::chrono::duration<double>(static_cast<double>(i) * interval_s)));
-      try {
-        futures[i] = server.submit(sources[source_of(i)]);
-        admitted[i] = 1;
-      } catch (const Overloaded&) {
-        admission_shed.fetch_add(1, std::memory_order_relaxed);
-      }
+      futures[i] = server.submit(sources[source_of(i)]);
       submitted.store(i + 1, std::memory_order_release);
     }
   });
 
-  // Invariant: every admitted future completes — a value or a typed error.
+  // Invariant: every future completes — a value or a typed error.
   // A hang here is a harness failure by construction.
   std::size_t completed = 0, injected_faults = 0, typed_errors = 0, untyped_errors = 0;
   std::vector<double> latency_s;
   latency_s.reserve(num_requests);
   for (std::size_t i = 0; i < num_requests; ++i) {
     while (submitted.load(std::memory_order_acquire) <= i) std::this_thread::yield();
-    if (!admitted[i]) continue;
     try {
       (void)futures[i].get();
       ++completed;
@@ -181,11 +173,11 @@ int main(int argc, char** argv) {
   server.shutdown();
   const auto stats = server.stats();
 
-  // Non-shed availability: of the requests the ladder did not shed, how
-  // many produced a value. (Admission sheds and Overloaded completions are
-  // deliberate load-shedding, not failures — counted separately.)
-  const std::size_t shed_total = admission_shed.load() + stats.shed;
-  const std::size_t not_shed = num_requests - std::min(num_requests, shed_total);
+  // Non-shed availability: of the requests cache-only mode did not shed,
+  // how many produced a value. (Overloaded completions are deliberate
+  // load-shedding, not failures — counted separately.)
+  const std::size_t shed = stats.shed;
+  const std::size_t not_shed = num_requests - std::min(num_requests, shed);
   const double availability =
       not_shed == 0 ? 0.0
                     : static_cast<double>(completed) / static_cast<double>(not_shed);
@@ -195,7 +187,7 @@ int main(int argc, char** argv) {
   table.add_row({"completed", std::to_string(completed)});
   table.add_row({"injected faults surfaced", std::to_string(injected_faults)});
   table.add_row({"typed serve errors", std::to_string(typed_errors)});
-  table.add_row({"shed (admission + ladder)", std::to_string(shed_total)});
+  table.add_row({"shed (cache-only misses)", std::to_string(shed)});
   table.add_row({"availability (non-shed)", fmt_fixed(availability * 100.0, 2) + "%"});
   table.add_row({"p50 (ms)", fmt_fixed(bench::percentile(latency_s, 0.50) * 1e3, 2)});
   table.add_row({"p99 (ms)", fmt_fixed(bench::percentile(latency_s, 0.99) * 1e3, 2)});
@@ -229,7 +221,7 @@ int main(int argc, char** argv) {
   json.set("injected_faults_surfaced", static_cast<std::int64_t>(injected_faults));
   json.set("typed_errors", static_cast<std::int64_t>(typed_errors));
   json.set("untyped_errors", static_cast<std::int64_t>(untyped_errors));
-  json.set("shed", static_cast<std::int64_t>(shed_total));
+  json.set("shed", static_cast<std::int64_t>(shed));
   json.set("availability", availability);
   json.set("availability_floor", floor);
   json.set("p50_ms", bench::percentile(latency_s, 0.50) * 1e3);
@@ -241,11 +233,9 @@ int main(int argc, char** argv) {
   json.set("scheduler_faults", static_cast<std::int64_t>(stats.scheduler_faults));
   json.set("mode_cache_only_entered",
            static_cast<std::int64_t>(stats.mode_cache_only_entered));
-  json.set("mode_shed_entered", static_cast<std::int64_t>(stats.mode_shed_entered));
   json.set("mode_recovered", static_cast<std::int64_t>(stats.mode_recovered));
   // Resolved degradation config, mirroring bench_latency_server.
   json.set("degrade_cache_only_at", server_options.cache_only_at);
-  json.set("degrade_shed_at", server_options.shed_at);
   json.set("max_retries", server_options.max_retries);
   json.set("batch_budget_ms",
            static_cast<std::int64_t>(server_options.batch_budget.count()));

@@ -143,9 +143,9 @@ int main(int argc, char** argv) {
   server_options.max_batch_loops = 32;
   server_options.max_queue_depth = num_requests + 1;  // pure open loop: never block
   // This bench measures the undegraded serving path (every future must hold
-  // a value for the equivalence gate): the ladder is disabled here and
+  // a value for the equivalence gate): cache-only mode is disabled here and
   // exercised by bench_chaos instead.
-  server_options.cache_only_at = server_options.shed_at = 1.5;
+  server_options.cache_only_at = 1.5;
   SuggestServer server(pipeline, server_options);
 
   // Warmup pass through every distinct source.
@@ -279,11 +279,10 @@ int main(int argc, char** argv) {
                  resource_limit_name(static_cast<ResourceLimit>(i)),
              static_cast<std::int64_t>(stats.resource_exhausted_by_limit[i]));
   }
-  // Resolved degradation config (this bench pins the ladder off; a value
-  // > 1.0 means the rung is disabled) and the fault-tolerance counters —
-  // all zero in a clean run, and loud in the json when they are not.
+  // Resolved cache-only threshold (this bench pins it off; a value > 1.0
+  // means the mode is disabled) and the fault-tolerance counters — all zero
+  // in a clean run, and loud in the json when they are not.
   json.set("degrade_cache_only_at", server_options.cache_only_at);
-  json.set("degrade_shed_at", server_options.shed_at);
   json.set("expired", static_cast<std::int64_t>(stats.expired));
   json.set("shed", static_cast<std::int64_t>(stats.shed));
   json.set("retries", static_cast<std::int64_t>(stats.retries));

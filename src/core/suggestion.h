@@ -24,17 +24,6 @@ enum class Verdict {
   kUnknown,   // unanalyzable (calls, aliasing, non-affine): passed through
 };
 
-constexpr const char* verdict_name(Verdict v) {
-  switch (v) {
-    case Verdict::kUnchecked: return "unchecked";
-    case Verdict::kVerified: return "verified";
-    case Verdict::kRepaired: return "repaired";
-    case Verdict::kVetoed: return "vetoed";
-    case Verdict::kUnknown: return "unknown";
-  }
-  return "unchecked";
-}
-
 /// One suggestion for one loop found in the input source.
 struct LoopSuggestion {
   std::string loop_source;

@@ -281,15 +281,4 @@ EvalReport evaluate_token_model(const PragFormerModel& model,
   return report;
 }
 
-std::vector<bool> predict_parallel_tokens(const PragFormerModel& model,
-                                          const std::vector<Example>& examples) {
-  std::vector<bool> out(examples.size());
-  const NoGradGuard no_grad;
-  for (std::size_t i = 0; i < examples.size(); ++i) {
-    const Tensor pooled = model.encode(examples[i].tokens);
-    out[i] = argmax_rows(model.task_logits(pooled, PredictionTask::kParallel))[0] == 1;
-  }
-  return out;
-}
-
 }  // namespace g2p

@@ -75,7 +75,4 @@ void train_token_model(PragFormerModel& model, const std::vector<Example>& train
 EvalReport evaluate_token_model(const PragFormerModel& model,
                                 const std::vector<Example>& examples);
 
-std::vector<bool> predict_parallel_tokens(const PragFormerModel& model,
-                                          const std::vector<Example>& examples);
-
 }  // namespace g2p

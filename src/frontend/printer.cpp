@@ -386,10 +386,4 @@ std::string to_source(const Node& node, int indent) {
   return out;
 }
 
-std::string expr_to_source(const Expr& expr) {
-  std::string out;
-  Printer(out).print_expr(expr);
-  return out;
-}
-
 }  // namespace g2p

@@ -14,8 +14,4 @@ namespace g2p {
 /// `indent` levels of two spaces.
 std::string to_source(const Node& node, int indent = 0);
 
-/// Render an expression with minimal parentheses (children are
-/// re-parenthesized from structure, not from the original text).
-std::string expr_to_source(const Expr& expr);
-
 }  // namespace g2p

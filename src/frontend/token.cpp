@@ -4,21 +4,6 @@
 
 namespace g2p {
 
-std::string_view token_kind_name(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kEof: return "eof";
-    case TokenKind::kIdentifier: return "identifier";
-    case TokenKind::kKeyword: return "keyword";
-    case TokenKind::kIntLiteral: return "int-literal";
-    case TokenKind::kFloatLiteral: return "float-literal";
-    case TokenKind::kCharLiteral: return "char-literal";
-    case TokenKind::kStringLiteral: return "string-literal";
-    case TokenKind::kPunct: return "punct";
-    case TokenKind::kPragma: return "pragma";
-  }
-  return "?";
-}
-
 bool is_c_keyword(std::string_view word) {
   static constexpr std::array<std::string_view, 32> kKeywords = {
       "auto",     "break",  "case",    "char",   "const",    "continue", "default",

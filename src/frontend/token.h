@@ -47,9 +47,6 @@ struct Token {
 
 static_assert(std::is_trivially_copyable_v<Token>);
 
-/// Human-readable token kind name (diagnostics, tests).
-std::string_view token_kind_name(TokenKind kind);
-
 /// True if `word` is a keyword of the supported C subset.
 bool is_c_keyword(std::string_view word);
 

@@ -32,9 +32,9 @@ class DeadlineExceeded final : public ServeError {
   explicit DeadlineExceeded(const std::string& what) : ServeError(what) {}
 };
 
-/// The server shed this request to protect itself: the degradation ladder
-/// reached shed mode, or a cache-only-mode request missed the cache. The
-/// request was never partially executed — safe to retry elsewhere/later.
+/// The server shed this request to protect itself: the scheduler popped it
+/// in cache-only mode and it missed the cache. The request was never
+/// partially executed — safe to retry elsewhere/later.
 class Overloaded final : public ServeError {
  public:
   Overloaded() : ServeError("server overloaded: request shed") {}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -62,7 +61,7 @@ struct SuggestServer::Batch {
 
   std::vector<std::unique_ptr<Item>> items;
   DegradeMode mode = DegradeMode::kNormal;
-  /// Popped while the server was draining for shutdown: degraded-mode
+  /// Popped while the server was draining for shutdown: cache-only-mode
   /// misses in this batch fail with ServerStopped, not Overloaded — the
   /// request is being dropped because the server is going away, not to
   /// protect it from load.
@@ -259,15 +258,6 @@ SuggestServer::SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options
   stats_ = std::make_shared<ServerStats>();
   run_ctx_ = std::make_shared<RunCtx>(
       RunCtx{pipeline_, stats_, options_.max_retries});
-  // Admission shed threshold: queue depth at or beyond it rejects new
-  // submissions with Overloaded instead of blocking. shed_at > 1.0 keeps
-  // the classic blocking backpressure (the threshold is unreachable).
-  if (options_.shed_at > 1.0) {
-    shed_depth_ = options_.max_queue_depth + 1;
-  } else {
-    shed_depth_ = static_cast<std::size_t>(
-        std::ceil(options_.shed_at * static_cast<double>(options_.max_queue_depth)));
-  }
   spawn_serve_worker();
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
@@ -312,14 +302,6 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::submit(
   const auto absolute =
       deadline.count() > 0 ? Clock::now() + deadline : Clock::time_point::max();
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!stopping_ && queue_.size() >= shed_depth_) {
-    // Top rung of the ladder: admission control. Shedding here (instead of
-    // blocking until the queue drains) keeps producers responsive and the
-    // failure typed; callers that want the classic blocking backpressure
-    // disable the rung with shed_at > 1.0.
-    stats_->on_shed();
-    throw Overloaded("SuggestServer: queue beyond shed threshold");
-  }
   space_cv_.wait(lock,
                  [this] { return stopping_ || queue_.size() < options_.max_queue_depth; });
   if (stopping_) throw ServerStopped("SuggestServer: submit after shutdown");
@@ -344,10 +326,6 @@ std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submi
       deadline.count() > 0 ? Clock::now() + deadline : Clock::time_point::max();
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_ || queue_.size() >= options_.max_queue_depth) return std::nullopt;
-  if (queue_.size() >= shed_depth_) {
-    stats_->on_shed();
-    return std::nullopt;
-  }
   auto future = enqueue_locked(std::move(source), absolute);
   lock.unlock();
   queue_cv_.notify_one();
@@ -375,10 +353,7 @@ void SuggestServer::shutdown() {
 DegradeMode SuggestServer::mode_for(std::size_t depth) const {
   const double f =
       static_cast<double>(depth) / static_cast<double>(options_.max_queue_depth);
-  DegradeMode mode = DegradeMode::kNormal;
-  if (f >= options_.cache_only_at) mode = DegradeMode::kCacheOnly;
-  if (f >= options_.shed_at) mode = DegradeMode::kShed;
-  return mode;
+  return f >= options_.cache_only_at ? DegradeMode::kCacheOnly : DegradeMode::kNormal;
 }
 
 void SuggestServer::note_mode(DegradeMode mode) {
@@ -421,11 +396,10 @@ void SuggestServer::expel_expired(Batch& batch) {
   }
 }
 
-void SuggestServer::serve_degraded(Batch& batch) {
+void SuggestServer::serve_cache_only(Batch& batch) {
   // Shutdown drain: a degraded server going away is not shedding for load
   // protection — misses complete typed with ServerStopped and are counted
-  // stopped, not shed. Outside shutdown the classic Overloaded/shed
-  // contract holds.
+  // stopped, not shed. Outside shutdown the Overloaded/shed contract holds.
   const auto unserved =
       batch.stopping
           ? std::make_exception_ptr(
@@ -433,14 +407,12 @@ void SuggestServer::serve_degraded(Batch& batch) {
           : std::make_exception_ptr(Overloaded());
   for (auto& item : batch.items) {
     if (item->completed.load(std::memory_order_relaxed)) continue;
-    if (batch.mode == DegradeMode::kCacheOnly) {
-      // Full-result cache probe, no forward: hits cost microseconds and
-      // drain the queue; misses are shed rather than queued behind a
-      // saturated model.
-      if (auto hit = pipeline_->try_cached(item->req.source)) {
-        Batch::complete_value(*item, std::move(*hit), *stats_, &ServerStats::on_cache_only);
-        continue;
-      }
+    // Full-result cache probe, no forward: hits cost microseconds and drain
+    // the queue; misses are shed rather than queued behind a saturated
+    // model.
+    if (auto hit = pipeline_->try_cached(item->req.source)) {
+      Batch::complete_value(*item, std::move(*hit), *stats_, &ServerStats::on_cache_only);
+      continue;
     }
     Batch::complete_error(*item, unserved, *stats_,
                           batch.stopping ? &ServerStats::on_stopped_unserved
@@ -522,8 +494,8 @@ void SuggestServer::scheduler_loop() {
       }
 
       expel_expired(*batch);
-      if (batch->mode == DegradeMode::kCacheOnly || batch->mode == DegradeMode::kShed) {
-        serve_degraded(*batch);
+      if (batch->mode == DegradeMode::kCacheOnly) {
+        serve_cache_only(*batch);
       } else {
         dispatch_and_wait(batch);
       }

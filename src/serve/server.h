@@ -31,9 +31,10 @@
 //  - Transient faults (failpoint-injected errors, see support/failpoint.h)
 //    are retried with doubled backoff up to `max_retries`, capped by the
 //    requests' deadlines.
-//  - Overload steps down a degradation ladder (DegradeMode in stats.h):
-//    serve cache hits only -> shed with Overloaded. Every error is typed
-//    (serve/errors.h); every future always completes.
+//  - Overload: besides the queue bound, one degraded mode (DegradeMode in
+//    stats.h). At queue depth >= `cache_only_at` of the bound the scheduler
+//    serves cache hits only and fails misses with Overloaded. Every error
+//    is typed (serve/errors.h); every future always completes.
 //
 // Shutdown is graceful: `shutdown()` (and the destructor) stops accepting
 // new work, serves everything already queued, then joins the scheduler.
@@ -73,9 +74,7 @@ class SuggestServer {
     /// batched forward).
     std::size_t max_batch_loops = 32;
     /// Queue bound. `submit` blocks (backpressure) when this many requests
-    /// are already waiting; `try_submit` returns nullopt instead. (With the
-    /// default degradation ladder the shed rung triggers first — see
-    /// `shed_at` — so blocking only happens when shedding is disabled.)
+    /// are already waiting; `try_submit` returns nullopt instead.
     std::size_t max_queue_depth = 1024;
     /// Worker threads for the owned pool the pipeline serves on.
     /// 0 = hardware concurrency.
@@ -93,13 +92,11 @@ class SuggestServer {
     /// Retries never extend past a request's deadline.
     int max_retries = 2;
 
-    /// Degradation ladder thresholds, as fractions of max_queue_depth.
-    /// Queue depth >= cache_only_at * max_queue_depth serves full-result
-    /// cache hits only (misses are shed with Overloaded, no forward runs);
-    /// >= shed_at sheds queued work and rejects new submissions with
-    /// Overloaded. Any value > 1.0 disables that rung.
+    /// Cache-only threshold, as a fraction of max_queue_depth. Queue depth
+    /// >= cache_only_at * max_queue_depth serves full-result cache hits
+    /// only (misses are shed with Overloaded, no forward runs). A value
+    /// > 1.0 disables the mode.
     double cache_only_at = 0.75;
-    double shed_at = 0.90;
   };
 
   /// Takes shared ownership of the pipeline and injects the server's worker
@@ -122,17 +119,17 @@ class SuggestServer {
   /// Drains the queue, completes every outstanding future, joins.
   ~SuggestServer();
 
-  /// Enqueue one translation unit. Blocks while the queue is full (unless
-  /// the shed rung rejects first, with Overloaded); throws ServerStopped
-  /// once the server is shutting down (futures already obtained remain
-  /// valid and will complete). `deadline` is measured from now; <= 0 (the
-  /// default) means none. A request whose deadline passes before it is
-  /// served completes with DeadlineExceeded instead of waiting forever.
+  /// Enqueue one translation unit. Blocks while the queue is full; throws
+  /// ServerStopped once the server is shutting down (futures already
+  /// obtained remain valid and will complete). `deadline` is measured from
+  /// now; <= 0 (the default) means none. A request whose deadline passes
+  /// before it is served completes with DeadlineExceeded instead of waiting
+  /// forever.
   std::future<std::vector<LoopSuggestion>> submit(std::string source,
                                                   std::chrono::milliseconds deadline = {});
 
-  /// Non-blocking submit: nullopt when the queue is full, the shed rung is
-  /// active, or the server is shutting down (load shedding, never blocks).
+  /// Non-blocking submit: nullopt when the queue is full or the server is
+  /// shutting down (load shedding, never blocks).
   std::optional<std::future<std::vector<LoopSuggestion>>> try_submit(
       std::string source, std::chrono::milliseconds deadline = {});
 
@@ -177,13 +174,13 @@ class SuggestServer {
 
   void scheduler_loop();
   /// Wait for work, then pop up to max_batch_loops of the queued requests
-  /// under the ladder rung the queue depth selects. Null return: stopping
-  /// and fully drained.
+  /// under the mode the queue depth selects. Null return: stopping and
+  /// fully drained.
   std::shared_ptr<Batch> collect_batch();
   /// Complete expired requests with DeadlineExceeded; keep the rest.
   void expel_expired(Batch& batch);
-  /// Degraded serving on the scheduler thread: cache-only probes or shed.
-  void serve_degraded(Batch& batch);
+  /// Cache-only serving on the scheduler thread: hits complete, misses fail.
+  void serve_cache_only(Batch& batch);
   /// Hand the batch to the serve worker and wait, bounded by batch_budget.
   /// On watchdog expiry: fail remaining futures with BatchAbandoned,
   /// replace the worker. Returns false when the batch was abandoned.
@@ -199,7 +196,6 @@ class SuggestServer {
   /// tallying into it safely even if the server has been destroyed.
   std::shared_ptr<ServerStats> stats_;
   std::shared_ptr<RunCtx> run_ctx_;
-  std::size_t shed_depth_ = 0;  // precomputed shed_at * max_queue_depth
 
   std::mutex mutex_;
   std::condition_variable queue_cv_;  // scheduler waits: work available / stop

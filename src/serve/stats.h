@@ -16,24 +16,14 @@
 
 namespace g2p {
 
-/// Rung of the overload degradation ladder the server is standing on.
-/// Ordered by severity: each step trades result coverage for queue
-/// survival. The scheduler recomputes the rung from queue depth at every
-/// batch boundary, so the server steps back up as soon as pressure relents.
+/// Serving mode the scheduler is in. Cache-only trades result coverage for
+/// queue survival. The scheduler recomputes the mode from queue depth at
+/// every batch boundary, so the server returns to normal as soon as
+/// pressure relents.
 enum class DegradeMode : int {
   kNormal = 0,     // full forward over everything popped
   kCacheOnly = 1,  // serve full-result cache hits only; misses are shed
-  kShed = 2,       // shed queued work with Overloaded; admission rejects new
 };
-
-inline const char* degrade_mode_name(DegradeMode m) {
-  switch (m) {
-    case DegradeMode::kNormal: return "normal";
-    case DegradeMode::kCacheOnly: return "cache_only";
-    case DegradeMode::kShed: return "shed";
-  }
-  return "unknown";
-}
 
 /// Point-in-time copy of the server counters (plain values, safe to pass
 /// around). Derived means return 0 when the denominator is empty.
@@ -52,21 +42,19 @@ struct ServerStatsSnapshot {
 
   // Fault-tolerance counters (serve/errors.h has the error taxonomy).
   std::uint64_t expired = 0;            // futures failed DeadlineExceeded
-  std::uint64_t shed = 0;               // Overloaded: admission + degraded sheds
-  std::uint64_t cache_only_served = 0;  // hits served without a forward (degraded)
+  std::uint64_t shed = 0;               // Overloaded: cache-only-mode misses
+  std::uint64_t cache_only_served = 0;  // hits served without a forward (cache-only)
   std::uint64_t watchdog_abandoned = 0; // batches failed by the watchdog budget
   std::uint64_t retries = 0;            // batch attempts re-run after transient faults
   std::uint64_t retry_recovered = 0;    // requests that succeeded after >= 1 retry
   std::uint64_t scheduler_faults = 0;   // exceptions the scheduler's top-level catch ate
   std::uint64_t stopped_unserved = 0;   // futures failed ServerStopped in the
-                                        // shutdown drain (degraded-mode misses)
+                                        // shutdown drain (cache-only-mode misses)
 
-  // Degradation ladder: the rung the scheduler currently stands on plus how
-  // often each non-normal rung was entered (kNormal re-entries count as
-  // recoveries).
+  // The mode the scheduler is in now plus how often cache-only was entered
+  // (kNormal re-entries count as recoveries).
   int mode = 0;  // DegradeMode as int
   std::uint64_t mode_cache_only_entered = 0;
-  std::uint64_t mode_shed_entered = 0;
   std::uint64_t mode_recovered = 0;
 
   // Content-addressed serving cache (filled by SuggestServer::stats() from
@@ -141,20 +129,11 @@ class ServerStats {
   void on_retry_recovered() { retry_recovered_.fetch_add(1, std::memory_order_relaxed); }
   void on_scheduler_fault() { scheduler_faults_.fetch_add(1, std::memory_order_relaxed); }
   void on_stopped_unserved() { stopped_unserved_.fetch_add(1, std::memory_order_relaxed); }
-  /// The scheduler entered a new degradation rung (called on change only).
+  /// The scheduler entered a new mode (called on change only).
   void on_mode(DegradeMode m) {
     mode_.store(static_cast<int>(m), std::memory_order_relaxed);
-    switch (m) {
-      case DegradeMode::kNormal:
-        mode_recovered_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case DegradeMode::kCacheOnly:
-        mode_cache_only_entered_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case DegradeMode::kShed:
-        mode_shed_entered_.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
+    (m == DegradeMode::kNormal ? mode_recovered_ : mode_cache_only_entered_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
 
   /// One suggestion's verifier verdict (kUnchecked is not tallied: with
@@ -199,7 +178,6 @@ class ServerStats {
     s.stopped_unserved = stopped_unserved_.load(std::memory_order_relaxed);
     s.mode = mode_.load(std::memory_order_relaxed);
     s.mode_cache_only_entered = mode_cache_only_entered_.load(std::memory_order_relaxed);
-    s.mode_shed_entered = mode_shed_entered_.load(std::memory_order_relaxed);
     s.mode_recovered = mode_recovered_.load(std::memory_order_relaxed);
     s.verdict_verified = verdict_verified_.load(std::memory_order_relaxed);
     s.verdict_repaired = verdict_repaired_.load(std::memory_order_relaxed);
@@ -234,7 +212,6 @@ class ServerStats {
   std::atomic<std::uint64_t> stopped_unserved_{0};
   std::atomic<int> mode_{0};
   std::atomic<std::uint64_t> mode_cache_only_entered_{0};
-  std::atomic<std::uint64_t> mode_shed_entered_{0};
   std::atomic<std::uint64_t> mode_recovered_{0};
   std::atomic<std::uint64_t> verdict_verified_{0};
   std::atomic<std::uint64_t> verdict_repaired_{0};

@@ -144,8 +144,6 @@ Tensor add_rowvec(const Tensor& x, const Tensor& bias) {
                      });
 }
 
-Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
-
 // ---------------------------------------------------------------------------
 // Activations
 // ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ Tensor sub(const Tensor& a, const Tensor& b);        // same shape
 Tensor mul(const Tensor& a, const Tensor& b);        // Hadamard, same shape
 Tensor scale(const Tensor& a, float factor);
 Tensor add_rowvec(const Tensor& x, const Tensor& bias);  // [N,D] + [D]
-Tensor neg(const Tensor& a);
 
 // ---- activations ----
 Tensor relu(const Tensor& x);

@@ -6,8 +6,8 @@
 //      bitwise-identical to a fault-free run.
 // Plus targeted tests for each fault-tolerance mechanism: the scheduler's
 // top-level catch, shutdown-aware backpressure, deadlines, the watchdog,
-// the degradation ladder, transient-fault retries, and checkpoint-load
-// failure mid-serving.
+// cache-only mode, transient-fault retries, and checkpoint-load failure
+// mid-serving.
 //
 // Failpoint decisions are pure functions of (seed, hit index), so the seeds
 // below pin behavior: seed 3 at p=0.5 injects on hit 0 and passes on hit 1
@@ -202,13 +202,13 @@ TEST(Chaos, ShutdownUnblocksBackpressuredSubmitter) {
   auto pipeline = shared_pipeline();
   const auto sources = chaos_sources(4);
 
-  // Park the queue at its bound behind a stalled scheduler, ladder disabled
-  // so the shed rung cannot preempt the blocking backpressure being tested.
-  // The stall outlasts the submitter's 50 ms head start below by far.
+  // Park the queue at its bound behind a stalled scheduler, cache-only mode
+  // disabled so it cannot fire at this tiny bound. The stall outlasts the
+  // submitter's 50 ms head start below by far.
   SuggestServer::Options options;
   options.max_batch_loops = 1000;
   options.max_queue_depth = 2;
-  options.cache_only_at = options.shed_at = 1.5;
+  options.cache_only_at = 1.5;
   SuggestServer server(pipeline, options);
 
   auto blocker = test_env::park_scheduler(server, sources[3], 500);
@@ -295,19 +295,18 @@ TEST(Chaos, WatchdogAbandonsStuckBatchAndKeepsServing) {
   std::this_thread::sleep_for(600ms);
 }
 
-// ---- degradation ladder -----------------------------------------------------
+// ---- cache-only mode --------------------------------------------------------
 
 TEST(Chaos, CacheOnlyModeServesHitsAndShedsMisses) {
   auto pipeline = shared_pipeline();
   const auto sources = chaos_sources(8);
 
-  // Warm the result cache for one source, then pin the ladder to the
-  // cache-only rung (threshold 0: any depth qualifies). Hits are served
+  // Warm the result cache for one source, then pin the server to
+  // cache-only mode (threshold 0: any depth qualifies). Hits are served
   // without a forward; misses are shed with the typed error.
   const auto expected = pipeline->suggest(sources[0]);
   SuggestServer::Options options;
   options.cache_only_at = 0.0;
-  options.shed_at = 1.5;  // admission stays open; only the scheduler sheds
   SuggestServer server(pipeline, options);
 
   auto hit = server.submit(sources[0]);
@@ -321,19 +320,6 @@ TEST(Chaos, CacheOnlyModeServesHitsAndShedsMisses) {
   EXPECT_GE(stats.shed, 1u);
   EXPECT_GE(stats.mode_cache_only_entered, 1u);
   EXPECT_EQ(stats.mode, static_cast<int>(DegradeMode::kCacheOnly));
-}
-
-TEST(Chaos, ShedModeRejectsAtAdmission) {
-  auto pipeline = shared_pipeline();
-  const auto sources = chaos_sources(2);
-
-  SuggestServer::Options options;
-  options.shed_at = 0.0;  // every submission is beyond the shed threshold
-  SuggestServer server(pipeline, options);
-
-  EXPECT_THROW((void)server.submit(sources[0]), Overloaded);
-  EXPECT_FALSE(server.try_submit(sources[1]).has_value());
-  EXPECT_GE(server.stats().shed, 2u);
 }
 
 // ---- transient-fault retries ------------------------------------------------
@@ -476,17 +462,16 @@ TEST(Chaos, ShutdownWhileDegradedCompletesQueuedMissesTyped) {
   const auto sources = chaos_sources(4);
   pipeline->clear_cache();
 
-  // Tiny queue so two waiting requests trip the cache-only rung, and a
+  // Tiny queue so two waiting requests trip cache-only mode, and a
   // delayed forward so the scheduler is pinned inside batch #1 while we
   // queue the victims and call shutdown. When the drain loop finally pops
-  // them, stopping_ is set and the rung is cache-only: the contract is that
+  // them, stopping_ is set and the mode is cache-only: the contract is that
   // they complete with ServerStopped (a client re-resolves elsewhere), not
   // that they vanish into the shed counter as if load protection fired.
   SuggestServer::Options options;
   options.max_batch_loops = 2;
   options.max_queue_depth = 4;
   options.cache_only_at = 0.5;  // 2 queued / 4 >= 0.5
-  options.shed_at = 1.5;        // admission stays open
   options.max_retries = 0;
   SuggestServer server(pipeline, options);
 

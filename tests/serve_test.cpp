@@ -1,9 +1,10 @@
 // Tests for the async micro-batching server: equivalence of concurrently
 // submitted requests to per-source Pipeline::suggest, per-request error
-// isolation inside a batch, backpressure, graceful drain on shutdown,
-// close-on-empty batching, stats accounting, running the batched
-// pipeline from the server's own pool threads (the nested-parallel_for
-// scenario), and the per-request budget set through Pipeline::Options.
+// isolation inside a batch, backpressure (try_submit refuses and submit
+// blocks at the queue bound), graceful drain on shutdown, close-on-empty
+// batching, stats accounting, running the batched pipeline from the
+// server's own pool threads (the nested-parallel_for scenario), and the
+// per-request budget set through Pipeline::Options.
 //
 // Tests that need several requests in one batch park them behind a stalled
 // scheduler (test_env::park_scheduler): one blocker batch sleeps on the
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <future>
 #include <stdexcept>
@@ -266,9 +268,9 @@ TEST(SuggestServer, TrySubmitShedsLoadWhenQueueIsFull) {
   SuggestServer::Options options;
   options.max_batch_loops = 1000;
   options.max_queue_depth = 2;
-  // This test is about the hard queue bound, so the degradation ladder must
-  // not fire first (its rungs trigger at fractions of this tiny bound).
-  options.cache_only_at = options.shed_at = 1.5;
+  // This test is about the hard queue bound, so the cache-only mode must
+  // not fire first (it triggers at a fraction of this tiny bound).
+  options.cache_only_at = 1.5;
   SuggestServer server(pipeline, options);
 
   auto blocker = test_env::park_scheduler(server, sources[3]);
@@ -288,6 +290,52 @@ TEST(SuggestServer, TrySubmitShedsLoadWhenQueueIsFull) {
   (void)blocker.get();
   EXPECT_EQ(server.stats().completed, 3u);
   EXPECT_EQ(server.stats().batches, 2u);
+}
+
+TEST(SuggestServer, SubmitBlocksAtTheQueueBoundThenAdmits) {
+  FailpointGuard guard;
+  auto pipeline = shared_pipeline();
+  const auto sources = test_sources();
+  const auto expected = pipeline->suggest(sources[2]);
+
+  // Fill the queue to its bound behind a stalled scheduler. The stall
+  // outlasts the submitter's 50 ms head start below by far.
+  SuggestServer::Options options;
+  options.max_batch_loops = 1000;
+  options.max_queue_depth = 2;
+  options.cache_only_at = 1.5;
+  SuggestServer server(pipeline, options);
+
+  auto blocker = test_env::park_scheduler(server, sources[3], 500);
+  auto a = server.submit(sources[0]);
+  auto b = server.submit(sources[1]);
+
+  // A third submit at the bound is backpressure: it blocks (no Overloaded)
+  // until the parked batch drains and frees a slot.
+  std::atomic<bool> returned{false};
+  std::future<std::vector<LoopSuggestion>> third;
+  std::exception_ptr error;
+  std::thread submitter([&] {
+    try {
+      third = server.submit(sources[2]);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "submit at the queue bound must block";
+  EXPECT_EQ(server.stats().queue_depth, 2u);
+
+  submitter.join();
+  ASSERT_FALSE(error) << "submit at the queue bound must not throw";
+  expect_equivalent(third.get(), expected, "admitted after the bound freed");
+  (void)a.get();
+  (void)b.get();
+  (void)blocker.get();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.shed, 0u);
 }
 
 // ---- graceful shutdown ------------------------------------------------------
