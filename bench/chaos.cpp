@@ -3,7 +3,7 @@
 //
 // Trains a small pipeline, measures a sequential worker's mean service time
 // (cache off), then fires an open-loop stream at that capacity through a
-// SuggestServer with the default cache-only threshold, the watchdog, and the
+// SuggestServer with the default cache-only threshold and the
 // transient-retry ladder armed — while failpoints (support/failpoint.h)
 // inject faults into the frontend, the cache, the forward, the tensor pool,
 // and the scheduler. Every future must complete (value or typed error);
@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
   server_options.max_batch_loops = 32;
   server_options.max_queue_depth = 256;
   server_options.max_retries = 3;
-  server_options.batch_budget = std::chrono::milliseconds(2000);
   // Cache-only mode at its default 75% depth — at 1x capacity it should
   // never leave kNormal.
   SuggestServer server(pipeline, server_options);
@@ -193,8 +192,7 @@ int main(int argc, char** argv) {
   table.add_row({"p99 (ms)", fmt_fixed(bench::percentile(latency_s, 0.99) * 1e3, 2)});
   table.add_row({"retries / recovered", std::to_string(stats.retries) + " / " +
                                             std::to_string(stats.retry_recovered)});
-  table.add_row({"expired / abandoned", std::to_string(stats.expired) + " / " +
-                                            std::to_string(stats.watchdog_abandoned)});
+  table.add_row({"expired", std::to_string(stats.expired)});
   table.add_row({"scheduler faults", std::to_string(stats.scheduler_faults)});
   std::printf("%s", table.render().c_str());
   for (const auto& site : failpoint::counters()) {
@@ -229,7 +227,6 @@ int main(int argc, char** argv) {
   json.set("retries", static_cast<std::int64_t>(stats.retries));
   json.set("retry_recovered", static_cast<std::int64_t>(stats.retry_recovered));
   json.set("expired", static_cast<std::int64_t>(stats.expired));
-  json.set("watchdog_abandoned", static_cast<std::int64_t>(stats.watchdog_abandoned));
   json.set("scheduler_faults", static_cast<std::int64_t>(stats.scheduler_faults));
   json.set("mode_cache_only_entered",
            static_cast<std::int64_t>(stats.mode_cache_only_entered));
@@ -237,8 +234,6 @@ int main(int argc, char** argv) {
   // Resolved degradation config, mirroring bench_latency_server.
   json.set("degrade_cache_only_at", server_options.cache_only_at);
   json.set("max_retries", server_options.max_retries);
-  json.set("batch_budget_ms",
-           static_cast<std::int64_t>(server_options.batch_budget.count()));
   json.set("pass", ok);
   if (!json.write(json_path)) {
     std::printf("FAIL: could not write %s\n", json_path.c_str());

@@ -286,7 +286,6 @@ int main(int argc, char** argv) {
   json.set("expired", static_cast<std::int64_t>(stats.expired));
   json.set("shed", static_cast<std::int64_t>(stats.shed));
   json.set("retries", static_cast<std::int64_t>(stats.retries));
-  json.set("watchdog_abandoned", static_cast<std::int64_t>(stats.watchdog_abandoned));
   json.set("scheduler_faults", static_cast<std::int64_t>(stats.scheduler_faults));
   json.set("throughput_ratio", ratio);
   json.set("floor", floor);

@@ -2,8 +2,8 @@
 //
 // The contract this taxonomy exists for: a slow or dropped answer must
 // become a *typed* error on one future, never a hung client or a poisoned
-// batch. Every way SuggestServer can decline or abandon a request has its
-// own exception type, all rooted at ServeError, so clients can branch on
+// batch. Every way SuggestServer can decline a request has its own
+// exception type, all rooted at ServeError, so clients can branch on
 // catch clauses (retry Overloaded, surface DeadlineExceeded, re-resolve on
 // ServerStopped) instead of parsing what() strings. Per-source *content*
 // errors (a file that does not parse) keep surfacing as whatever the
@@ -48,16 +48,6 @@ class ServerStopped final : public ServeError {
  public:
   ServerStopped() : ServeError("server stopped before the request was served") {}
   explicit ServerStopped(const std::string& what) : ServeError(what) {}
-};
-
-/// The scheduler's per-batch watchdog budget elapsed with the batch still
-/// running; its futures were failed and the batch abandoned so the queue
-/// keeps moving. The forward may still complete in the background — its
-/// result is discarded, never served.
-class BatchAbandoned final : public ServeError {
- public:
-  BatchAbandoned() : ServeError("batch abandoned: watchdog budget elapsed") {}
-  explicit BatchAbandoned(const std::string& what) : ServeError(what) {}
 };
 
 /// Which per-request budget dimension a request exceeded. Order matches the

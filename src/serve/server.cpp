@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +18,18 @@ std::uint64_t latency_us(std::chrono::steady_clock::time_point enqueued,
                          std::chrono::steady_clock::time_point now) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(now - enqueued).count());
+}
+
+/// Absolute deadline for a relative one. <= 0 means none, and so does a
+/// deadline past the clock's range: `now + deadline` in nanoseconds would
+/// overflow, so the comparison runs in milliseconds and saturates.
+std::chrono::steady_clock::time_point absolute_deadline(std::chrono::milliseconds deadline) {
+  using Clock = std::chrono::steady_clock;
+  if (deadline.count() <= 0) return Clock::time_point::max();
+  const auto now = Clock::now();
+  const auto headroom =
+      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::time_point::max() - now);
+  return deadline >= headroom ? Clock::time_point::max() : now + deadline;
 }
 
 /// The retry ladder only re-runs faults the fault came from the injection
@@ -48,18 +59,16 @@ void note_resource_exhausted(const std::exception_ptr& error, ServerStats& stats
 
 }  // namespace
 
-/// One popped batch. Items are pointer-stable (unique_ptr) because each
-/// carries an atomic completion flag raced by two threads: the serve worker
-/// completing results and the scheduler-side watchdog/expiry paths failing
-/// futures. Whoever wins the exchange owns the promise and the stats tally;
-/// the loser's completion is a no-op.
+/// One popped batch. Each item carries a completion flag: the first
+/// completion owns the promise and the stats tally, later ones are no-ops,
+/// so the scheduler's top-level catch can fail whatever a fault left pending.
 struct SuggestServer::Batch {
   struct Item {
     Request req;
-    std::atomic<bool> completed{false};
+    bool completed = false;
   };
 
-  std::vector<std::unique_ptr<Item>> items;
+  std::vector<Item> items;
   DegradeMode mode = DegradeMode::kNormal;
   /// Popped while the server was draining for shutdown: cache-only-mode
   /// misses in this batch fail with ServerStopped, not Overloaded — the
@@ -67,10 +76,11 @@ struct SuggestServer::Batch {
   /// protect it from load.
   bool stopping = false;
 
-  static bool complete_value(Item& item, std::vector<LoopSuggestion> value,
+  static void complete_value(Item& item, std::vector<LoopSuggestion> value,
                              ServerStats& stats,
                              void (ServerStats::*extra)() = nullptr) {
-    if (item.completed.exchange(true, std::memory_order_acq_rel)) return false;
+    if (item.completed) return;
+    item.completed = true;
     // Count first, complete second: a client that sees its future ready
     // must also see the stats already include it. That covers `extra` too —
     // outcome-specific counters (shed, expired, retry_recovered, ...) land
@@ -79,62 +89,32 @@ struct SuggestServer::Batch {
     stats.on_done(true, latency_us(item.req.enqueued, Clock::now()));
     if (extra) (stats.*extra)();
     item.req.promise.set_value(std::move(value));
-    return true;
   }
 
-  static bool complete_error(Item& item, const std::exception_ptr& error,
+  static void complete_error(Item& item, const std::exception_ptr& error,
                              ServerStats& stats,
                              void (ServerStats::*extra)() = nullptr) {
-    if (item.completed.exchange(true, std::memory_order_acq_rel)) return false;
+    if (item.completed) return;
+    item.completed = true;
     stats.on_done(false, latency_us(item.req.enqueued, Clock::now()));
     if (extra) (stats.*extra)();
     item.req.promise.set_exception(error);
-    return true;
   }
-};
-
-/// Handoff channel between the scheduler and the serve worker. The worker
-/// thread captures only shared_ptr state (this ctrl + the RunCtx), never
-/// the server itself, so an abandoned worker that is still stuck inside a
-/// batch stays memory-safe even after the server is destroyed.
-struct SuggestServer::WorkerCtrl {
-  struct Job {
-    std::shared_ptr<Batch> batch;
-    std::promise<void> done;
-  };
-
-  std::mutex m;
-  std::condition_variable cv;
-  std::shared_ptr<Job> job;
-  bool stop = false;       // shutdown: exit once no job is pending
-  bool abandoned = false;  // watchdog fired: exit as soon as possible
-};
-
-/// Everything batch execution needs, bundled so it can outlive the server
-/// inside a detached worker: the pipeline (which keeps the thread pool
-/// alive), the stats sink, and the retry policy.
-struct SuggestServer::RunCtx {
-  std::shared_ptr<Pipeline> pipeline;
-  std::shared_ptr<ServerStats> stats;
-  int max_retries = 0;
-
-  void run(Batch& batch) const;
 };
 
 /// Serve one batch: run the batched pipeline call, complete every future
 /// from its slot, and retry transient faults (whole-batch or per-slot) with
 /// doubled backoff — never past a request's deadline, never more than
 /// max_retries times. Every item's promise is completed exactly once by the
-/// time this returns (unless the watchdog got there first, in which case
-/// the guarded completes are no-ops).
-void SuggestServer::RunCtx::run(Batch& batch) const {
+/// time this returns.
+void SuggestServer::run(Batch& batch) {
   std::vector<Batch::Item*> active;
   active.reserve(batch.items.size());
   for (auto& item : batch.items) {
-    if (!item->completed.load(std::memory_order_acquire)) active.push_back(item.get());
+    if (!item.completed) active.push_back(&item);
   }
   if (active.empty()) return;
-  stats->on_batch(active.size());
+  stats_.on_batch(active.size());
 
   auto backoff = kRetryBackoff;
   int attempt = 0;
@@ -151,13 +131,13 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
     next.reserve(faulted.size());
     for (auto& [item, error] : faulted) {
       if (item->req.deadline <= wake) {
-        Batch::complete_error(*item, error, *stats);
+        Batch::complete_error(*item, error, stats_);
       } else {
         next.push_back(item);
       }
     }
     if (!next.empty()) {
-      stats->on_retry();
+      stats_.on_retry();
       retried = true;
       std::this_thread::sleep_for(backoff);
       backoff *= 2;
@@ -166,8 +146,8 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
   };
 
   while (!active.empty()) {
-    // Per-attempt deadline sweep: the batch may have waited in the handoff,
-    // or the previous attempt's backoff may have consumed a budget.
+    // Per-attempt deadline sweep: the previous attempt's backoff may have
+    // consumed a budget.
     {
       const auto now = Clock::now();
       std::exception_ptr expired_error;
@@ -176,7 +156,7 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
       for (Batch::Item* item : active) {
         if (item->req.deadline <= now) {
           if (!expired_error) expired_error = std::make_exception_ptr(DeadlineExceeded());
-          Batch::complete_error(*item, expired_error, *stats, &ServerStats::on_expired);
+          Batch::complete_error(*item, expired_error, stats_, &ServerStats::on_expired);
         } else {
           live.push_back(item);
         }
@@ -192,7 +172,7 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
     std::vector<Pipeline::SourceResult> results;
     std::exception_ptr batch_error;
     try {
-      results = pipeline->suggest_batch_results(views);
+      results = pipeline_->suggest_batch_results(views);
     } catch (...) {
       // Whole-batch failure (resource exhaustion, injected fault — not a
       // per-source parse error, those come back in their own slots).
@@ -200,7 +180,7 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
     }
 
     if (batch_error) {
-      if (attempt < max_retries && is_transient(batch_error)) {
+      if (attempt < options_.max_retries && is_transient(batch_error)) {
         std::vector<std::pair<Batch::Item*, std::exception_ptr>> faulted;
         faulted.reserve(active.size());
         for (Batch::Item* item : active) faulted.emplace_back(item, batch_error);
@@ -208,7 +188,7 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
         ++attempt;
         continue;
       }
-      for (Batch::Item* item : active) Batch::complete_error(*item, batch_error, *stats);
+      for (Batch::Item* item : active) Batch::complete_error(*item, batch_error, stats_);
       return;
     }
 
@@ -220,26 +200,26 @@ void SuggestServer::RunCtx::run(Batch& batch) const {
     // including being retried together when the fault is transient.
     std::vector<std::pair<Batch::Item*, std::exception_ptr>> faulted;
     std::uint64_t duplicates = 0;
-    const bool can_retry = attempt < max_retries;
+    const bool can_retry = attempt < options_.max_retries;
     for (std::size_t i = 0; i < active.size(); ++i) {
       Pipeline::SourceResult& result = results[i];
       if (result.duplicate) ++duplicates;
       if (result.ok()) {
         if (!result.duplicate) {
-          for (const LoopSuggestion& s : result.suggestions) stats->on_verdict(s.verdict);
+          for (const LoopSuggestion& s : result.suggestions) stats_.on_verdict(s.verdict);
         }
-        Batch::complete_value(*active[i], std::move(result.suggestions), *stats,
+        Batch::complete_value(*active[i], std::move(result.suggestions), stats_,
                               retried ? &ServerStats::on_retry_recovered : nullptr);
       } else if (can_retry && is_transient(result.error)) {
         faulted.emplace_back(active[i], result.error);
       } else {
         // Terminal slot failure. Governor rejections land here by design:
         // ResourceExhausted is not transient, so it is never retried.
-        note_resource_exhausted(result.error, *stats);
-        Batch::complete_error(*active[i], result.error, *stats);
+        note_resource_exhausted(result.error, stats_);
+        Batch::complete_error(*active[i], result.error, stats_);
       }
     }
-    if (attempt == 0 && duplicates > 0) stats->on_dedup(duplicates);
+    if (attempt == 0 && duplicates > 0) stats_.on_dedup(duplicates);
     if (faulted.empty()) return;
     active = backoff_survivors(faulted);
     ++attempt;
@@ -255,17 +235,13 @@ SuggestServer::SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options
   pool_ = std::make_shared<ThreadPool>(
       options_.pool_threads != 0 ? options_.pool_threads : ThreadPool::default_thread_count());
   pipeline_->set_thread_pool(pool_);
-  stats_ = std::make_shared<ServerStats>();
-  run_ctx_ = std::make_shared<RunCtx>(
-      RunCtx{pipeline_, stats_, options_.max_retries});
-  spawn_serve_worker();
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
 SuggestServer::~SuggestServer() { shutdown(); }
 
 ServerStatsSnapshot SuggestServer::stats() const {
-  ServerStatsSnapshot snapshot = stats_->snapshot();
+  ServerStatsSnapshot snapshot = stats_.snapshot();
   snapshot.verify = pipeline_->verify_active();
   const SuggestCache::Stats cache = pipeline_->cache_stats();
   snapshot.cache_full_hits = cache.full_hits;
@@ -283,15 +259,15 @@ std::future<std::vector<LoopSuggestion>> SuggestServer::enqueue_locked(
   req.deadline = deadline;
   auto future = req.promise.get_future();
   queue_.push_back(std::move(req));
-  stats_->on_submit();
-  stats_->on_queue_depth(queue_.size());
+  stats_.on_submit();
+  stats_.on_queue_depth(queue_.size());
   return future;
 }
 
-void SuggestServer::admission_check(const std::string& source) const {
+void SuggestServer::admission_check(const std::string& source) {
   const std::uint64_t cap = pipeline_->active_budget().max_source_bytes;
   if (cap != 0 && source.size() > cap) {
-    stats_->on_resource_exhausted(ResourceLimit::kSourceBytes);
+    stats_.on_resource_exhausted(ResourceLimit::kSourceBytes);
     throw ResourceExhausted(ResourceLimit::kSourceBytes, source.size(), cap);
   }
 }
@@ -299,8 +275,7 @@ void SuggestServer::admission_check(const std::string& source) const {
 std::future<std::vector<LoopSuggestion>> SuggestServer::submit(
     std::string source, std::chrono::milliseconds deadline) {
   admission_check(source);
-  const auto absolute =
-      deadline.count() > 0 ? Clock::now() + deadline : Clock::time_point::max();
+  const auto absolute = absolute_deadline(deadline);
   std::unique_lock<std::mutex> lock(mutex_);
   space_cv_.wait(lock,
                  [this] { return stopping_ || queue_.size() < options_.max_queue_depth; });
@@ -322,8 +297,7 @@ std::optional<std::future<std::vector<LoopSuggestion>>> SuggestServer::try_submi
     rejected.set_exception(std::current_exception());
     return rejected.get_future();
   }
-  const auto absolute =
-      deadline.count() > 0 ? Clock::now() + deadline : Clock::time_point::max();
+  const auto absolute = absolute_deadline(deadline);
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_ || queue_.size() >= options_.max_queue_depth) return std::nullopt;
   auto future = enqueue_locked(std::move(source), absolute);
@@ -339,15 +313,7 @@ void SuggestServer::shutdown() {
   }
   queue_cv_.notify_all();
   space_cv_.notify_all();
-  std::call_once(joined_, [this] {
-    scheduler_.join();
-    {
-      std::lock_guard<std::mutex> lock(worker_ctrl_->m);
-      worker_ctrl_->stop = true;
-    }
-    worker_ctrl_->cv.notify_all();
-    if (serve_worker_.joinable()) serve_worker_.join();
-  });
+  std::call_once(joined_, [this] { scheduler_.join(); });
 }
 
 DegradeMode SuggestServer::mode_for(std::size_t depth) const {
@@ -359,29 +325,27 @@ DegradeMode SuggestServer::mode_for(std::size_t depth) const {
 void SuggestServer::note_mode(DegradeMode mode) {
   if (mode == mode_) return;
   mode_ = mode;
-  stats_->on_mode(mode);
+  stats_.on_mode(mode);
 }
 
-std::shared_ptr<SuggestServer::Batch> SuggestServer::collect_batch() {
+std::optional<SuggestServer::Batch> SuggestServer::collect_batch() {
   // Close-on-empty: serve whatever is queued, no window. Requests that
-  // arrive while this batch runs (dispatch is synchronous) form the next.
+  // arrive while this batch runs (the scheduler serves it) form the next.
   std::unique_lock<std::mutex> lock(mutex_);
   queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-  if (queue_.empty()) return nullptr;  // stopping and fully drained
+  if (queue_.empty()) return std::nullopt;  // stopping and fully drained
 
   note_mode(mode_for(queue_.size()));
   const std::size_t take = std::min(queue_.size(), options_.max_batch_loops);
-  auto batch = std::make_shared<Batch>();
-  batch->mode = mode_;
-  batch->stopping = stopping_;
-  batch->items.reserve(take);
+  Batch batch;
+  batch.mode = mode_;
+  batch.stopping = stopping_;
+  batch.items.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
-    auto item = std::make_unique<Batch::Item>();
-    item->req = std::move(queue_.front());
+    batch.items.push_back(Batch::Item{std::move(queue_.front())});
     queue_.pop_front();
-    batch->items.push_back(std::move(item));
   }
-  stats_->on_queue_depth(queue_.size());
+  stats_.on_queue_depth(queue_.size());
   return batch;
 }
 
@@ -389,10 +353,10 @@ void SuggestServer::expel_expired(Batch& batch) {
   const auto now = Clock::now();
   std::exception_ptr expired_error;
   for (auto& item : batch.items) {
-    if (item->completed.load(std::memory_order_relaxed)) continue;
-    if (item->req.deadline > now) continue;
+    if (item.completed) continue;
+    if (item.req.deadline > now) continue;
     if (!expired_error) expired_error = std::make_exception_ptr(DeadlineExceeded());
-    Batch::complete_error(*item, expired_error, *stats_, &ServerStats::on_expired);
+    Batch::complete_error(item, expired_error, stats_, &ServerStats::on_expired);
   }
 }
 
@@ -406,87 +370,29 @@ void SuggestServer::serve_cache_only(Batch& batch) {
                 ServerStopped("SuggestServer: stopped while degraded; request not served"))
           : std::make_exception_ptr(Overloaded());
   for (auto& item : batch.items) {
-    if (item->completed.load(std::memory_order_relaxed)) continue;
+    if (item.completed) continue;
     // Full-result cache probe, no forward: hits cost microseconds and drain
     // the queue; misses are shed rather than queued behind a saturated
     // model.
-    if (auto hit = pipeline_->try_cached(item->req.source)) {
-      Batch::complete_value(*item, std::move(*hit), *stats_, &ServerStats::on_cache_only);
+    if (auto hit = pipeline_->try_cached(item.req.source)) {
+      Batch::complete_value(item, std::move(*hit), stats_, &ServerStats::on_cache_only);
       continue;
     }
-    Batch::complete_error(*item, unserved, *stats_,
+    Batch::complete_error(item, unserved, stats_,
                           batch.stopping ? &ServerStats::on_stopped_unserved
                                          : &ServerStats::on_shed);
   }
 }
 
-void SuggestServer::spawn_serve_worker() {
-  worker_ctrl_ = std::make_shared<WorkerCtrl>();
-  serve_worker_ = std::thread([ctrl = worker_ctrl_, ctx = run_ctx_] {
-    for (;;) {
-      std::shared_ptr<WorkerCtrl::Job> job;
-      {
-        std::unique_lock<std::mutex> lock(ctrl->m);
-        ctrl->cv.wait(lock,
-                      [&] { return ctrl->stop || ctrl->abandoned || ctrl->job != nullptr; });
-        if (ctrl->abandoned) return;  // watchdog replaced us mid-batch
-        if (!ctrl->job) return;       // stop, nothing pending
-        job = std::move(ctrl->job);
-      }
-      ctx->run(*job->batch);
-      // The scheduler may have stopped waiting (watchdog): set_value on a
-      // promise whose future was dropped is still well-defined.
-      job->done.set_value();
-    }
-  });
-}
-
-bool SuggestServer::dispatch_and_wait(const std::shared_ptr<Batch>& batch) {
-  auto job = std::make_shared<WorkerCtrl::Job>();
-  job->batch = batch;
-  std::future<void> done = job->done.get_future();
-  {
-    std::lock_guard<std::mutex> lock(worker_ctrl_->m);
-    worker_ctrl_->job = job;
-  }
-  worker_ctrl_->cv.notify_one();
-
-  if (options_.batch_budget.count() <= 0) {
-    done.wait();
-    return true;
-  }
-  if (done.wait_for(options_.batch_budget) == std::future_status::ready) return true;
-
-  // Watchdog expiry: the batch is stuck (or pathologically slow). Fail its
-  // remaining futures so clients never wedge, abandon the worker — it only
-  // touches shared_ptr state, so it stays memory-safe even if it outlives
-  // the server — and hand future batches to a fresh one.
-  {
-    std::lock_guard<std::mutex> lock(worker_ctrl_->m);
-    worker_ctrl_->abandoned = true;
-    worker_ctrl_->job.reset();  // not yet picked up: never run it post-abandon
-  }
-  worker_ctrl_->cv.notify_all();
-  serve_worker_.detach();
-  spawn_serve_worker();
-
-  // Batch-level tally before any future resolves, for the same
-  // stats-then-promise ordering complete_error gives per-item counters.
-  stats_->on_watchdog();
-  const auto error = std::make_exception_ptr(BatchAbandoned());
-  for (auto& item : batch->items) Batch::complete_error(*item, error, *stats_);
-  return false;
-}
-
 void SuggestServer::scheduler_loop() {
   for (;;) {
-    std::shared_ptr<Batch> batch;
+    std::optional<Batch> batch;
     try {
       batch = collect_batch();
       if (!batch) break;
       space_cv_.notify_all();  // backpressure: freed queue slots
 
-      // Failpoint: a fault between batch assembly and dispatch. The
+      // Failpoint: a fault between batch assembly and serving. The
       // `error`/`throw` actions both surface as an exception here, which
       // the top-level catch below converts into per-future failures.
       if (failpoint::triggered("scheduler.batch")) {
@@ -497,16 +403,16 @@ void SuggestServer::scheduler_loop() {
       if (batch->mode == DegradeMode::kCacheOnly) {
         serve_cache_only(*batch);
       } else {
-        dispatch_and_wait(batch);
+        run(*batch);
       }
     } catch (...) {
       // Top-level catch: nothing escaping one batch may kill the scheduler
       // (an escaped exception would std::terminate the process and strand
       // every queued future). Fail this batch's futures, keep serving.
-      stats_->on_scheduler_fault();
+      stats_.on_scheduler_fault();
       if (batch) {
         const auto error = std::current_exception();
-        for (auto& item : batch->items) Batch::complete_error(*item, error, *stats_);
+        for (auto& item : batch->items) Batch::complete_error(item, error, stats_);
       }
     }
   }

@@ -21,13 +21,16 @@
 // a thundering herd of one hot source costs one frontend + forward instead
 // of N. Collapses are counted in ServerStats::deduped.
 //
+// The scheduler thread serves each batch itself (cache-only or the full
+// batched call) before it collects the next. Nothing on that path can
+// wedge: the per-request ResourceBudget caps bound frontend, forward and
+// verify work by the size of the input, and parallel_for finishes even when
+// every pool worker is busy. A client that needs a bound on its own wait
+// uses `future::wait_for`.
+//
 // Fault tolerance (docs/serving.md):
 //  - Requests may carry a deadline; the scheduler expels expired requests
 //    before the expensive forward and completes them with DeadlineExceeded.
-//  - Batches execute on a dedicated serve-worker thread under a watchdog
-//    budget (`batch_budget`): a stuck batch is abandoned — its futures fail
-//    with BatchAbandoned, the worker is replaced — instead of wedging the
-//    queue forever.
 //  - Transient faults (failpoint-injected errors, see support/failpoint.h)
 //    are retried with doubled backoff up to `max_retries`, capped by the
 //    requests' deadlines.
@@ -80,12 +83,6 @@ class SuggestServer {
     /// 0 = hardware concurrency.
     unsigned pool_threads = 0;
 
-    /// Watchdog budget for one batch execution (all retry attempts
-    /// included). A batch still running after this long is abandoned: its
-    /// futures complete with BatchAbandoned, the stuck serve worker is
-    /// detached and replaced, and the scheduler moves on. <= 0 disables the
-    /// watchdog (the scheduler waits for the batch unboundedly).
-    std::chrono::milliseconds batch_budget{0};
     /// Transient-fault retry ladder: a batch attempt that fails with a
     /// transient error (failpoint::FailpointError) is re-run up to this many
     /// times, sleeping a backoff (1 ms, doubled per attempt) between runs.
@@ -122,9 +119,10 @@ class SuggestServer {
   /// Enqueue one translation unit. Blocks while the queue is full; throws
   /// ServerStopped once the server is shutting down (futures already
   /// obtained remain valid and will complete). `deadline` is measured from
-  /// now; <= 0 (the default) means none. A request whose deadline passes
-  /// before it is served completes with DeadlineExceeded instead of waiting
-  /// forever.
+  /// now; <= 0 (the default) means none, and so does any deadline past the
+  /// clock's range (e.g. milliseconds::max()). A request whose deadline
+  /// passes before it is served completes with DeadlineExceeded instead of
+  /// waiting forever.
   std::future<std::vector<LoopSuggestion>> submit(std::string source,
                                                   std::chrono::milliseconds deadline = {});
 
@@ -156,46 +154,36 @@ class SuggestServer {
   };
 
   // Defined in server.cpp. Batch items carry a per-request completion flag
-  // so the watchdog (scheduler thread) and a possibly-still-running serve
-  // worker race safely for each promise; WorkerCtrl is the handoff channel
-  // to the serve worker and RunCtx the self-contained state a detached
-  // (abandoned) worker may keep touching after the server is gone.
+  // so the scheduler's top-level catch fails only the futures a fault left
+  // pending.
   struct Batch;
-  struct WorkerCtrl;
-  struct RunCtx;
 
   /// Admission-time resource-governor check: rejects the statically
   /// checkable dimension (source bytes) with ResourceExhausted before the
   /// request ever occupies queue space or a batch slot. Request-scoped —
   /// tallied in stats but never retried.
-  void admission_check(const std::string& source) const;
+  void admission_check(const std::string& source);
   std::future<std::vector<LoopSuggestion>> enqueue_locked(std::string source,
                                                           Clock::time_point deadline);
 
   void scheduler_loop();
   /// Wait for work, then pop up to max_batch_loops of the queued requests
-  /// under the mode the queue depth selects. Null return: stopping and
+  /// under the mode the queue depth selects. Empty return: stopping and
   /// fully drained.
-  std::shared_ptr<Batch> collect_batch();
+  std::optional<Batch> collect_batch();
   /// Complete expired requests with DeadlineExceeded; keep the rest.
   void expel_expired(Batch& batch);
   /// Cache-only serving on the scheduler thread: hits complete, misses fail.
   void serve_cache_only(Batch& batch);
-  /// Hand the batch to the serve worker and wait, bounded by batch_budget.
-  /// On watchdog expiry: fail remaining futures with BatchAbandoned,
-  /// replace the worker. Returns false when the batch was abandoned.
-  bool dispatch_and_wait(const std::shared_ptr<Batch>& batch);
-  void spawn_serve_worker();
+  /// Full serving: the batched pipeline call plus the retry ladder.
+  void run(Batch& batch);
   DegradeMode mode_for(std::size_t depth) const;
   void note_mode(DegradeMode mode);
 
   std::shared_ptr<Pipeline> pipeline_;
   Options options_;
   std::shared_ptr<ThreadPool> pool_;
-  /// Shared (not inline) so a detached, abandoned serve worker can keep
-  /// tallying into it safely even if the server has been destroyed.
-  std::shared_ptr<ServerStats> stats_;
-  std::shared_ptr<RunCtx> run_ctx_;
+  ServerStats stats_;
 
   std::mutex mutex_;
   std::condition_variable queue_cv_;  // scheduler waits: work available / stop
@@ -207,9 +195,7 @@ class SuggestServer {
   // Scheduler-thread-only state (no locking needed).
   DegradeMode mode_ = DegradeMode::kNormal;
 
-  std::shared_ptr<WorkerCtrl> worker_ctrl_;
-  std::thread serve_worker_;  // replaced (old one detached) on abandon
-  std::thread scheduler_;     // last member: joined before the rest tears down
+  std::thread scheduler_;  // last member: joined before the rest tears down
 };
 
 }  // namespace g2p

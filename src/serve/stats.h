@@ -31,7 +31,7 @@ struct ServerStatsSnapshot {
   std::uint64_t submitted = 0;        // requests accepted into the queue
   std::uint64_t completed = 0;        // futures completed with a value
   std::uint64_t failed = 0;           // futures completed with an exception
-  std::uint64_t batches = 0;          // suggest_batch calls issued
+  std::uint64_t batches = 0;          // suggest_batch_results calls issued
   std::uint64_t batched_requests = 0; // sum of batch sizes
   std::uint64_t max_batch = 0;        // largest batch served
   std::uint64_t deduped = 0;          // in-flight duplicates a batch computed
@@ -44,7 +44,6 @@ struct ServerStatsSnapshot {
   std::uint64_t expired = 0;            // futures failed DeadlineExceeded
   std::uint64_t shed = 0;               // Overloaded: cache-only-mode misses
   std::uint64_t cache_only_served = 0;  // hits served without a forward (cache-only)
-  std::uint64_t watchdog_abandoned = 0; // batches failed by the watchdog budget
   std::uint64_t retries = 0;            // batch attempts re-run after transient faults
   std::uint64_t retry_recovered = 0;    // requests that succeeded after >= 1 retry
   std::uint64_t scheduler_faults = 0;   // exceptions the scheduler's top-level catch ate
@@ -124,7 +123,6 @@ class ServerStats {
   void on_expired() { expired_.fetch_add(1, std::memory_order_relaxed); }
   void on_shed() { shed_.fetch_add(1, std::memory_order_relaxed); }
   void on_cache_only() { cache_only_served_.fetch_add(1, std::memory_order_relaxed); }
-  void on_watchdog() { watchdog_abandoned_.fetch_add(1, std::memory_order_relaxed); }
   void on_retry() { retries_.fetch_add(1, std::memory_order_relaxed); }
   void on_retry_recovered() { retry_recovered_.fetch_add(1, std::memory_order_relaxed); }
   void on_scheduler_fault() { scheduler_faults_.fetch_add(1, std::memory_order_relaxed); }
@@ -171,7 +169,6 @@ class ServerStats {
     s.expired = expired_.load(std::memory_order_relaxed);
     s.shed = shed_.load(std::memory_order_relaxed);
     s.cache_only_served = cache_only_served_.load(std::memory_order_relaxed);
-    s.watchdog_abandoned = watchdog_abandoned_.load(std::memory_order_relaxed);
     s.retries = retries_.load(std::memory_order_relaxed);
     s.retry_recovered = retry_recovered_.load(std::memory_order_relaxed);
     s.scheduler_faults = scheduler_faults_.load(std::memory_order_relaxed);
@@ -205,7 +202,6 @@ class ServerStats {
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> cache_only_served_{0};
-  std::atomic<std::uint64_t> watchdog_abandoned_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> retry_recovered_{0};
   std::atomic<std::uint64_t> scheduler_faults_{0};

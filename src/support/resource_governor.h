@@ -69,8 +69,8 @@ class ResourceGovernor {
   std::uint32_t depth() const { return depth_; }
 
   /// Soft wall-clock check (also hosts the `governor.check` failpoint).
-  /// Called between frontend stages and per aug-AST graph — cooperative,
-  /// so a stuck forward is the watchdog's job, not the governor's.
+  /// Called between frontend stages and per aug-AST graph — cooperative.
+  /// The forward is not checked: the node caps already bound its work.
   void checkpoint() const;
 
   /// The wall-clock budget charges only time spent inside this request's

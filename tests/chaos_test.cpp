@@ -5,9 +5,9 @@
 //   3. requests that experienced no injected fault produce results
 //      bitwise-identical to a fault-free run.
 // Plus targeted tests for each fault-tolerance mechanism: the scheduler's
-// top-level catch, shutdown-aware backpressure, deadlines, the watchdog,
-// cache-only mode, transient-fault retries, and checkpoint-load failure
-// mid-serving.
+// top-level catch, shutdown-aware backpressure, deadlines, a stalled forward
+// that is served rather than abandoned (shutdown waits for it), cache-only
+// mode, transient-fault retries, and checkpoint-load failure mid-serving.
 //
 // Failpoint decisions are pure functions of (seed, hit index), so the seeds
 // below pin behavior: seed 3 at p=0.5 injects on hit 0 and passes on hit 1
@@ -114,7 +114,6 @@ TEST(Chaos, RandomizedFaultScheduleInvariants) {
   SuggestServer::Options options;
   options.max_batch_loops = 8;
   options.max_retries = 3;
-  options.batch_budget = 10s;  // generous: the watchdog has its own test
   SuggestServer server(pipeline, options);
 
   constexpr int kSubmitters = 8;
@@ -147,7 +146,7 @@ TEST(Chaos, RandomizedFaultScheduleInvariants) {
       } catch (const failpoint::FailpointError&) {
         ++faulted;
       } catch (const ServeError&) {
-        ++faulted;  // typed serving error (shed/deadline/abandoned)
+        ++faulted;  // typed serving error (shed/deadline)
       } catch (const std::exception& e) {
         ADD_FAILURE() << "untyped error escaped to a client: " << e.what();
       }
@@ -262,37 +261,38 @@ TEST(Chaos, ExpiredRequestsAreExpelledBeforeTheForward) {
   EXPECT_EQ(server.stats().expired, 1u);
 }
 
-// ---- watchdog ---------------------------------------------------------------
+// ---- a stalled forward is served, not abandoned ----------------------------
 
-TEST(Chaos, WatchdogAbandonsStuckBatchAndKeepsServing) {
+TEST(Chaos, StalledForwardIsServedAndShutdownWaitsForIt) {
   FailpointGuard guard;
   auto pipeline = shared_pipeline();
-  const auto sources = chaos_sources(6);
+  const auto sources = chaos_sources(11);
+  const auto expected_a = pipeline->suggest(sources[8]);
+  const auto expected_c = pipeline->suggest(sources[10]);
   pipeline->clear_cache();  // the stall is in the forward: force one
 
   SuggestServer::Options options;
-  options.batch_budget = 50ms;
   options.max_retries = 0;
   SuggestServer server(pipeline, options);
 
-  failpoint::configure("encode.forward=delay(400)@1");
-  const auto t0 = std::chrono::steady_clock::now();
-  auto stuck = server.submit(sources[4]);
-  EXPECT_THROW(stuck.get(), BatchAbandoned);
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(waited, test_env::scaled_ms(350))
-      << "watchdog did not cut the stuck batch short";
-  EXPECT_EQ(server.stats().watchdog_abandoned, 1u);
+  // A's forward stalls on the scheduler thread. B and C queue behind it:
+  // B's deadline passes during the stall, C has none.
+  failpoint::configure("encode.forward=delay(300)@1");
+  auto a = server.submit(sources[8]);
+  while (server.stats().queue_depth != 0) std::this_thread::sleep_for(1ms);
+  auto b = server.submit(sources[9], 50ms);
+  auto c = server.submit(sources[10]);
 
-  // A fresh worker serves the next request while the abandoned one is
-  // still sleeping inside the old batch.
-  failpoint::disarm();
-  auto healthy = server.submit(sources[5]);
-  EXPECT_NO_THROW((void)healthy.get());
-
-  // Let the abandoned worker finish its stalled forward before the test
-  // (and its pipeline) tears down.
-  std::this_thread::sleep_for(600ms);
+  // Shutdown drains: it returns only once the stalled batch and the one
+  // behind it have been served, so every future is ready by then.
+  server.shutdown();
+  for (auto* f : {&a, &b, &c}) {
+    ASSERT_EQ(f->wait_for(0s), std::future_status::ready);
+  }
+  expect_bitwise(a.get(), expected_a, "stalled request");
+  EXPECT_THROW(b.get(), DeadlineExceeded);
+  expect_bitwise(c.get(), expected_c, "queued behind the stall");
+  EXPECT_EQ(server.stats().expired, 1u);
 }
 
 // ---- cache-only mode --------------------------------------------------------

@@ -1,10 +1,11 @@
 // Tests for the async micro-batching server: equivalence of concurrently
 // submitted requests to per-source Pipeline::suggest, per-request error
 // isolation inside a batch, backpressure (try_submit refuses and submit
-// blocks at the queue bound), graceful drain on shutdown, close-on-empty
-// batching, stats accounting, running the batched pipeline from the
-// server's own pool threads (the nested-parallel_for scenario), and the
-// per-request budget set through Pipeline::Options.
+// blocks at the queue bound), deadlines too large for the clock meaning
+// none, graceful drain on shutdown, close-on-empty batching, stats
+// accounting, running the batched pipeline from the server's own pool
+// threads (the nested-parallel_for scenario), and the per-request budget
+// set through Pipeline::Options.
 //
 // Tests that need several requests in one batch park them behind a stalled
 // scheduler (test_env::park_scheduler): one blocker batch sleeps on the
@@ -336,6 +337,25 @@ TEST(SuggestServer, SubmitBlocksAtTheQueueBoundThenAdmits) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.shed, 0u);
+}
+
+// ---- deadlines --------------------------------------------------------------
+
+TEST(SuggestServer, HugeDeadlineMeansNoDeadline) {
+  auto pipeline = shared_pipeline();
+  const auto sources = test_sources();
+  const auto expected = pipeline->suggest(sources[1]);
+
+  // milliseconds::max() is "no deadline" spelled as a duration. Adding it
+  // to the clock's nanosecond time_point must saturate, not wrap into the
+  // past and expire the request on arrival.
+  SuggestServer server(pipeline);
+  const auto forever = std::chrono::milliseconds::max();
+  expect_equivalent(server.submit(sources[1], forever).get(), expected, "submit");
+  auto tried = server.try_submit(sources[1], forever);
+  ASSERT_TRUE(tried.has_value());
+  expect_equivalent(tried->get(), expected, "try_submit");
+  EXPECT_EQ(server.stats().expired, 0u);
 }
 
 // ---- graceful shutdown ------------------------------------------------------

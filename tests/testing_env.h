@@ -35,8 +35,8 @@ inline double time_scale() {
 }
 
 /// `ms` milliseconds stretched by the ambient time scale. Use for every
-/// wall-clock *assertion bound* (EXPECT_LT on elapsed time, watchdog
-/// budgets' pass criteria); never for injected delays.
+/// wall-clock *assertion bound* (EXPECT_LT on elapsed time); never for
+/// injected delays.
 inline std::chrono::milliseconds scaled_ms(long ms) {
   return std::chrono::milliseconds(
       static_cast<long>(static_cast<double>(ms) * time_scale()));
