@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
               mean_service * 1e3, interval_s * 1e3, num_requests);
 
   SuggestServer::Options server_options;
-  server_options.max_batch_loops = 32;
+  server_options.max_batch_requests = 32;
   server_options.max_queue_depth = 256;
 
   // Phase 1: clean-only baseline.

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -127,6 +128,10 @@ inline std::string pct(double v) { return fmt_fixed(v, 2); }
 class JsonMetrics {
  public:
   void set(const std::string& key, double value) {
+    if (!std::isfinite(value)) {  // JSON has no inf / nan literals: spell them as strings
+      set(key, std::isnan(value) ? "nan" : value > 0 ? "inf" : "-inf");
+      return;
+    }
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.9g", value);
     entries_.emplace_back(key, buf);

@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Batch sizes the serving path actually sees: per-worker encode
-  // sub-batches (~32 loops) and a full 128-loop server batch.
+  // Batch sizes around what the serving path encodes: a ~650-node union
+  // (~32 loops, about two encode tiles) and a full 128-loop server batch.
   const Graph2ParConfig cfg;  // dim 32, heads 4, 2 layers
   Rng rng(env.seed);
   HgtEncoder encoder(cfg.dim, cfg.heads, cfg.layers, rng);

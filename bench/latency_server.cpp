@@ -9,7 +9,7 @@
 //     service times measured on this machine (one Pipeline::suggest call per
 //     request, no batching), and
 //   * async server: real SuggestServer, scheduler popping whatever is
-//     queued (up to max_batch_loops) and serving each batch with one
+//     queued (up to max_batch_requests) and serving each batch with one
 //     batched forward.
 // Reports per-mode throughput and p50/p99 latency against the arrival
 // schedule, plus the server's mean achieved batch size. Fails (exit 1) if
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
 
   // ---- async micro-batching server (real run) ------------------------------
   SuggestServer::Options server_options;
-  server_options.max_batch_loops = 32;
+  server_options.max_batch_requests = 32;
   server_options.max_queue_depth = num_requests + 1;  // pure open loop: never block
   // This bench measures the undegraded serving path (every future must hold
   // a value for the equivalence gate): cache-only mode is disabled here and

@@ -8,7 +8,7 @@
 // repetitions). The run fails (exit 1) if batched and sequential outputs
 // disagree (category/pragma mismatch, or confidence drift above 1e-5) or if
 // the full-batch speedup misses the floor: 3x with >= 2 hardware threads
-// (the pipeline parallelizes frontend, encode sub-batches, and assembly);
+// (the pipeline parallelizes frontend, encode tiles, and assembly);
 // 1.25x on a single hardware thread. The single-thread floor was 2x before
 // the fused HGT inference kernel (PR 3): batching then mostly amortized
 // per-op tape/alloc overhead, which the fused kernel removed from BOTH
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   std::printf("training pipeline (scale %.3f, %d epochs)...\n", options.corpus.scale,
               options.train.epochs);
   Pipeline pipeline = Pipeline::train(options);
-  // This bench gates the batching machinery (parallel frontend, sub-batched
+  // This bench gates the batching machinery (parallel frontend, tiled
   // encode, assembly). The content-addressed serving cache would turn every
   // measured repetition into a lookup in BOTH modes, so it is disabled here;
   // bench_frontend gates the cache path with its own floors.
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
               max_conf_delta, mismatches);
 
   // The pipeline's worker pool parallelizes the frontend, the encode
-  // sub-batches, and the suggestion assembly; on a single hardware thread
+  // tiles, and the suggestion assembly; on a single hardware thread
   // those stages serialize and only the batched forward's remaining per-op
   // amortization applies — post-fused-kernel that is worth ~1.4x here, so
   // the enforced floor is 1.25x (see the header note). G2P_FLOOR overrides

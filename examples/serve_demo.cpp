@@ -22,7 +22,7 @@ int main() {
   options.train.epochs = 2;
   std::printf("training pipeline...\n");
   SuggestServer::Options server_options;
-  server_options.max_batch_loops = 16;
+  server_options.max_batch_requests = 16;
   SuggestServer server(Pipeline::train(options), server_options);
 
   const std::vector<std::string> requests = {

@@ -9,7 +9,9 @@
 // construction is the "HGT-AST" vanilla baseline of Table 3.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "core/aug_ast.h"
@@ -19,6 +21,14 @@
 #include "nn/layers.h"
 
 namespace g2p {
+
+class ThreadPool;
+
+/// Node budget of one encode tile in the batched serving path
+/// (Graph2ParModel::encode_tiled). Measured, not tuned per deployment: a
+/// sweep of 150 / 300 / 600 nodes and one tile per worker on cold_batch is
+/// recorded in CHANGES.md.
+inline constexpr std::size_t kEncodeTileNodes = 300;
 
 struct Graph2ParConfig {
   int vocab_size = 0;   // required
@@ -50,7 +60,21 @@ class Graph2ParModel : public Module {
   /// Pooled graph representations [num_graphs, dim] for a batched graph.
   /// The batch's precomputed CSR index drives every HGT layer; the readout
   /// is a segment-mean keyed by `segment_of_node` (empty graphs pool to 0).
+  /// Under NoGradGuard the node features are written straight into the
+  /// index's position order, bitwise what node_features then the permute
+  /// would give.
   Tensor encode(const BatchedGraph& batch) const;
+
+  /// Pooled rows [graphs.size(), dim] for many graphs, in order. The graphs
+  /// are cut into tiles of whole consecutive graphs holding at most
+  /// `tile_nodes` nodes (a larger graph is a tile of its own); each tile is
+  /// one disjoint union encoded on `pool`, whose threads — the caller among
+  /// them — claim tiles from one shared counter. Disjoint unions pool per
+  /// graph and every kernel computes a node's row independently of its
+  /// batch-mates, so the rows are bitwise the same for any `tile_nodes`.
+  /// Inference only: runs under NoGradGuard.
+  Tensor encode_tiled(std::span<const HetGraph* const> graphs, std::size_t tile_nodes,
+                      ThreadPool& pool) const;
 
   /// Single-graph convenience wrapper -> pooled [1, dim].
   Tensor encode(const HetGraph& graph) const;
@@ -58,16 +82,12 @@ class Graph2ParModel : public Module {
   /// Logits [num_graphs, 2] for one task head.
   Tensor task_logits(const Tensor& pooled, PredictionTask task) const;
 
-  /// Worker pool for the fused forward's projection GEMMs (see HgtLayer):
-  /// the encoder's K/Q/V/A stages fan row panels across it, so a single
-  /// batch-shaped forward scales across cores. Null pins them to one thread.
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-    encoder_.set_thread_pool(std::move(pool));
-  }
-
   const Graph2ParConfig& config() const { return config_; }
 
  private:
+  /// node_features for a batch, written in its index's position order.
+  Tensor position_features(const BatchedGraph& batch) const;
+
   Graph2ParConfig config_;
   Embedding type_embed_;
   Embedding token_embed_;

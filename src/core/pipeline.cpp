@@ -132,10 +132,6 @@ Pipeline::Pipeline(Options options, Vocab vocab)
   Rng rng(options_.train.seed);
   model_ = std::make_unique<Graph2ParModel>(options_.model, rng);
   cache_ = std::make_unique<SuggestCache>(options_.cache_bytes);
-  // The encoder's projection GEMMs fan row panels across the serving pool
-  // (single big forwards scale across cores; nested calls from pool workers
-  // run inline, so per-chunk encodes are unaffected).
-  model_->set_thread_pool(shared_pool());
 }
 
 Pipeline::Pipeline(Pipeline&& other) noexcept
@@ -168,15 +164,7 @@ ThreadPool& Pipeline::pool() const {
   return *shared;
 }
 
-std::shared_ptr<ThreadPool> Pipeline::shared_pool() const {
-  if (pool_) return pool_;
-  return std::shared_ptr<ThreadPool>(&pool(), [](ThreadPool*) {});
-}
-
-void Pipeline::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  pool_ = std::move(pool);
-  model_->set_thread_pool(shared_pool());
-}
+void Pipeline::set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
 Pipeline Pipeline::train(const Options& options) {
   const Corpus corpus = CorpusGenerator(options.corpus).generate();
@@ -286,10 +274,10 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   });
 
   // Stage 2 (batched): every loop of every healthy, not-yet-complete source
-  // joins a disjoint union, split into at most pool.size() sub-batches that
-  // encode concurrently on the pool's threads, the calling thread among
-  // them — a single forward on a one-thread pool (disjoint unions pool per
-  // graph, so sub-batching is output-identical).
+  // joins the encode, cut into tiles of whole graphs at kEncodeTileNodes
+  // nodes that the pool's threads, the calling thread among them, claim
+  // from one shared counter (disjoint unions pool per graph, so tiling is
+  // output-identical).
   std::vector<const HetGraph*> graph_ptrs;
   for (std::size_t s = 0; s < sources.size(); ++s) {
     if (done[s] || out[s].error) continue;
@@ -298,24 +286,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   Tensor parallel_probs;
   std::array<std::vector<int>, 4> clause_preds;
   if (!graph_ptrs.empty()) {
-    const std::size_t num_chunks =
-        std::max<std::size_t>(1, std::min(pool.size(), graph_ptrs.size() / 8));
-    Tensor pooled;
-    if (num_chunks == 1) {
-      pooled = model_->encode(batch_graphs(graph_ptrs));
-    } else {
-      const std::size_t per_chunk = (graph_ptrs.size() + num_chunks - 1) / num_chunks;
-      std::vector<Tensor> chunk_pooled((graph_ptrs.size() + per_chunk - 1) / per_chunk);
-      pool.parallel_for(chunk_pooled.size(), [&](std::size_t c) {
-        const NoGradGuard worker_no_grad;  // thread-local: set on every thread
-        const std::size_t begin = c * per_chunk;
-        const std::size_t end = std::min(graph_ptrs.size(), begin + per_chunk);
-        chunk_pooled[c] = model_->encode(batch_graphs(
-            {graph_ptrs.begin() + static_cast<std::ptrdiff_t>(begin),
-             graph_ptrs.begin() + static_cast<std::ptrdiff_t>(end)}));
-      });
-      pooled = concat_rows(chunk_pooled);
-    }
+    const Tensor pooled = model_->encode_tiled(graph_ptrs, kEncodeTileNodes, pool);
     parallel_probs = softmax_rows(model_->task_logits(pooled, PredictionTask::kParallel));
     for (int c = 0; c < 4; ++c) {
       clause_preds[static_cast<std::size_t>(c)] =

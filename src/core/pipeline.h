@@ -166,10 +166,6 @@ class Pipeline {
   Pipeline(Options options, Vocab vocab);
 
   ThreadPool& pool() const;
-  /// The pool as a shareable handle (non-owning for the process-wide
-  /// default, which is intentionally leaked) — handed to the model so the
-  /// encoder's projection GEMMs fan out over serving workers.
-  std::shared_ptr<ThreadPool> shared_pool() const;
 
   Options options_;
   Vocab vocab_;

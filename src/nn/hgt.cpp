@@ -208,18 +208,18 @@ const HgtLayer::FusedWeights* HgtLayer::fused_weights() const {
   }
   // Projection repack, per node type: K/Q/V weights interleaved row-wise
   // into one [dim, 3*dim] operand (row r = [W_K row r | W_Q row r |
-  // W_V row r]), biases concatenated; the A block stays square.
+  // W_V row r]), biases concatenated; the A block stays square. Both are
+  // then packed into the projection kernel's column panels.
   const auto dim_sz = static_cast<std::size_t>(dim_);
   fresh->kqv_w.resize(static_cast<std::size_t>(kNumHetNodeTypes));
   fresh->kqv_b.resize(static_cast<std::size_t>(kNumHetNodeTypes));
   fresh->a_w.resize(static_cast<std::size_t>(kNumHetNodeTypes));
   fresh->a_b.resize(static_cast<std::size_t>(kNumHetNodeTypes));
+  FloatVec w(dim_sz * 3 * dim_sz);
   for (int t = 0; t < kNumHetNodeTypes; ++t) {
     const auto ts = static_cast<std::size_t>(t);
     const Linear* kqv[3] = {k_lin_[ts].get(), q_lin_[ts].get(), v_lin_[ts].get()};
-    auto& w = fresh->kqv_w[ts];
     auto& b = fresh->kqv_b[ts];
-    w.resize(dim_sz * 3 * dim_sz);
     b.assign(3 * dim_sz, 0.0f);
     for (int p = 0; p < 3; ++p) {
       const float* src = kqv[p]->weight().data().data();
@@ -235,8 +235,8 @@ const HgtLayer::FusedWeights* HgtLayer::fused_weights() const {
                   b.begin() + static_cast<std::ptrdiff_t>(p * dim_sz));
       }
     }
-    const auto& aw = a_lin_[ts]->weight().data();
-    fresh->a_w[ts].assign(aw.begin(), aw.end());
+    fresh->kqv_w[ts] = backend::pack_projection(w.data(), dim_, 3 * dim_);
+    fresh->a_w[ts] = backend::pack_projection(a_lin_[ts]->weight().data().data(), dim_, dim_);
     if (a_lin_[ts]->bias().defined()) {
       const auto& ab = a_lin_[ts]->bias().data();
       fresh->a_b[ts].assign(ab.begin(), ab.end());
@@ -250,25 +250,26 @@ const HgtLayer::FusedWeights* HgtLayer::fused_weights() const {
   return published;
 }
 
-Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) const {
+Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index,
+                               const LayerNorm* norm) const {
   const int n = index.num_nodes;
   if (x.dim(0) != n || x.dim(1) != dim_) {
     throw std::invalid_argument("HgtLayer::forward: state shape mismatch");
   }
-  if (index.num_edges == 0) return x;  // residual path, as in the reference
   const NoGradGuard no_grad;  // the fused path never tapes, even if entered directly
+  if (index.num_edges == 0) {  // residual path, as in the reference
+    return norm != nullptr ? norm->forward(x) : x;
+  }
   const auto& kern = backend::active();
   const auto fused = fused_weights();
 
-  // Fused projection stage: per node type, one wide [rows, dim] x
-  // [dim, 3*dim] GEMM against the cached K|Q|V repack computes all three
-  // projections of the type's contiguous slice of x at once (matmul_mt row
-  // panels on the configured pool), written straight into that slice of the
-  // position-order [N, 3*dim] K|Q|V buffer; the bias is then added in place.
+  // Fused projection stage: per node type, one backend `project` call
+  // against the cached packed K|Q|V panels computes all three projections
+  // of the type's contiguous slice of x at once, bias included, straight
+  // into that slice of the position-order [N, 3*dim] K|Q|V buffer.
   const std::size_t dim_sz = static_cast<std::size_t>(dim_);
   const int kqv_cols = 3 * dim_;
   const std::size_t row_elems = static_cast<std::size_t>(n) * dim_sz;
-  ThreadPool* pool = pool_.get();
   const float* xdata = x.data().data();
   FloatVec kqv(static_cast<std::size_t>(n) * kqv_cols);
   for (int t = 0; t < kNumHetNodeTypes; ++t) {
@@ -276,14 +277,11 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const int begin = index.type_offsets[ts];
     const int rows = index.type_offsets[ts + 1] - begin;
     if (rows == 0) continue;
-    float* out = kqv.data() + static_cast<std::size_t>(begin) * kqv_cols;
-    backend::matmul_mt(xdata + static_cast<std::size_t>(begin) * dim_sz,
-                       fused->kqv_w[ts].data(), out, rows, dim_, kqv_cols, pool);
-    const float* bias = fused->kqv_b[ts].data();
-    for (int r = 0; r < rows; ++r) {
-      float* row = out + static_cast<std::size_t>(r) * kqv_cols;
-      for (int j = 0; j < kqv_cols; ++j) row[j] += bias[j];
-    }
+    backend::RowEpilogue epilogue;
+    epilogue.bias = fused->kqv_b[ts].data();
+    kern.project(xdata + static_cast<std::size_t>(begin) * dim_sz, fused->kqv_w[ts].data(),
+                 kqv.data() + static_cast<std::size_t>(begin) * kqv_cols, rows, dim_, kqv_cols,
+                 epilogue);
   }
 
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
@@ -346,10 +344,10 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   }
 
   // Formula 5 on raw buffers: σ(H~) through the backend GELU (in place),
-  // then the per-target-type A-Linear as one cached-operand GEMM per node
-  // type — the A block lives in the same repack as K|Q|V but applies here,
-  // to the activated aggregate — writing the type's slice of y directly,
-  // with bias and residual added in one contiguous pass over the slice.
+  // then the per-target-type A-Linear as one `project` call per node type
+  // on the cached A panels, writing the type's slice of y with bias and
+  // residual — and the encoder's LayerNorm, when given — in its row
+  // epilogue.
   kern.gelu(h_tilde.data(), h_tilde.data(), static_cast<int>(row_elems));
   FloatVec y(row_elems);
   for (int t = 0; t < kNumHetNodeTypes; ++t) {
@@ -358,16 +356,16 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const int rows = index.type_offsets[ts + 1] - begin;
     if (rows == 0) continue;
     const std::size_t first = static_cast<std::size_t>(begin) * dim_sz;
-    backend::matmul_mt(h_tilde.data() + first, fused->a_w[ts].data(), y.data() + first, rows,
-                       dim_, dim_, pool);
-    const float* bias = fused->a_b[ts].data();
-    for (int r = 0; r < rows; ++r) {
-      const std::size_t row = first + static_cast<std::size_t>(r) * dim_sz;
-      float* yrow = y.data() + row;
-      const float* xrow = xdata + row;
-      // (A h + b) + x, in that order: served outputs stay bitwise stable.
-      for (int j = 0; j < dim_; ++j) yrow[j] = yrow[j] + bias[j] + xrow[j];
+    backend::RowEpilogue epilogue;
+    epilogue.bias = fused->a_b[ts].data();
+    epilogue.residual = xdata + first;
+    if (norm != nullptr) {
+      epilogue.ln_gamma = norm->gamma().data().data();
+      epilogue.ln_beta = norm->beta().data().data();
+      epilogue.ln_eps = norm->eps();
     }
+    kern.project(h_tilde.data() + first, fused->a_w[ts].data(), y.data() + first, rows, dim_,
+                 dim_, epilogue);
   }
   return make_result({n, dim_}, std::move(y), {}, nullptr);
 }
@@ -382,15 +380,24 @@ HgtEncoder::HgtEncoder(int dim, int heads, int layers, Rng& rng) {
 }
 
 Tensor HgtEncoder::forward(const Tensor& x, const HetGraphIndex& index) const {
+  return forward_positions(to_positions(x, index), index);
+}
+
+Tensor HgtEncoder::forward_positions(Tensor state, const HetGraphIndex& index) const {
   // Failpoint: a forward-stage fault fails the whole encode call — in the
   // batched serving path that is a batch-level error the scheduler's retry
   // ladder classifies as transient. delay() here models a slow forward.
   if (failpoint::triggered("encode.forward")) {
     throw failpoint::FailpointError("encode.forward");
   }
-  Tensor state = to_positions(x, index);
+  if (state.rank() != 2 || state.dim(0) != index.num_nodes) {
+    throw std::invalid_argument("HgtEncoder::forward: state shape mismatch");
+  }
+  const bool taped = grad_enabled();
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    state = norms_[i]->forward(layers_[i]->forward(state, index));
+    // Fused, the norm runs in the layer's A-stage row epilogue.
+    state = taped ? norms_[i]->forward(layers_[i]->forward_reference(state, index))
+                  : layers_[i]->forward_fused(state, index, norms_[i].get());
   }
   return to_nodes(state, index);
 }
@@ -405,10 +412,6 @@ Tensor HgtEncoder::forward_reference(const Tensor& x, const HetGraphIndex& index
     state = norms_[i]->forward(layers_[i]->forward_reference(state, index));
   }
   return to_nodes(state, index);
-}
-
-void HgtEncoder::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  for (auto& layer : layers_) layer->set_thread_pool(pool);
 }
 
 }  // namespace g2p

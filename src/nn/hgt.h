@@ -29,8 +29,6 @@
 
 namespace g2p {
 
-class ThreadPool;
-
 class HgtLayer : public Module {
  public:
   HgtLayer(int dim, int heads, Rng& rng);
@@ -62,24 +60,23 @@ class HgtLayer : public Module {
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Fused inference kernel, position order in and out: per node type one
-  /// K|Q|V GEMM from the type's contiguous slice of `x` into its slice of
-  /// one [N, 3*dim] buffer, then cached per-edge-type W_ATT/W_MSG head
-  /// blocks applied per edge in registers during an edge-blocked pass over
-  /// the per-edge-type CSR that computes all-head logits, applies the µ
-  /// prior, runs a streaming-max online segment softmax per destination, and
-  /// scatters weighted messages straight into the [N, dim] output — no
-  /// [E, head_dim] intermediates, no per-head gather/concat tensors. Always
-  /// runs under NoGradGuard (the result carries no tape). The fused weight
-  /// cache rebuilds automatically when parameters mutate (optimizer step,
-  /// checkpoint load — keyed on tensor mutation versions).
-  Tensor forward_fused(const Tensor& x, const HetGraphIndex& index) const;
-
-  /// Worker pool for the fused forward's projection GEMMs (matmul_mt row
-  /// panels) — batch-shaped forwards scale across cores with it, null runs
-  /// them single-threaded. Nested use is safe: on a pool worker the panels
-  /// run inline. Not thread-safe against concurrent forwards (configure at
-  /// setup).
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
+  /// backend `project` call (packed K|Q|V panels, bias in its epilogue)
+  /// from the type's contiguous slice of `x` into its slice of one
+  /// [N, 3*dim] buffer, then cached per-edge-type W_ATT/W_MSG head blocks
+  /// applied per edge in registers during an edge-blocked pass over the
+  /// per-edge-type CSR that computes all-head logits, applies the µ prior,
+  /// runs a streaming-max online segment softmax per destination, and
+  /// scatters weighted messages straight into the [N, dim] aggregate — no
+  /// [E, head_dim] intermediates, no per-head gather/concat tensors — and
+  /// finally one A-stage `project` call per node type with bias + residual
+  /// in its row epilogue. With `norm` set, that epilogue also applies the
+  /// LayerNorm, so the result is norm(layer(x)) (what HgtEncoder runs).
+  /// Always runs under NoGradGuard (the result carries no tape). The fused
+  /// weight cache rebuilds automatically when parameters mutate (optimizer
+  /// step, checkpoint load — keyed on tensor mutation versions); the norm's
+  /// parameters are read live.
+  Tensor forward_fused(const Tensor& x, const HetGraphIndex& index,
+                       const LayerNorm* norm = nullptr) const;
 
   int dim() const { return dim_; }
   int heads() const { return heads_; }
@@ -104,19 +101,22 @@ class HgtLayer : public Module {
   /// matrices laid out back to back — the weight blocks the backend's
   /// hgt_logits / hgt_accumulate apply per edge.
   ///
-  /// Per node type τ: the K/Q/V projection weights packed side by side as
-  /// one [dim, 3*dim] GEMM operand (columns [K | Q | V]) with the biases
+  /// Per node type τ: the K/Q/V projection weights side by side as one
+  /// [dim, 3*dim] operand (columns [K | Q | V]) with the biases
   /// concatenated to [3*dim] — all three projections of a type's slice cost
-  /// one wide GEMM instead of three square ones, and its [rows, 3*dim]
-  /// output is the type's slice of one K|Q|V buffer that the edge kernels
-  /// read with row stride 3*dim. The A-Linear block rides in
+  /// one wide projection instead of three square ones, and its
+  /// [rows, 3*dim] output is the type's slice of one K|Q|V buffer that the
+  /// edge kernels read with row stride 3*dim. The A-Linear block rides in
   /// the same cache but stays a separate [dim, dim] operand: it applies to
-  /// the *activated aggregate*, not to x, so it cannot join the x-side GEMM.
+  /// the *activated aggregate*, not to x, so it cannot join the x-side
+  /// projection. Both weight operands are stored in
+  /// backend::pack_projection's column-panel layout, packed here once per
+  /// weight generation rather than per call.
   struct FusedWeights {
     std::uint64_t stamp = 0;
     std::vector<FloatVec> att, msg;      // φ-indexed; block layout is [h][k][j]
-    std::vector<FloatVec> kqv_w, kqv_b;  // τ-indexed: [dim, 3*dim] / [3*dim]
-    std::vector<FloatVec> a_w, a_b;      // τ-indexed: [dim, dim] / [dim]
+    std::vector<FloatVec> kqv_w, kqv_b;  // τ-indexed: packed [dim, 3*dim] / [3*dim]
+    std::vector<FloatVec> a_w, a_b;      // τ-indexed: packed [dim, dim] / [dim]
   };
   const FusedWeights* fused_weights() const;
   std::uint64_t weight_stamp() const;
@@ -131,7 +131,6 @@ class HgtLayer : public Module {
   mutable std::mutex fused_mutex_;
   mutable std::vector<std::unique_ptr<const FusedWeights>> fused_retired_;
   mutable std::atomic<const FusedWeights*> fused_current_{nullptr};
-  std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
   /// Apply the per-type linear `lins[type]` to each type's contiguous slice
   /// of the position-order `x`; the projected slices, concatenated, are the
@@ -150,6 +149,12 @@ class HgtEncoder : public Module {
   /// the index's position order once on entry and back once on exit.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
+  /// The same forward from states already in the index's position order
+  /// (row p is node index.nodes_by_type[p]); node order out. Under
+  /// NoGradGuard each layer runs fused with its norm in the A-stage
+  /// epilogue, otherwise taped reference + norm.
+  Tensor forward_positions(Tensor state, const HetGraphIndex& index) const;
+
   /// Single-graph convenience wrapper: indexes `graph` once, then forwards.
   Tensor forward(const Tensor& x, const HetGraph& graph) const;
 
@@ -157,9 +162,6 @@ class HgtEncoder : public Module {
   /// encoder-level equivalence oracle for `forward` under NoGradGuard (and
   /// the reference arm of bench_hgt_kernel). Node order in and out.
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
-
-  /// Propagate the projection-GEMM worker pool to every layer (see HgtLayer).
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool);
 
  private:
   std::vector<std::unique_ptr<HgtLayer>> layers_;

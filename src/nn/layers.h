@@ -36,6 +36,8 @@ class Embedding : public Module {
 
   Tensor forward(std::span<const int> ids) const;
 
+  /// The [vocab, dim] table (row i embeds id i).
+  const Tensor& table() const { return table_; }
   int vocab_size() const { return vocab_; }
   int dim() const { return dim_; }
 
@@ -49,10 +51,17 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim);
 
-  Tensor forward(const Tensor& x) const { return layer_norm(x, gamma_, beta_); }
+  Tensor forward(const Tensor& x) const { return layer_norm(x, gamma_, beta_, eps_); }
+
+  /// Parameter handles and epsilon, for kernels that fuse the norm into
+  /// another op's row epilogue (the fused HGT encoder).
+  const Tensor& gamma() const { return gamma_; }
+  const Tensor& beta() const { return beta_; }
+  float eps() const { return eps_; }
 
  private:
   Tensor gamma_, beta_;
+  float eps_ = 1e-5f;
 };
 
 /// Two-layer position-wise feed-forward block with GELU.

@@ -229,7 +229,7 @@ void SuggestServer::run(Batch& batch) {
 SuggestServer::SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options)
     : pipeline_(std::move(pipeline)), options_(options) {
   if (!pipeline_) throw std::invalid_argument("SuggestServer: null pipeline");
-  if (options_.max_batch_loops == 0) options_.max_batch_loops = 1;
+  if (options_.max_batch_requests == 0) options_.max_batch_requests = 1;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
   if (options_.max_retries < 0) options_.max_retries = 0;
   pool_ = std::make_shared<ThreadPool>(
@@ -336,7 +336,7 @@ std::optional<SuggestServer::Batch> SuggestServer::collect_batch() {
   if (queue_.empty()) return std::nullopt;  // stopping and fully drained
 
   note_mode(mode_for(queue_.size()));
-  const std::size_t take = std::min(queue_.size(), options_.max_batch_loops);
+  const std::size_t take = std::min(queue_.size(), options_.max_batch_requests);
   Batch batch;
   batch.mode = mode_;
   batch.stopping = stopping_;

@@ -3,7 +3,7 @@
 // PR 1 made one synchronous call fast (`Pipeline::suggest_batch`); this
 // turns it into a server loop. Callers `submit` C sources and get a
 // `std::future` per request; a scheduler thread waits for work, pops
-// everything queued (up to `max_batch_loops` requests), merges it into one
+// everything queued (up to `max_batch_requests` requests), merges it into one
 // `suggest_batch_results` call, and completes every future — a request that
 // fails to parse completes *its* future exceptionally without poisoning its
 // batch-mates. There is no batching window: a lone request is served at
@@ -75,7 +75,7 @@ class SuggestServer {
     /// Largest batch: one scheduler pop serves at most this many queued
     /// requests (each request is one translation unit whose loops join the
     /// batched forward).
-    std::size_t max_batch_loops = 32;
+    std::size_t max_batch_requests = 32;
     /// Queue bound. `submit` blocks (backpressure) when this many requests
     /// are already waiting; `try_submit` returns nullopt instead.
     std::size_t max_queue_depth = 1024;
@@ -167,7 +167,7 @@ class SuggestServer {
                                                           Clock::time_point deadline);
 
   void scheduler_loop();
-  /// Wait for work, then pop up to max_batch_loops of the queued requests
+  /// Wait for work, then pop up to max_batch_requests of the queued requests
   /// under the mode the queue depth selects. Empty return: stopping and
   /// fully drained.
   std::optional<Batch> collect_batch();

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -196,6 +197,58 @@ void scalar_gemm(const float* a, const float* b, float* out, int n, int k, int m
 }
 
 // ---------------------------------------------------------------------------
+// Scalar projection kernel (pack_projection layout, fused row epilogue)
+// ---------------------------------------------------------------------------
+
+/// LayerNorm of one row in place: sequential mean and variance, exactly
+/// ops.cpp's layer_norm arithmetic.
+void scalar_layer_norm_row(float* row, int m, const RowEpilogue& epi) {
+  float mean = 0.0f;
+  for (int j = 0; j < m; ++j) mean += row[j];
+  mean /= static_cast<float>(m);
+  float var = 0.0f;
+  for (int j = 0; j < m; ++j) {
+    const float c = row[j] - mean;
+    var += c * c;
+  }
+  var /= static_cast<float>(m);
+  const float istd = 1.0f / std::sqrt(var + epi.ln_eps);
+  for (int j = 0; j < m; ++j) {
+    const float y = (row[j] - mean) * istd;
+    row[j] = y * epi.ln_gamma[j] + epi.ln_beta[j];
+  }
+}
+
+void scalar_project(const float* a, const float* w_panels, float* out, int rows, int k, int m,
+                    const RowEpilogue& epi) {
+  constexpr int P = kProjectPanel;
+  const int panels = (m + P - 1) / P;
+  for (int r = 0; r < rows; ++r) {
+    const float* arow = a + static_cast<std::size_t>(r) * k;
+    float* orow = out + static_cast<std::size_t>(r) * m;
+    const float* res = epi.residual != nullptr ? epi.residual + static_cast<std::size_t>(r) * m
+                                               : nullptr;
+    for (int p = 0; p < panels; ++p) {
+      const float* w = w_panels + static_cast<std::size_t>(p) * k * P;
+      float acc[P] = {};
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = arow[kk];
+        const float* wrow = w + static_cast<std::size_t>(kk) * P;
+        for (int c = 0; c < P; ++c) acc[c] += av * wrow[c];
+      }
+      const int col = p * P;
+      const int live = std::min(P, m - col);
+      for (int c = 0; c < live; ++c) {
+        float v = acc[c] + epi.bias[col + c];
+        if (res != nullptr) v += res[col + c];
+        orow[col + c] = v;
+      }
+    }
+    if (epi.ln_gamma != nullptr) scalar_layer_norm_row(orow, m, epi);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Scalar fused-HGT primitives
 // ---------------------------------------------------------------------------
 
@@ -331,6 +384,7 @@ constexpr Kernels kScalar = {
     "scalar",
     scalar_matmul,
     scalar_gemm,
+    scalar_project,
     scalar_hgt_logits,
     scalar_hgt_accumulate,
     scalar_row_dot,
@@ -368,6 +422,7 @@ constexpr Kernels kNeon = {
     "neon",
     scalar_matmul,   // the tuned scalar kernels auto-vectorize on aarch64
     scalar_gemm,     // ScalarMicro's fixed-width tile vectorizes likewise
+    scalar_project,  // the 16-wide panel accumulators vectorize likewise
     scalar_hgt_logits,  // per-edge register map: auto-vectorizes on aarch64
     scalar_hgt_accumulate,
     neon_row_dot,
@@ -447,6 +502,24 @@ bool set_active(std::string_view name) {
   if (t == nullptr) return false;
   g_active.store(t, std::memory_order_release);
   return true;
+}
+
+FloatVec pack_projection(const float* w, int k, int m) {
+  constexpr int P = kProjectPanel;
+  const int panels = (m + P - 1) / P;
+  FloatVec packed(static_cast<std::size_t>(panels) * k * P);
+  float* dst = packed.data();
+  for (int p = 0; p < panels; ++p) {
+    const int col = p * P;
+    const int live = std::min(P, m - col);
+    for (int kk = 0; kk < k; ++kk) {
+      const float* wrow = w + static_cast<std::size_t>(kk) * m + col;
+      for (int c = 0; c < live; ++c) dst[c] = wrow[c];
+      for (int c = live; c < P; ++c) dst[c] = 0.0f;
+      dst += P;
+    }
+  }
+  return packed;
 }
 
 namespace {

@@ -9,7 +9,9 @@
 // is always available and defines the reference semantics. The fused HGT
 // inference kernel (nn/hgt.cpp) and the autograd forward passes (ops.cpp)
 // both draw their inner loops from here; future backends (BLAS, GPU) slot in
-// as another Kernels table.
+// as another Kernels table. The fused encoder's per-node-type projections
+// run through `project` on weights packed once by `pack_projection`; the
+// autograd ops go through matmul_auto.
 //
 // Numerics: every kernel reduces the k/depth axis in ascending index order,
 // so scalar and SIMD backends agree to float rounding (FMA contraction and
@@ -20,7 +22,8 @@
 // GEMM routing is a function of the shape and the pool alone: matmul_auto
 // picks the blocked `gemm` or the legacy `matmul` kernels from the product's
 // shape, and matmul_mt fans row panels out over at most the pool's width (a
-// one-thread pool pins it to the calling thread).
+// one-thread pool pins it to the calling thread). The encoder calls neither:
+// it parallelizes over node-budget tiles of whole graphs instead.
 //
 // Environment (every G2P_* runtime knob is documented in docs/tuning.md):
 //   G2P_BACKEND = auto (default) | scalar | avx2 | neon
@@ -35,11 +38,35 @@
 
 #include <string_view>
 
+#include "tensor/tensor.h"
+
 namespace g2p {
 class ThreadPool;
 }
 
 namespace g2p::backend {
+
+/// Column width of the packed projection weight panels `project` reads.
+inline constexpr int kProjectPanel = 16;
+
+/// Row-major W [k, m] packed for `project`: ceil(m / kProjectPanel) panels
+/// back to back, each holding kProjectPanel columns for every k (k
+/// ascending, the panel's columns contiguous), zero-padded past column m.
+/// 64-byte aligned, so SIMD tables load panel rows aligned. Pack once per
+/// weight generation; the layout is the same for every backend table.
+FloatVec pack_projection(const float* w, int k, int m);
+
+/// What `project` does to each finished output row, in this order:
+/// add `bias` [m], add the row's `residual` ([rows, m], row stride m) when
+/// set, then LayerNorm the row with `ln_gamma` / `ln_beta` [m] and `ln_eps`
+/// when `ln_gamma` is set (the same formula as ops.h's layer_norm).
+struct RowEpilogue {
+  const float* bias = nullptr;  // required
+  const float* residual = nullptr;
+  const float* ln_gamma = nullptr;
+  const float* ln_beta = nullptr;
+  float ln_eps = 1e-5f;
+};
 
 /// One backend's kernel table. All pointers are always non-null.
 struct Kernels {
@@ -59,6 +86,18 @@ struct Kernels {
   /// n is large enough to amortize packing; matmul_auto() holds the shape
   /// heuristic so callers don't choose by hand.
   void (*gemm)(const float* a, const float* b, float* out, int n, int k, int m);
+
+  /// Per-node-type projection with a fused row epilogue:
+  ///   out[r, :] = epilogue(a[r, :] · W)   for r < rows
+  /// `a` is [rows, k] row-major and read as is (no packing); `w_panels` is
+  /// W [k, m] in pack_projection's layout; `out` is [rows, m], fully
+  /// overwritten. Each output element is one product chain over k ascending
+  /// starting from zero, then `+ bias`, then `+ residual` (on the AVX2
+  /// table bitwise what `gemm` followed by separate bias and residual
+  /// passes gives), and every row is computed independently of which other
+  /// rows share the call, so a row's bits do not depend on `rows`.
+  void (*project)(const float* a, const float* w_panels, float* out, int rows, int k, int m,
+                  const RowEpilogue& epilogue);
 
   /// Fused-HGT attention logits for one edge type's whole CSR block
   /// (`count` edges, all heads, one call). `srcs` / `dsts` index rows of the

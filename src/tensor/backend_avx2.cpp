@@ -16,6 +16,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
 
 #include "tensor/fastmath.h"
@@ -269,6 +270,134 @@ void avx2_row_dot(const float* a, const float* b, float* out, int n, int d) {
 }
 
 // ---------------------------------------------------------------------------
+// Projection kernel: A rows read in place, W from 16-column packed panels
+// ---------------------------------------------------------------------------
+
+/// LayerNorm of one row in place, mean and variance as 8-lane partial sums
+/// (a different reduction order from the scalar table's sequential sums;
+/// the row's result does not depend on any other row).
+void layer_norm_row(float* row, int m, const RowEpilogue& epi) {
+  __m256 sum8 = _mm256_setzero_ps();
+  int j = 0;
+  for (; j + 8 <= m; j += 8) sum8 = _mm256_add_ps(sum8, _mm256_loadu_ps(row + j));
+  float sum = hsum8(sum8);
+  for (; j < m; ++j) sum += row[j];
+  const float mean = sum / static_cast<float>(m);
+  const __m256 vmean = _mm256_set1_ps(mean);
+  __m256 sq8 = _mm256_setzero_ps();
+  j = 0;
+  for (; j + 8 <= m; j += 8) {
+    const __m256 c = _mm256_sub_ps(_mm256_loadu_ps(row + j), vmean);
+    sq8 = _mm256_fmadd_ps(c, c, sq8);
+  }
+  float sq = hsum8(sq8);
+  for (; j < m; ++j) sq += (row[j] - mean) * (row[j] - mean);
+  const float istd = 1.0f / std::sqrt(sq / static_cast<float>(m) + epi.ln_eps);
+  const __m256 vistd = _mm256_set1_ps(istd);
+  j = 0;
+  for (; j + 8 <= m; j += 8) {
+    const __m256 y = _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + j), vmean), vistd);
+    _mm256_storeu_ps(row + j, _mm256_fmadd_ps(y, _mm256_loadu_ps(epi.ln_gamma + j),
+                                              _mm256_loadu_ps(epi.ln_beta + j)));
+  }
+  for (; j < m; ++j) row[j] = (row[j] - mean) * istd * epi.ln_gamma[j] + epi.ln_beta[j];
+}
+
+/// R rows (R <= 6) against every panel: 2R YMM accumulators + 2 panel
+/// loads + 1 broadcast stay inside the 16 registers, the Avx2Micro shape
+/// without packing A. Each element is the fmadd chain over k from zero,
+/// then the bias and residual adds, whatever R is.
+template <int R>
+void project_rows(const float* a, const float* w_panels, float* out, int k, int m,
+                  const RowEpilogue& epi) {
+  const float* residual = epi.residual;
+  constexpr int P = kProjectPanel;
+  const int panels = (m + P - 1) / P;
+  for (int p = 0; p < panels; ++p) {
+    const float* w = w_panels + static_cast<std::size_t>(p) * k * P;
+    __m256 acc[R][2];
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] = _mm256_setzero_ps();
+      acc[r][1] = _mm256_setzero_ps();
+    }
+    for (int kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_load_ps(w);
+      const __m256 b1 = _mm256_load_ps(w + 8);
+      w += P;
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + static_cast<std::size_t>(r) * k + kk);
+        acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+      }
+    }
+    // Spill the tile once per panel; the epilogue reads it back. Indexing
+    // `acc` by a runtime row in the epilogue would make the compiler keep
+    // the accumulators in memory across the whole k loop.
+    alignas(32) float tile[R][P];
+    for (int r = 0; r < R; ++r) {
+      _mm256_store_ps(tile[r], acc[r][0]);
+      _mm256_store_ps(tile[r] + 8, acc[r][1]);
+    }
+    const int col = p * P;
+    if (m - col >= P) {
+      const __m256 bias0 = _mm256_loadu_ps(epi.bias + col);
+      const __m256 bias1 = _mm256_loadu_ps(epi.bias + col + 8);
+      for (int r = 0; r < R; ++r) {
+        float* orow = out + static_cast<std::size_t>(r) * m + col;
+        __m256 v0 = _mm256_add_ps(_mm256_load_ps(tile[r]), bias0);
+        __m256 v1 = _mm256_add_ps(_mm256_load_ps(tile[r] + 8), bias1);
+        if (residual != nullptr) {
+          const float* rrow = residual + static_cast<std::size_t>(r) * m + col;
+          v0 = _mm256_add_ps(v0, _mm256_loadu_ps(rrow));
+          v1 = _mm256_add_ps(v1, _mm256_loadu_ps(rrow + 8));
+        }
+        _mm256_storeu_ps(orow, v0);
+        _mm256_storeu_ps(orow + 8, v1);
+      }
+    } else {
+      // Ragged last panel: the same adds, lane by lane, on the live columns.
+      const int live = m - col;
+      for (int r = 0; r < R; ++r) {
+        float* orow = out + static_cast<std::size_t>(r) * m + col;
+        const float* rrow =
+            residual != nullptr ? residual + static_cast<std::size_t>(r) * m + col : nullptr;
+        for (int c = 0; c < live; ++c) {
+          float v = tile[r][c] + epi.bias[col + c];
+          if (rrow != nullptr) v += rrow[c];
+          orow[c] = v;
+        }
+      }
+    }
+  }
+  if (epi.ln_gamma != nullptr) {
+    for (int r = 0; r < R; ++r) layer_norm_row(out + static_cast<std::size_t>(r) * m, m, epi);
+  }
+}
+
+void avx2_project(const float* a, const float* w_panels, float* out, int rows, int k, int m,
+                  const RowEpilogue& epi) {
+  constexpr int R = 6;
+  RowEpilogue block = epi;  // residual advanced to the block's first row
+  int r = 0;
+  for (; r + R <= rows; r += R) {
+    if (epi.residual != nullptr) block.residual = epi.residual + static_cast<std::size_t>(r) * m;
+    project_rows<R>(a + static_cast<std::size_t>(r) * k, w_panels,
+                    out + static_cast<std::size_t>(r) * m, k, m, block);
+  }
+  if (r == rows) return;
+  if (epi.residual != nullptr) block.residual = epi.residual + static_cast<std::size_t>(r) * m;
+  const float* ar = a + static_cast<std::size_t>(r) * k;
+  float* outr = out + static_cast<std::size_t>(r) * m;
+  switch (rows - r) {
+    case 5: return project_rows<5>(ar, w_panels, outr, k, m, block);
+    case 4: return project_rows<4>(ar, w_panels, outr, k, m, block);
+    case 3: return project_rows<3>(ar, w_panels, outr, k, m, block);
+    case 2: return project_rows<2>(ar, w_panels, outr, k, m, block);
+    default: return project_rows<1>(ar, w_panels, outr, k, m, block);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Fused-HGT edge kernels
 // ---------------------------------------------------------------------------
 
@@ -427,6 +556,7 @@ const Kernels kAvx2 = {
     "avx2",
     avx2_matmul,
     avx2_gemm,
+    avx2_project,
     avx2_hgt_logits,
     avx2_hgt_accumulate,
     avx2_row_dot,

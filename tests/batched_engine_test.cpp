@@ -9,6 +9,7 @@
 #include <cstring>
 #include <future>
 #include <latch>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -300,6 +301,43 @@ TEST(BatchedEngine, IndexedForwardMatchesWrapperExactly) {
   }
 }
 
+TEST(BatchedEngine, EncodeTiledPoolsBitwiseEqualForAnyTileBudget) {
+  // The serving path cuts a batch into node-budget tiles of whole graphs.
+  // One tile, one graph per tile and kEncodeTileNodes-sized tiles must pool
+  // every graph to the same bits: a node's numbers may not depend on its
+  // batch-mates. Graph sizes straddle the budget; an empty graph rides
+  // along (it pools to zeros wherever it lands).
+  const Graph2ParModel& model = trained_pipeline().model();
+  Rng rng(2601);
+  std::vector<HetGraph> graphs;
+  for (int g = 0; g < 40; ++g) {
+    graphs.push_back(make_graph(rng, static_cast<int>(rng.uniform_int(2, 160))));
+  }
+  graphs.insert(graphs.begin() + 7, HetGraph{});
+  graphs.push_back(make_graph(rng, 2 * static_cast<int>(kEncodeTileNodes)));  // over budget
+  std::vector<const HetGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+
+  ThreadPool pool(4);
+  const NoGradGuard no_grad;
+  const Tensor one_tile = model.encode_tiled(ptrs, std::numeric_limits<std::size_t>::max(), pool);
+  const Tensor per_graph = model.encode_tiled(ptrs, 0, pool);
+  const Tensor budgeted = model.encode_tiled(ptrs, kEncodeTileNodes, pool);
+  ASSERT_EQ(one_tile.shape(), (Shape{static_cast<int>(graphs.size()), model.config().dim}));
+  ASSERT_EQ(per_graph.shape(), one_tile.shape());
+  ASSERT_EQ(budgeted.shape(), one_tile.shape());
+  for (std::size_t i = 0; i < one_tile.numel(); ++i) {
+    const std::size_t g = i / static_cast<std::size_t>(model.config().dim);
+    ASSERT_EQ(per_graph.data()[i], one_tile.data()[i]) << "one graph per tile, graph " << g;
+    ASSERT_EQ(budgeted.data()[i], one_tile.data()[i]) << "budget-sized tiles, graph " << g;
+  }
+  // And the tiled rows are what a plain batched encode gives.
+  const Tensor direct = model.encode(batch_graphs(ptrs));
+  for (std::size_t i = 0; i < one_tile.numel(); ++i) {
+    ASSERT_EQ(direct.data()[i], one_tile.data()[i]);
+  }
+}
+
 TEST(BatchedEngine, SegmentSumGradcheck) {
   // Central-difference check of the new segment_sum_rows backward.
   Rng rng(5);
@@ -494,8 +532,8 @@ TEST(ThreadPool, SingleIndexRunsInlineOnTheCaller) {
 }
 
 TEST(ThreadPool, ConcurrentEncodesMatchSerial) {
-  // The serving path encodes per-worker sub-batches concurrently on a shared
-  // const model; concurrent forwards must reproduce serial results.
+  // The serving path encodes tiles concurrently on a shared const model;
+  // concurrent forwards must reproduce serial results.
   Rng rng(77);
   const int dim = 16;
   HgtEncoder encoder(dim, 4, 2, rng);

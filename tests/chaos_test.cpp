@@ -112,7 +112,7 @@ TEST(Chaos, RandomizedFaultScheduleInvariants) {
       "scheduler.batch=throw@0.05,55");
 
   SuggestServer::Options options;
-  options.max_batch_loops = 8;
+  options.max_batch_requests = 8;
   options.max_retries = 3;
   SuggestServer server(pipeline, options);
 
@@ -205,7 +205,7 @@ TEST(Chaos, ShutdownUnblocksBackpressuredSubmitter) {
   // disabled so it cannot fire at this tiny bound. The stall outlasts the
   // submitter's 50 ms head start below by far.
   SuggestServer::Options options;
-  options.max_batch_loops = 1000;
+  options.max_batch_requests = 1000;
   options.max_queue_depth = 2;
   options.cache_only_at = 1.5;
   SuggestServer server(pipeline, options);
@@ -249,7 +249,7 @@ TEST(Chaos, ExpiredRequestsAreExpelledBeforeTheForward) {
 
   // Stall the scheduler far longer than the request's deadline.
   SuggestServer::Options options;
-  options.max_batch_loops = 1000;
+  options.max_batch_requests = 1000;
   SuggestServer server(pipeline, options);
 
   auto blocker = test_env::park_scheduler(server, sources[2], 300);
@@ -469,7 +469,7 @@ TEST(Chaos, ShutdownWhileDegradedCompletesQueuedMissesTyped) {
   // they complete with ServerStopped (a client re-resolves elsewhere), not
   // that they vanish into the shed counter as if load protection fired.
   SuggestServer::Options options;
-  options.max_batch_loops = 2;
+  options.max_batch_requests = 2;
   options.max_queue_depth = 4;
   options.cache_only_at = 0.5;  // 2 queued / 4 >= 0.5
   options.max_retries = 0;

@@ -7,9 +7,13 @@
 // with the single-thread kernel (row panels never change an element's
 // reduction order) including when invoked from one of the pool's own
 // workers (the re-entrancy case), and matmul_auto must match whichever
-// kernel it routes to.
+// kernel it routes to. Kernels::project (the encoder's per-type projection
+// with its bias / residual / LayerNorm row epilogue) must match a naive
+// reference on every table and compute each row independently of the
+// others in its call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -160,9 +164,8 @@ TEST(Gemm, ThreadedIsReentrantUnderParallelFor) {
   std::vector<float> single(static_cast<std::size_t>(n) * m);
   backend::matmul_auto(a.data(), b.data(), single.data(), n, k, m);
 
-  // matmul_mt from the pool's own workers (the serving topology: encode
-  // chunks run on the pool, each chunk's projections call matmul_mt with
-  // that same pool) must run inline, not deadlock.
+  // matmul_mt from the pool's own workers (a caller already inside a
+  // parallel_for on that same pool) must run inline, not deadlock.
   constexpr int kConcurrent = 6;
   std::vector<std::vector<float>> outs(
       kConcurrent, std::vector<float>(static_cast<std::size_t>(n) * m, 1e30f));
@@ -171,6 +174,129 @@ TEST(Gemm, ThreadedIsReentrantUnderParallelFor) {
   });
   for (const auto& out : outs) {
     for (std::size_t i = 0; i < single.size(); ++i) ASSERT_EQ(out[i], single[i]);
+  }
+}
+
+/// Naive projection epilogue on top of naive_matmul: + bias, + residual,
+/// then LayerNorm (two-pass mean / variance in double) when gamma is given.
+std::vector<float> naive_project(const std::vector<float>& a, const std::vector<float>& w,
+                                 int rows, int k, int m, const std::vector<float>& bias,
+                                 const std::vector<float>* residual,
+                                 const std::vector<float>* gamma,
+                                 const std::vector<float>* beta) {
+  auto out = naive_matmul(a, w, rows, k, m);
+  for (int r = 0; r < rows; ++r) {
+    float* row = out.data() + static_cast<std::size_t>(r) * m;
+    for (int j = 0; j < m; ++j) {
+      row[j] += bias[static_cast<std::size_t>(j)];
+      if (residual != nullptr) row[j] += (*residual)[static_cast<std::size_t>(r) * m + j];
+    }
+    if (gamma == nullptr) continue;
+    double mean = 0.0, var = 0.0;
+    for (int j = 0; j < m; ++j) mean += row[j];
+    mean /= m;
+    for (int j = 0; j < m; ++j) var += (row[j] - mean) * (row[j] - mean);
+    var /= m;
+    const double istd = 1.0 / std::sqrt(var + 1e-5);
+    for (int j = 0; j < m; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      row[j] = static_cast<float>((row[j] - mean) * istd * (*gamma)[js] + (*beta)[js]);
+    }
+  }
+  return out;
+}
+
+enum class Epilogue { kBias, kBiasResidual, kBiasResidualNorm };
+
+TEST(Project, MatchesNaiveOnEveryBackendShapeAndEpilogue) {
+  // Row counts cover the empty call, every remainder of the 6-row AVX2
+  // block, and large counts; m covers the square A stage, the 3x-wide
+  // K|Q|V stage and a ragged last panel.
+  Rng rng(26);
+  std::vector<int> row_counts;
+  for (int rows = 0; rows <= 13; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(64);
+  row_counts.push_back(769);
+  for (const auto& name : dispatchable_backends()) {
+    const backend::Kernels* kern = backend::by_name(name);
+    ASSERT_NE(kern, nullptr);
+    for (const int k : {32, 64}) {
+      for (const int m : {k, 3 * k, 24}) {
+        const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
+        const FloatVec panels = backend::pack_projection(w.data(), k, m);
+        const auto bias = random_values(rng, static_cast<std::size_t>(m));
+        const auto gamma = random_values(rng, static_cast<std::size_t>(m));
+        const auto beta = random_values(rng, static_cast<std::size_t>(m));
+        for (const int rows : row_counts) {
+          const auto a = random_values(rng, static_cast<std::size_t>(rows) * k);
+          const auto residual = random_values(rng, static_cast<std::size_t>(rows) * m);
+          for (const auto epi : {Epilogue::kBias, Epilogue::kBiasResidual,
+                                 Epilogue::kBiasResidualNorm}) {
+            const bool with_residual = epi != Epilogue::kBias;
+            const bool with_norm = epi == Epilogue::kBiasResidualNorm;
+            backend::RowEpilogue epilogue;
+            epilogue.bias = bias.data();
+            if (with_residual) epilogue.residual = residual.data();
+            if (with_norm) {
+              epilogue.ln_gamma = gamma.data();
+              epilogue.ln_beta = beta.data();
+            }
+            const auto want =
+                naive_project(a, w, rows, k, m, bias, with_residual ? &residual : nullptr,
+                              with_norm ? &gamma : nullptr, with_norm ? &beta : nullptr);
+            std::vector<float> got(static_cast<std::size_t>(rows) * m, 1e30f);
+            kern->project(a.data(), panels.data(), got.data(), rows, k, m, epilogue);
+            const std::string what = name + " project rows " + std::to_string(rows) + " k " +
+                                     std::to_string(k) + " m " + std::to_string(m) +
+                                     " epilogue " + std::to_string(static_cast<int>(epi));
+            // LayerNorm divides by the row's spread, which scales the
+            // GEMM's rounding: compare normalized rows a little looser.
+            EXPECT_LE(max_rel_diff(got, want), with_norm ? 1e-4 : kTol) << what;
+            // Row independence: each row alone gives the same bits.
+            for (int r = 0; r < rows; r += std::max(1, rows / 7)) {
+              backend::RowEpilogue one = epilogue;
+              if (with_residual) one.residual = residual.data() + static_cast<std::size_t>(r) * m;
+              std::vector<float> single(static_cast<std::size_t>(m), 1e30f);
+              kern->project(a.data() + static_cast<std::size_t>(r) * k, panels.data(),
+                            single.data(), 1, k, m, one);
+              for (int j = 0; j < m; ++j) {
+                ASSERT_EQ(single[static_cast<std::size_t>(j)],
+                          got[static_cast<std::size_t>(r) * m + j])
+                    << what << " row " << r << " col " << j;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Project, Avx2MatchesGemmPlusSeparateEpilogueBitwise) {
+  // On the AVX2 table the projection computes the same fmadd chain as the
+  // blocked GEMM's micro-kernel, then the same adds: served outputs keep
+  // their bits across the switch from gemm + bias/residual loops.
+  const backend::Kernels* kern = backend::by_name("avx2");
+  if (kern == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  Rng rng(2026);
+  for (const int m : {32, 96}) {
+    const int rows = 301, k = 32;
+    const auto a = random_values(rng, static_cast<std::size_t>(rows) * k);
+    const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
+    const auto bias = random_values(rng, static_cast<std::size_t>(m));
+    const auto residual = random_values(rng, static_cast<std::size_t>(rows) * m);
+    std::vector<float> want(static_cast<std::size_t>(rows) * m);
+    kern->gemm(a.data(), w.data(), want.data(), rows, k, m);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] = want[i] + bias[i % static_cast<std::size_t>(m)] + residual[i];
+    }
+    const FloatVec panels = backend::pack_projection(w.data(), k, m);
+    backend::RowEpilogue epilogue;
+    epilogue.bias = bias.data();
+    epilogue.residual = residual.data();
+    std::vector<float> got(want.size());
+    kern->project(a.data(), panels.data(), got.data(), rows, k, m, epilogue);
+    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "m " << m;
   }
 }
 

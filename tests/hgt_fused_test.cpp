@@ -4,9 +4,10 @@
 // (HgtLayer::forward_reference) within 1e-5 relative tolerance on any graph:
 // the two compute the same formulas with different op fusion, so only float
 // rounding may differ. Also covered: the fused weight cache noticing
-// parameter mutation (optimizer step, checkpoint load), scalar vs SIMD
-// backend dispatch agreement, and bitwise invariance of the encoder output
-// under node relabelling.
+// parameter mutation (optimizer step, checkpoint load), the LayerNorm row
+// epilogue the encoder fuses into each layer, scalar vs SIMD backend
+// dispatch agreement, and bitwise invariance of the encoder output under
+// node relabelling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include "graph/hetgraph_index.h"
 #include "nn/hgt.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "tensor/backend.h"
 #include "tensor/ops.h"
 #include "tensor/optim.h"
@@ -233,11 +233,11 @@ TEST(HgtFused, CheckpointLoadInvalidatesWeightCache) {
 
 TEST(HgtFused, EncoderOutputIsInvariantUnderNodeRelabelling) {
   // Node ids fix each node's position in the type-major order (and so its
-  // row inside its type's projection GEMM), but a position must never enter
+  // row inside its type's projection call), but a position must never enter
   // a node's numerics: relabelling the nodes, with the edges remapped and
   // kept in insertion order, gives every node bitwise the same output row.
-  // Serving shape; enough nodes per type for the blocked GEMM and its
-  // ragged tiles, with and without a pool splitting it into row panels.
+  // Serving shape; enough nodes per type for the projection kernel's full
+  // row blocks and every remainder.
   Rng rng(2718);
   HgtEncoder encoder(32, 4, 2, rng);
   const int n = 400;
@@ -266,46 +266,59 @@ TEST(HgtFused, EncoderOutputIsInvariantUnderNodeRelabelling) {
   const Tensor x_relabelled = Tensor::from_vector({n, 32}, std::move(moved));
 
   const NoGradGuard no_grad;
-  for (const bool pooled : {false, true}) {
-    encoder.set_thread_pool(pooled ? std::make_shared<ThreadPool>(3) : nullptr);
-    const Tensor out = encoder.forward(x, HetGraphIndex(g));
-    const Tensor out_relabelled = encoder.forward(x_relabelled, HetGraphIndex(relabelled));
-    for (int v = 0; v < n; ++v) {
-      const int w = new_id[static_cast<std::size_t>(v)];
-      for (int d = 0; d < 32; ++d) {
-        ASSERT_EQ(out.at({v, d}), out_relabelled.at({w, d}))
-            << "node " << v << " dim " << d << (pooled ? " (pooled)" : "");
-      }
+  const Tensor out = encoder.forward(x, HetGraphIndex(g));
+  const Tensor out_relabelled = encoder.forward(x_relabelled, HetGraphIndex(relabelled));
+  for (int v = 0; v < n; ++v) {
+    const int w = new_id[static_cast<std::size_t>(v)];
+    for (int d = 0; d < 32; ++d) {
+      ASSERT_EQ(out.at({v, d}), out_relabelled.at({w, d})) << "node " << v << " dim " << d;
     }
   }
 }
 
 TEST(HgtFused, FusedProjectionsMatchPerTypeLinears) {
   // The fused path computes K/Q/V as one wide [rows, dim] x [dim, 3*dim]
-  // GEMM per node type (and A as a cached-operand GEMM over the activated
-  // aggregate); the reference path runs the four taped per-type Linears.
-  // Same math, different fusion — they must agree to float rounding, with
-  // and without a worker pool fanning the GEMM into row panels.
+  // projection per node type (and A as a cached-operand projection over
+  // the activated aggregate) through the backend's packed-panel kernel; the
+  // reference path runs the four taped per-type Linears. Same math,
+  // different fusion — they must agree to float rounding.
   Rng rng(4242);
-  auto pool = std::make_shared<ThreadPool>(3);
   for (const int heads : {2, 4}) {
-    const int dim = 32;  // the serving shape's wide GEMM is [N, 32] x [32, 96]
+    const int dim = 32;  // the serving shape's wide projection is [N, 32] x [32, 96]
     HgtLayer layer(dim, heads, rng);
     const HetGraph g = random_graph(rng, 200, 700,
                                     {HetEdgeType::kAstChild, HetEdgeType::kAstParent,
                                      HetEdgeType::kCfgNext, HetEdgeType::kLexNext});
     const HetGraphIndex index(g);
     const Tensor x = Tensor::randn({200, dim}, rng, 0.7f);
-    expect_fused_matches_reference(layer, x, index, "fused projections, no pool");
-    const NoGradGuard no_grad;
-    const Tensor single = layer.forward_fused(x, index);
-    layer.set_thread_pool(pool);
-    const Tensor pooled = layer.forward_fused(x, index);
-    // Row panels change no element's reduction order: bitwise equal.
-    for (std::size_t i = 0; i < single.numel(); ++i) {
-      ASSERT_EQ(pooled.data()[i], single.data()[i]) << "heads " << heads;
+    expect_fused_matches_reference(layer, x, index, "fused projections");
+  }
+}
+
+TEST(HgtFused, LayerNormEpilogueMatchesReferenceThenNorm) {
+  // With a norm, the fused layer applies it in the A stage's row epilogue;
+  // the oracle is the taped reference followed by the separate LayerNorm.
+  // The norm's parameters are moved off their identity init so gamma and
+  // beta both matter, and the edge-less residual path is covered too.
+  Rng rng(9001);
+  for (const int dim : {16, 32}) {
+    HgtLayer layer(dim, 4, rng);
+    LayerNorm norm(dim);
+    for (Tensor p : norm.parameters()) {
+      for (auto& v : p.data()) v += static_cast<float>(rng.uniform(-0.5, 0.5));
     }
-    expect_fused_matches_reference(layer, x, index, "fused projections, pooled");
+    const HetGraph g = random_graph(rng, 150, 500,
+                                    {HetEdgeType::kAstChild, HetEdgeType::kAstParent,
+                                     HetEdgeType::kCfgNext, HetEdgeType::kLexPrev});
+    const HetGraph edgeless = random_graph(rng, 9, 0, {});
+    for (const HetGraph* graph : {&g, &edgeless}) {
+      const HetGraphIndex index(*graph);
+      const Tensor x = Tensor::randn({index.num_nodes, dim}, rng, 0.6f);
+      const NoGradGuard no_grad;
+      const Tensor want = norm.forward(layer.forward_reference(x, index));
+      const Tensor got = layer.forward_fused(x, index, &norm);
+      EXPECT_LE(max_rel_diff(want, got), kTol) << "dim " << dim << " nodes " << index.num_nodes;
+    }
   }
 }
 

@@ -104,7 +104,7 @@ TEST(SuggestServer, ConcurrentSubmittersMatchPerSourceSuggest) {
   for (const auto& src : sources) expected.push_back(pipeline->suggest(src));
 
   SuggestServer::Options options;
-  options.max_batch_loops = 16;
+  options.max_batch_requests = 16;
   SuggestServer server(pipeline, options);
 
   // >= 8 concurrent submitters, each firing every source several times in a
@@ -141,7 +141,7 @@ TEST(SuggestServer, ConcurrentSubmittersMatchPerSourceSuggest) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.batched_requests, stats.submitted);
   EXPECT_GE(stats.mean_batch_size(), 1.0);
-  EXPECT_LE(stats.max_batch, options.max_batch_loops);
+  EXPECT_LE(stats.max_batch, options.max_batch_requests);
 }
 
 // ---- per-request error isolation --------------------------------------------
@@ -153,7 +153,7 @@ TEST(SuggestServer, ParseErrorCompletesOnlyThatFutureExceptionally) {
   const auto expected0 = pipeline->suggest(sources[0]);
 
   SuggestServer::Options options;
-  options.max_batch_loops = 8;
+  options.max_batch_requests = 8;
   SuggestServer server(pipeline, options);
 
   auto blocker = test_env::park_scheduler(server, sources[3]);
@@ -185,7 +185,7 @@ TEST(SuggestServer, LoneRequestIsServedWithoutWaiting) {
   // A count threshold far out of reach: there is no window to wait out, so
   // a lone request is popped and served at once as a batch of 1.
   SuggestServer::Options options;
-  options.max_batch_loops = 1000;
+  options.max_batch_requests = 1000;
   SuggestServer server(pipeline, options);
 
   const auto start = std::chrono::steady_clock::now();
@@ -205,7 +205,7 @@ TEST(SuggestServer, BatchIsCappedAtMaxBatchLoops) {
 
   // Six requests parked behind the blocker are popped as 4 + 2.
   SuggestServer::Options options;
-  options.max_batch_loops = 4;
+  options.max_batch_requests = 4;
   SuggestServer server(pipeline, options);
   auto blocker = test_env::park_scheduler(server, sources[0]);
   std::vector<std::future<std::vector<LoopSuggestion>>> futures;
@@ -232,7 +232,7 @@ TEST(SuggestServer, IdenticalInFlightSourcesAreDedupedOnceComputed) {
   // The whole burst parks behind the blocker and is popped as one batch, so
   // the scheduler sees every duplicate at once.
   SuggestServer::Options options;
-  options.max_batch_loops = 16;
+  options.max_batch_requests = 16;
   SuggestServer server(pipeline, options);
 
   auto blocker = test_env::park_scheduler(server, sources[2]);
@@ -267,7 +267,7 @@ TEST(SuggestServer, TrySubmitShedsLoadWhenQueueIsFull) {
   // A stalled scheduler parks requests in the queue, so the bound is
   // observable without timing games.
   SuggestServer::Options options;
-  options.max_batch_loops = 1000;
+  options.max_batch_requests = 1000;
   options.max_queue_depth = 2;
   // This test is about the hard queue bound, so the cache-only mode must
   // not fire first (it triggers at a fraction of this tiny bound).
@@ -302,7 +302,7 @@ TEST(SuggestServer, SubmitBlocksAtTheQueueBoundThenAdmits) {
   // Fill the queue to its bound behind a stalled scheduler. The stall
   // outlasts the submitter's 50 ms head start below by far.
   SuggestServer::Options options;
-  options.max_batch_loops = 1000;
+  options.max_batch_requests = 1000;
   options.max_queue_depth = 2;
   options.cache_only_at = 1.5;
   SuggestServer server(pipeline, options);
@@ -367,7 +367,7 @@ TEST(SuggestServer, ShutdownDrainsOutstandingFuturesAndRejectsNewWork) {
   std::vector<std::future<std::vector<LoopSuggestion>>> futures;
   {
     SuggestServer::Options options;
-    options.max_batch_loops = 4;
+    options.max_batch_requests = 4;
     SuggestServer server(pipeline, options);
     for (int round = 0; round < 5; ++round) {
       for (const auto& src : sources) futures.push_back(server.submit(src));
@@ -489,7 +489,7 @@ TEST(SuggestServer, ResourceExhaustedFailsOnlyTheOffendingSlot) {
   const auto expected1 = pipeline->suggest(sources[1]);
 
   SuggestServer::Options options;
-  options.max_batch_loops = 8;
+  options.max_batch_requests = 8;
   SuggestServer server(pipeline, options);
 
   auto blocker = test_env::park_scheduler(server, sources[3]);

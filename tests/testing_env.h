@@ -52,7 +52,7 @@ struct FailpointGuard {
 /// one batch without timing games: arms `scheduler.batch=delay(ms)` (every
 /// batch then sleeps `ms` before dispatch), submits `blocker`, and waits
 /// until the scheduler has popped it. Whatever is submitted next queues up
-/// behind the stalled batch and is popped together (up to max_batch_loops).
+/// behind the stalled batch and is popped together (up to max_batch_requests).
 /// Returns the blocker's future; the caller disarms (FailpointGuard).
 inline std::future<std::vector<LoopSuggestion>> park_scheduler(SuggestServer& server,
                                                                std::string blocker,
