@@ -257,10 +257,23 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index,
     throw std::invalid_argument("HgtLayer::forward: state shape mismatch");
   }
   const NoGradGuard no_grad;  // the fused path never tapes, even if entered directly
-  if (index.num_edges == 0) {  // residual path, as in the reference
-    return norm != nullptr ? norm->forward(x) : x;
-  }
   const auto& kern = backend::active();
+  if (index.num_edges == 0) {  // residual path, as in the reference
+    if (norm == nullptr) return x;
+    // The norm still goes through the projection epilogue — an empty
+    // product (k = 0) plus a zero bias plus x is exactly x — so a node's
+    // bits match what the epilogue gives it in a union that has edges.
+    const FloatVec zero_bias(static_cast<std::size_t>(dim_), 0.0f);
+    backend::RowEpilogue epilogue;
+    epilogue.bias = zero_bias.data();
+    epilogue.residual = x.data().data();
+    epilogue.ln_gamma = norm->gamma().data().data();
+    epilogue.ln_beta = norm->beta().data().data();
+    epilogue.ln_eps = norm->eps();
+    FloatVec y(static_cast<std::size_t>(n) * dim_);
+    kern.project(nullptr, nullptr, y.data(), n, 0, dim_, epilogue);
+    return make_result({n, dim_}, std::move(y), {}, nullptr);
+  }
   const auto fused = fused_weights();
 
   // Fused projection stage: per node type, one backend `project` call

@@ -95,7 +95,8 @@ struct Kernels {
   /// starting from zero, then `+ bias`, then `+ residual` (on the AVX2
   /// table bitwise what `gemm` followed by separate bias and residual
   /// passes gives), and every row is computed independently of which other
-  /// rows share the call, so a row's bits do not depend on `rows`.
+  /// rows share the call, so a row's bits do not depend on `rows`. k may be
+  /// 0: the product is then zero and `a` / `w_panels` are not read.
   void (*project)(const float* a, const float* w_panels, float* out, int rows, int k, int m,
                   const RowEpilogue& epilogue);
 

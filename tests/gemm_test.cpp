@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/rng.h"
@@ -220,50 +221,51 @@ TEST(Project, MatchesNaiveOnEveryBackendShapeAndEpilogue) {
   for (const auto& name : dispatchable_backends()) {
     const backend::Kernels* kern = backend::by_name(name);
     ASSERT_NE(kern, nullptr);
-    for (const int k : {32, 64}) {
-      for (const int m : {k, 3 * k, 24}) {
-        const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
-        const FloatVec panels = backend::pack_projection(w.data(), k, m);
-        const auto bias = random_values(rng, static_cast<std::size_t>(m));
-        const auto gamma = random_values(rng, static_cast<std::size_t>(m));
-        const auto beta = random_values(rng, static_cast<std::size_t>(m));
-        for (const int rows : row_counts) {
-          const auto a = random_values(rng, static_cast<std::size_t>(rows) * k);
-          const auto residual = random_values(rng, static_cast<std::size_t>(rows) * m);
-          for (const auto epi : {Epilogue::kBias, Epilogue::kBiasResidual,
-                                 Epilogue::kBiasResidualNorm}) {
-            const bool with_residual = epi != Epilogue::kBias;
-            const bool with_norm = epi == Epilogue::kBiasResidualNorm;
-            backend::RowEpilogue epilogue;
-            epilogue.bias = bias.data();
-            if (with_residual) epilogue.residual = residual.data();
-            if (with_norm) {
-              epilogue.ln_gamma = gamma.data();
-              epilogue.ln_beta = beta.data();
-            }
-            const auto want =
-                naive_project(a, w, rows, k, m, bias, with_residual ? &residual : nullptr,
-                              with_norm ? &gamma : nullptr, with_norm ? &beta : nullptr);
-            std::vector<float> got(static_cast<std::size_t>(rows) * m, 1e30f);
-            kern->project(a.data(), panels.data(), got.data(), rows, k, m, epilogue);
-            const std::string what = name + " project rows " + std::to_string(rows) + " k " +
-                                     std::to_string(k) + " m " + std::to_string(m) +
-                                     " epilogue " + std::to_string(static_cast<int>(epi));
-            // LayerNorm divides by the row's spread, which scales the
-            // GEMM's rounding: compare normalized rows a little looser.
-            EXPECT_LE(max_rel_diff(got, want), with_norm ? 1e-4 : kTol) << what;
-            // Row independence: each row alone gives the same bits.
-            for (int r = 0; r < rows; r += std::max(1, rows / 7)) {
-              backend::RowEpilogue one = epilogue;
-              if (with_residual) one.residual = residual.data() + static_cast<std::size_t>(r) * m;
-              std::vector<float> single(static_cast<std::size_t>(m), 1e30f);
-              kern->project(a.data() + static_cast<std::size_t>(r) * k, panels.data(),
-                            single.data(), 1, k, m, one);
-              for (int j = 0; j < m; ++j) {
-                ASSERT_EQ(single[static_cast<std::size_t>(j)],
-                          got[static_cast<std::size_t>(r) * m + j])
-                    << what << " row " << r << " col " << j;
-              }
+    // k = 0 is the empty product the encoder's edge-less residual path
+    // uses to reach the LayerNorm epilogue.
+    for (const auto& [k, m] : {std::pair{32, 32}, {32, 96}, {32, 24}, {64, 64}, {64, 192},
+                               {64, 24}, {0, 32}}) {
+      const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
+      const FloatVec panels = backend::pack_projection(w.data(), k, m);
+      const auto bias = random_values(rng, static_cast<std::size_t>(m));
+      const auto gamma = random_values(rng, static_cast<std::size_t>(m));
+      const auto beta = random_values(rng, static_cast<std::size_t>(m));
+      for (const int rows : row_counts) {
+        const auto a = random_values(rng, static_cast<std::size_t>(rows) * k);
+        const auto residual = random_values(rng, static_cast<std::size_t>(rows) * m);
+        for (const auto epi : {Epilogue::kBias, Epilogue::kBiasResidual,
+                               Epilogue::kBiasResidualNorm}) {
+          const bool with_residual = epi != Epilogue::kBias;
+          const bool with_norm = epi == Epilogue::kBiasResidualNorm;
+          backend::RowEpilogue epilogue;
+          epilogue.bias = bias.data();
+          if (with_residual) epilogue.residual = residual.data();
+          if (with_norm) {
+            epilogue.ln_gamma = gamma.data();
+            epilogue.ln_beta = beta.data();
+          }
+          const auto want =
+              naive_project(a, w, rows, k, m, bias, with_residual ? &residual : nullptr,
+                            with_norm ? &gamma : nullptr, with_norm ? &beta : nullptr);
+          std::vector<float> got(static_cast<std::size_t>(rows) * m, 1e30f);
+          kern->project(a.data(), panels.data(), got.data(), rows, k, m, epilogue);
+          const std::string what = name + " project rows " + std::to_string(rows) + " k " +
+                                   std::to_string(k) + " m " + std::to_string(m) +
+                                   " epilogue " + std::to_string(static_cast<int>(epi));
+          // LayerNorm divides by the row's spread, which scales the
+          // GEMM's rounding: compare normalized rows a little looser.
+          EXPECT_LE(max_rel_diff(got, want), with_norm ? 1e-4 : kTol) << what;
+          // Row independence: each row alone gives the same bits.
+          for (int r = 0; r < rows; r += std::max(1, rows / 7)) {
+            backend::RowEpilogue one = epilogue;
+            if (with_residual) one.residual = residual.data() + static_cast<std::size_t>(r) * m;
+            std::vector<float> single(static_cast<std::size_t>(m), 1e30f);
+            kern->project(a.data() + static_cast<std::size_t>(r) * k, panels.data(),
+                          single.data(), 1, k, m, one);
+            for (int j = 0; j < m; ++j) {
+              ASSERT_EQ(single[static_cast<std::size_t>(j)],
+                        got[static_cast<std::size_t>(r) * m + j])
+                  << what << " row " << r << " col " << j;
             }
           }
         }
