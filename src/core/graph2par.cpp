@@ -84,12 +84,12 @@ Tensor Graph2ParModel::encode(const BatchedGraph& batch) const {
 }
 
 Tensor Graph2ParModel::encode_tiled(std::span<const HetGraph* const> graphs,
-                                    std::size_t tile_nodes, ThreadPool& pool) const {
+                                    ThreadPool& pool) const {
   std::vector<std::size_t> tile_begin;  // first graph of each tile
   std::size_t nodes = 0;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     const std::size_t size = graphs[g]->nodes.size();
-    if (tile_begin.empty() || nodes + size > tile_nodes) {
+    if (tile_begin.empty() || nodes + size > kEncodeTileNodes) {
       tile_begin.push_back(g);
       nodes = 0;
     }

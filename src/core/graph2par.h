@@ -67,14 +67,14 @@ class Graph2ParModel : public Module {
 
   /// Pooled rows [graphs.size(), dim] for many graphs, in order. The graphs
   /// are cut into tiles of whole consecutive graphs holding at most
-  /// `tile_nodes` nodes (a larger graph is a tile of its own); each tile is
-  /// one disjoint union encoded on `pool`, whose threads — the caller among
-  /// them — claim tiles from one shared counter. Disjoint unions pool per
-  /// graph and every kernel computes a node's row independently of its
-  /// batch-mates, so the rows are bitwise the same for any `tile_nodes`.
-  /// Inference only: runs under NoGradGuard.
-  Tensor encode_tiled(std::span<const HetGraph* const> graphs, std::size_t tile_nodes,
-                      ThreadPool& pool) const;
+  /// kEncodeTileNodes nodes (a larger graph is a tile of its own); each
+  /// tile is one disjoint union encoded on `pool`, whose threads — the
+  /// caller among them — claim tiles from one shared counter. Disjoint
+  /// unions pool per graph and every kernel computes a node's row
+  /// independently of its batch-mates (edge-less graphs included), so the
+  /// rows are bitwise what one encode of the whole batch, or of each graph
+  /// alone, gives. Inference only: runs under NoGradGuard.
+  Tensor encode_tiled(std::span<const HetGraph* const> graphs, ThreadPool& pool) const;
 
   /// Single-graph convenience wrapper -> pooled [1, dim].
   Tensor encode(const HetGraph& graph) const;

@@ -286,7 +286,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   Tensor parallel_probs;
   std::array<std::vector<int>, 4> clause_preds;
   if (!graph_ptrs.empty()) {
-    const Tensor pooled = model_->encode_tiled(graph_ptrs, kEncodeTileNodes, pool);
+    const Tensor pooled = model_->encode_tiled(graph_ptrs, pool);
     parallel_probs = softmax_rows(model_->task_logits(pooled, PredictionTask::kParallel));
     for (int c = 0; c < 4; ++c) {
       clause_preds[static_cast<std::size_t>(c)] =

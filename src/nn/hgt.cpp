@@ -85,10 +85,6 @@ Tensor HgtLayer::forward_reference(const Tensor& x, const HetGraphIndex& index) 
   if (x.dim(0) != n || x.dim(1) != dim_) {
     throw std::invalid_argument("HgtLayer::forward: state shape mismatch");
   }
-  if (total_edges == 0) {
-    // Formula 5 degenerates to the residual path.
-    return x;
-  }
 
   const Tensor k_all = per_type_projection(x, index, k_lin_);
   const Tensor q_all = per_type_projection(x, index, q_lin_);
@@ -132,6 +128,10 @@ Tensor HgtLayer::forward_reference(const Tensor& x, const HetGraphIndex& index) 
   std::vector<Tensor> head_aggregates;
   head_aggregates.reserve(static_cast<std::size_t>(heads_));
   for (int h = 0; h < heads_; ++h) {
+    if (total_edges == 0) {  // no target has an incoming edge: H~ is all zero
+      head_aggregates.push_back(Tensor::zeros({n, head_dim_}));
+      continue;
+    }
     const Tensor logits_raw = reshape(concat_rows(logits_parts[static_cast<std::size_t>(h)]),
                                       {total_edges});  // concat = dst_concat order
     const Tensor logits = mul(scale(logits_raw, inv_sqrt_d), mu_per_edge);
@@ -258,22 +258,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index,
   }
   const NoGradGuard no_grad;  // the fused path never tapes, even if entered directly
   const auto& kern = backend::active();
-  if (index.num_edges == 0) {  // residual path, as in the reference
-    if (norm == nullptr) return x;
-    // The norm still goes through the projection epilogue — an empty
-    // product (k = 0) plus a zero bias plus x is exactly x — so a node's
-    // bits match what the epilogue gives it in a union that has edges.
-    const FloatVec zero_bias(static_cast<std::size_t>(dim_), 0.0f);
-    backend::RowEpilogue epilogue;
-    epilogue.bias = zero_bias.data();
-    epilogue.residual = x.data().data();
-    epilogue.ln_gamma = norm->gamma().data().data();
-    epilogue.ln_beta = norm->beta().data().data();
-    epilogue.ln_eps = norm->eps();
-    FloatVec y(static_cast<std::size_t>(n) * dim_);
-    kern.project(nullptr, nullptr, y.data(), n, 0, dim_, epilogue);
-    return make_result({n, dim_}, std::move(y), {}, nullptr);
-  }
   const auto fused = fused_weights();
 
   // Fused projection stage: per node type, one backend `project` call

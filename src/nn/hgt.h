@@ -38,8 +38,9 @@ class HgtLayer : public Module {
   /// `x`: [N, dim] node states in the index's *position* order (row p is
   /// node index.nodes_by_type[p]); the result is in position order too, so
   /// each node type's rows are one contiguous slice and stacked layers pass
-  /// states along without permuting. Nodes with no incoming edges keep
-  /// their residual state.
+  /// states along without permuting. A node with no incoming edges
+  /// aggregates nothing and gets A(σ(0)) + x — its type's A bias plus the
+  /// residual — whether or not other nodes of the union have edges.
   ///
   /// Routing: under grad (training) this is the taped reference
   /// implementation; in inference mode (NoGradGuard active) it is the fused

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <future>
 #include <latch>
-#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -302,11 +301,13 @@ TEST(BatchedEngine, IndexedForwardMatchesWrapperExactly) {
 }
 
 TEST(BatchedEngine, EncodeTiledPoolsBitwiseEqualForAnyTileBudget) {
-  // The serving path cuts a batch into node-budget tiles of whole graphs.
-  // One tile, one graph per tile and kEncodeTileNodes-sized tiles must pool
-  // every graph to the same bits: a node's numbers may not depend on its
-  // batch-mates. Graph sizes straddle the budget; an empty graph rides
-  // along (it pools to zeros wherever it lands).
+  // The serving path cuts a batch into kEncodeTileNodes-sized tiles of
+  // whole graphs. Those tiles, one tile holding the whole batch and one
+  // graph per tile must pool every graph to the same bits: a node's numbers
+  // may not depend on its batch-mates. Graph sizes straddle the budget; an
+  // empty graph rides along (it pools to zeros wherever it lands), and
+  // single-node graphs have no edges, so they are encoded alone as an
+  // edge-less union but share a tile with edges when batched.
   const Graph2ParModel& model = trained_pipeline().model();
   Rng rng(2601);
   std::vector<HetGraph> graphs;
@@ -314,27 +315,29 @@ TEST(BatchedEngine, EncodeTiledPoolsBitwiseEqualForAnyTileBudget) {
     graphs.push_back(make_graph(rng, static_cast<int>(rng.uniform_int(2, 160))));
   }
   graphs.insert(graphs.begin() + 7, HetGraph{});
+  for (const int at : {0, 12, 25}) graphs.insert(graphs.begin() + at, make_graph(rng, 1));
   graphs.push_back(make_graph(rng, 2 * static_cast<int>(kEncodeTileNodes)));  // over budget
   std::vector<const HetGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
 
   ThreadPool pool(4);
   const NoGradGuard no_grad;
-  const Tensor one_tile = model.encode_tiled(ptrs, std::numeric_limits<std::size_t>::max(), pool);
-  const Tensor per_graph = model.encode_tiled(ptrs, 0, pool);
-  const Tensor budgeted = model.encode_tiled(ptrs, kEncodeTileNodes, pool);
-  ASSERT_EQ(one_tile.shape(), (Shape{static_cast<int>(graphs.size()), model.config().dim}));
-  ASSERT_EQ(per_graph.shape(), one_tile.shape());
-  ASSERT_EQ(budgeted.shape(), one_tile.shape());
-  for (std::size_t i = 0; i < one_tile.numel(); ++i) {
-    const std::size_t g = i / static_cast<std::size_t>(model.config().dim);
-    ASSERT_EQ(per_graph.data()[i], one_tile.data()[i]) << "one graph per tile, graph " << g;
-    ASSERT_EQ(budgeted.data()[i], one_tile.data()[i]) << "budget-sized tiles, graph " << g;
+  const Tensor tiled = model.encode_tiled(ptrs, pool);
+  const Tensor one_tile = model.encode(batch_graphs(ptrs));
+  const int dim = model.config().dim;
+  ASSERT_EQ(tiled.shape(), (Shape{static_cast<int>(graphs.size()), dim}));
+  ASSERT_EQ(one_tile.shape(), tiled.shape());
+  for (std::size_t i = 0; i < tiled.numel(); ++i) {
+    ASSERT_EQ(tiled.data()[i], one_tile.data()[i])
+        << "budget-sized tiles vs one tile, graph " << i / static_cast<std::size_t>(dim);
   }
-  // And the tiled rows are what a plain batched encode gives.
-  const Tensor direct = model.encode(batch_graphs(ptrs));
-  for (std::size_t i = 0; i < one_tile.numel(); ++i) {
-    ASSERT_EQ(direct.data()[i], one_tile.data()[i]);
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const Tensor alone = model.encode(graphs[g]);
+    for (int j = 0; j < dim; ++j) {
+      ASSERT_EQ(alone.data()[static_cast<std::size_t>(j)],
+                tiled.data()[g * static_cast<std::size_t>(dim) + static_cast<std::size_t>(j)])
+          << "one graph per tile, graph " << g << " (" << graphs[g].nodes.size() << " nodes)";
+    }
   }
 }
 

@@ -94,15 +94,17 @@ TEST(HgtFused, RandomizedGraphsMatchReferenceAcrossHeads) {
 TEST(HgtFused, SingleNodeGraphs) {
   Rng rng(77);
   HgtLayer layer(16, 4, rng);
-  // No edges: both paths degenerate to the residual.
+  // Biases start at zero; move every parameter so the A bias shows.
+  for (Tensor p : layer.parameters()) {
+    for (auto& v : p.data()) v += static_cast<float>(rng.uniform(-0.2, 0.2));
+  }
+  // No edges: the node aggregates nothing, and both paths still run the
+  // A projection (A bias plus residual), as for an isolated node of a union
+  // that has edges.
   HetGraph isolated;
   isolated.add_node(HetNodeType::kLoop, 0, 0);
   const Tensor x = Tensor::randn({1, 16}, rng, 1.0f);
-  {
-    const NoGradGuard no_grad;
-    const Tensor out = layer.forward_fused(x, HetGraphIndex(isolated));
-    for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(out.data()[i], x.data()[i]);
-  }
+  expect_fused_matches_reference(layer, x, HetGraphIndex(isolated), "isolated node");
   // Self-loop: a real softmax over exactly one edge.
   HetGraph self_loop = isolated;
   self_loop.add_edge(0, 0, HetEdgeType::kCfgNext);
@@ -299,11 +301,15 @@ TEST(HgtFused, LayerNormEpilogueMatchesReferenceThenNorm) {
   // With a norm, the fused layer applies it in the A stage's row epilogue;
   // the oracle is the taped reference followed by the separate LayerNorm.
   // The norm's parameters are moved off their identity init so gamma and
-  // beta both matter, and the edge-less residual path is covered too.
+  // beta both matter, and an edge-less graph is covered too. The layer's
+  // parameters move as well, so its zero-initialized A bias shows.
   Rng rng(9001);
   for (const int dim : {16, 32}) {
     HgtLayer layer(dim, 4, rng);
     LayerNorm norm(dim);
+    for (Tensor p : layer.parameters()) {
+      for (auto& v : p.data()) v += static_cast<float>(rng.uniform(-0.2, 0.2));
+    }
     for (Tensor p : norm.parameters()) {
       for (auto& v : p.data()) v += static_cast<float>(rng.uniform(-0.5, 0.5));
     }
