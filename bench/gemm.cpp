@@ -1,5 +1,5 @@
 // Microbench: blocked/packed GEMM vs the legacy width-specialized matmul
-// kernels, single-thread and ThreadPool-parallel.
+// kernels, single-thread.
 //
 // Shapes are the serving projections of the HGT encoder: the fused
 // per-node-type K/Q/V GEMM ([N, dim]x[dim, 3*dim] at dim 32) and the
@@ -7,34 +7,27 @@
 // compute-bound square as the roofline reference. For each shape:
 //   * legacy  — Kernels::matmul on the active table (the pre-PR kernel)
 //   * gemm    — Kernels::gemm (blocked, packed, register-tiled)
-//   * mt      — backend::matmul_mt over a 4-worker ThreadPool
 // and a correctness gate against the scalar reference table.
 //
 // Fails (exit 1) if
-//   * any kernel diverges from the scalar reference beyond 1e-4 relative,
+//   * any kernel diverges from the scalar reference beyond 1e-4 relative, or
 //   * the headline single-thread speedup (gemm vs legacy at the
 //     [N, 64]x[64, 256] shape) misses the floor (default 2x,
-//     G2P_GEMM_FLOOR overrides — CI runners pin a lenient value), or
-//   * with >= 4 hardware threads, the 4-thread scaling (mt vs gemm) misses
-//     its floor (default 2.5x, G2P_GEMM_MT_FLOOR; on machines with fewer
-//     cores the scaling row is reported but not enforced — there is nothing
-//     to scale onto).
+//     G2P_GEMM_FLOOR overrides — CI runners pin a lenient value).
 //
 // Knobs: G2P_GEMM_REPS (timed repetitions, default 40), G2P_GEMM_FLOOR,
-// G2P_GEMM_MT_FLOOR, G2P_BACKEND, --json <path>.
+// G2P_BACKEND, --json <path>.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "support/rng.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 #include "tensor/backend.h"
 
 namespace {
@@ -65,13 +58,6 @@ int main(int argc, char** argv) {
   if (const char* s = std::getenv("G2P_GEMM_REPS")) reps = std::max(1, std::atoi(s));
   double floor = 2.0;
   if (const char* s = std::getenv("G2P_GEMM_FLOOR")) floor = std::atof(s);
-  double mt_floor = 2.5;
-  if (const char* s = std::getenv("G2P_GEMM_MT_FLOOR")) mt_floor = std::atof(s);
-  constexpr unsigned kMtThreads = 4;
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  // 4-way scaling needs 4 cores to scale onto; below that the row is
-  // informational (shared CI runners additionally pin lenient env floors).
-  const bool enforce_mt = hw_threads >= kMtThreads;
 
   struct Shape {
     const char* name;
@@ -85,15 +71,13 @@ int main(int argc, char** argv) {
   };
 
   const auto& kern = backend::active();
-  ThreadPool pool(kMtThreads);
 
   bench::JsonMetrics json;
   bench::set_common_header(json, "gemm");
   json.set("reps", reps);
-  json.set("mt_threads", static_cast<int>(kMtThreads));
 
   const auto time_best = [&](auto&& fn) {
-    fn();  // warmup (pack scratch, pool buffers)
+    fn();  // warmup (pack scratch)
     double best = 1e100;
     for (int r = 0; r < reps; ++r) {
       const auto start = Clock::now();
@@ -103,10 +87,9 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  TextTable table({"shape", "legacy (µs)", "gemm (µs)", "gemm GF/s", "speedup",
-                   "mt4 (µs)", "mt scaling"});
+  TextTable table({"shape", "legacy (µs)", "gemm (µs)", "gemm GF/s", "speedup"});
   bool ok = true;
-  double headline_speedup = 0.0, headline_scaling = 0.0;
+  double headline_speedup = 0.0;
   Rng rng(20230509);
   for (const auto& s : shapes) {
     std::vector<float> a(static_cast<std::size_t>(s.n) * s.k);
@@ -115,20 +98,16 @@ int main(int argc, char** argv) {
     for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     std::vector<float> out_legacy(static_cast<std::size_t>(s.n) * s.m);
     std::vector<float> out_gemm(out_legacy.size());
-    std::vector<float> out_mt(out_legacy.size());
     std::vector<float> out_ref(out_legacy.size());
 
     const double legacy_s = time_best(
         [&] { kern.matmul(a.data(), b.data(), out_legacy.data(), s.n, s.k, s.m); });
     const double gemm_s = time_best(
         [&] { kern.gemm(a.data(), b.data(), out_gemm.data(), s.n, s.k, s.m); });
-    const double mt_s = time_best([&] {
-      backend::matmul_mt(a.data(), b.data(), out_mt.data(), s.n, s.k, s.m, &pool);
-    });
 
     backend::scalar().gemm(a.data(), b.data(), out_ref.data(), s.n, s.k, s.m);
     const std::pair<const std::vector<float>*, const char*> checks[] = {
-        {&out_legacy, "legacy"}, {&out_gemm, "gemm"}, {&out_mt, "mt"}};
+        {&out_legacy, "legacy"}, {&out_gemm, "gemm"}};
     for (const auto& [out, what] : checks) {
       const double diff = max_rel_diff(*out, out_ref);
       if (diff > 1e-4) {
@@ -140,39 +119,23 @@ int main(int argc, char** argv) {
 
     const double flops = 2.0 * s.n * s.k * s.m;
     const double speedup = legacy_s / gemm_s;
-    const double scaling = gemm_s / mt_s;
     table.add_row({s.name, fmt_fixed(legacy_s * 1e6, 1), fmt_fixed(gemm_s * 1e6, 1),
-                   fmt_fixed(flops / gemm_s * 1e-9, 1), fmt_fixed(speedup, 2),
-                   fmt_fixed(mt_s * 1e6, 1), fmt_fixed(scaling, 2)});
+                   fmt_fixed(flops / gemm_s * 1e-9, 1), fmt_fixed(speedup, 2)});
     json.set(std::string(s.name) + "_legacy_us", legacy_s * 1e6);
     json.set(std::string(s.name) + "_gemm_us", gemm_s * 1e6);
     json.set(std::string(s.name) + "_gemm_gflops", flops / gemm_s * 1e-9);
     json.set(std::string(s.name) + "_speedup", speedup);
-    json.set(std::string(s.name) + "_mt_us", mt_s * 1e6);
-    json.set(std::string(s.name) + "_mt_scaling", scaling);
-    if (s.headline) {
-      headline_speedup = speedup;
-      headline_scaling = scaling;
-    }
+    if (s.headline) headline_speedup = speedup;
   }
 
   std::printf("%s", table.render().c_str());
-  std::printf("backend: %s | gemm speedup: %.2fx (floor %.2fx) | mt4 scaling: %.2fx "
-              "(floor %.2fx, %s: %u hw threads)\n",
-              backend::active_name(), headline_speedup, floor, headline_scaling, mt_floor,
-              enforce_mt ? "enforced" : "not enforced", hw_threads);
+  std::printf("backend: %s | gemm speedup: %.2fx (floor %.2fx)\n", backend::active_name(),
+              headline_speedup, floor);
   json.set("speedup", headline_speedup);
   json.set("floor", floor);
-  json.set("mt_scaling", headline_scaling);
-  json.set("mt_floor", mt_floor);
-  json.set("mt_enforced", enforce_mt);
 
   if (headline_speedup < floor) {
     std::printf("FAIL: gemm speedup %.2fx below the %.2fx floor\n", headline_speedup, floor);
-    ok = false;
-  }
-  if (enforce_mt && headline_scaling < mt_floor) {
-    std::printf("FAIL: mt scaling %.2fx below the %.2fx floor\n", headline_scaling, mt_floor);
     ok = false;
   }
   json.set("pass", ok);

@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "support/thread_pool.h"
 #include "tensor/fastmath.h"
 #include "tensor/gemm_blocked.h"
 
@@ -200,25 +199,6 @@ void scalar_gemm(const float* a, const float* b, float* out, int n, int k, int m
 // Scalar projection kernel (pack_projection layout, fused row epilogue)
 // ---------------------------------------------------------------------------
 
-/// LayerNorm of one row in place: sequential mean and variance, exactly
-/// ops.cpp's layer_norm arithmetic.
-void scalar_layer_norm_row(float* row, int m, const RowEpilogue& epi) {
-  float mean = 0.0f;
-  for (int j = 0; j < m; ++j) mean += row[j];
-  mean /= static_cast<float>(m);
-  float var = 0.0f;
-  for (int j = 0; j < m; ++j) {
-    const float c = row[j] - mean;
-    var += c * c;
-  }
-  var /= static_cast<float>(m);
-  const float istd = 1.0f / std::sqrt(var + epi.ln_eps);
-  for (int j = 0; j < m; ++j) {
-    const float y = (row[j] - mean) * istd;
-    row[j] = y * epi.ln_gamma[j] + epi.ln_beta[j];
-  }
-}
-
 void scalar_project(const float* a, const float* w_panels, float* out, int rows, int k, int m,
                     const RowEpilogue& epi) {
   constexpr int P = kProjectPanel;
@@ -244,7 +224,13 @@ void scalar_project(const float* a, const float* w_panels, float* out, int rows,
         orow[col + c] = v;
       }
     }
-    if (epi.ln_gamma != nullptr) scalar_layer_norm_row(orow, m, epi);
+    if (epi.ln_gamma != nullptr) {
+      const auto [mean, istd] = row_moments(orow, m, epi.ln_eps);
+      for (int j = 0; j < m; ++j) {
+        const float y = (orow[j] - mean) * istd;
+        orow[j] = y * epi.ln_gamma[j] + epi.ln_beta[j];
+      }
+    }
   }
 }
 
@@ -536,17 +522,20 @@ bool gemm_profitable(int n, int k, int m) {
          (1u << 15);
 }
 
-/// Row panels a threaded GEMM over `n` rows fans out to on `pool`: one per
-/// pool thread (the caller runs one too), but each at least kMinRowsPerChunk
-/// rows — below that the per-chunk B re-pack and hand-off outweigh the
-/// parallelism. 0 or 1 means run inline.
-std::size_t row_panels(int n, const ThreadPool* pool) {
-  constexpr int kMinRowsPerChunk = 64;
-  const std::size_t workers = pool != nullptr ? pool->size() : 1;
-  return std::min<std::size_t>(workers, static_cast<std::size_t>(n) / kMinRowsPerChunk);
-}
-
 }  // namespace
+
+RowMoments row_moments(const float* row, int m, float eps) {
+  float mean = 0.0f;
+  for (int j = 0; j < m; ++j) mean += row[j];
+  mean /= static_cast<float>(m);
+  float var = 0.0f;
+  for (int j = 0; j < m; ++j) {
+    const float c = row[j] - mean;
+    var += c * c;
+  }
+  var /= static_cast<float>(m);
+  return {mean, 1.0f / std::sqrt(var + eps)};
+}
 
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m) {
   const Kernels& kern = active();
@@ -555,31 +544,6 @@ void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m
   } else {
     kern.matmul(a, b, out, n, k, m);
   }
-}
-
-void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
-               ThreadPool* pool) {
-  const std::size_t chunks = row_panels(n, pool);
-  if (chunks <= 1) {
-    matmul_auto(a, b, out, n, k, m);
-    return;
-  }
-  // Pick the kernel once, on the FULL shape: re-running the heuristic on
-  // each chunk's smaller n could route chunks to the other kernel, whose
-  // rounding differs in the last ulps — breaking the bitwise
-  // single-vs-threaded guarantee.
-  const Kernels& kern = active();
-  const auto kernel = gemm_profitable(n, k, m) ? kern.gemm : kern.matmul;
-  const std::size_t per_chunk =
-      (static_cast<std::size_t>(n) + chunks - 1) / chunks;
-  pool->parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * per_chunk;
-    if (begin >= static_cast<std::size_t>(n)) return;
-    const std::size_t rows =
-        std::min(per_chunk, static_cast<std::size_t>(n) - begin);
-    kernel(a + begin * static_cast<std::size_t>(k), b,
-           out + begin * static_cast<std::size_t>(m), static_cast<int>(rows), k, m);
-  });
 }
 
 }  // namespace g2p::backend

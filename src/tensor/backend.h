@@ -19,11 +19,10 @@
 // compare across backends use tolerances, never bitwise equality). Within
 // one backend, results are deterministic.
 //
-// GEMM routing is a function of the shape and the pool alone: matmul_auto
-// picks the blocked `gemm` or the legacy `matmul` kernels from the product's
-// shape, and matmul_mt fans row panels out over at most the pool's width (a
-// one-thread pool pins it to the calling thread). The encoder calls neither:
-// it parallelizes over node-budget tiles of whole graphs instead.
+// GEMM routing is a function of the shape alone: matmul_auto picks the
+// blocked `gemm` or the legacy `matmul` kernels from the product's shape.
+// The backend runs on the calling thread; the encoder parallelizes over
+// node-budget tiles of whole graphs instead.
 //
 // Environment (every G2P_* runtime knob is documented in docs/tuning.md):
 //   G2P_BACKEND = auto (default) | scalar | avx2 | neon
@@ -39,10 +38,6 @@
 #include <string_view>
 
 #include "tensor/tensor.h"
-
-namespace g2p {
-class ThreadPool;
-}
 
 namespace g2p::backend {
 
@@ -67,6 +62,16 @@ struct RowEpilogue {
   const float* ln_beta = nullptr;
   float ln_eps = 1e-5f;
 };
+
+/// Mean and 1 / sqrt(variance + eps) of one row of `m` floats, both sums
+/// sequential in column order: the scalar LayerNorm reduction. ops.h's
+/// layer_norm and the scalar `project` epilogue both call it, so the two
+/// normalize a row to the same bits.
+struct RowMoments {
+  float mean;
+  float istd;
+};
+RowMoments row_moments(const float* row, int m, float eps);
 
 /// One backend's kernel table. All pointers are always non-null.
 struct Kernels {
@@ -181,16 +186,5 @@ const Kernels* by_name(std::string_view name);
 /// (narrow head matrices and small products). This is what the autograd
 /// forward kernels (ops.cpp) call.
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m);
-
-/// Multithreaded matmul: splits the row dimension into at most `pool->size()`
-/// panels and runs the active table's kernel on them with parallel_for, the
-/// calling thread taking panels too. Output is identical to the
-/// single-thread kernel — row panels don't change any element's reduction
-/// order. Null pool, a single-thread pool, or tiny n degrade to one inline
-/// matmul_auto call. Re-entrancy-safe: called from inside another
-/// parallel_for body on `pool` (a worker or the participating caller), the
-/// panels run inline, so nested use under a parallel encode is harmless.
-void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
-               ThreadPool* pool);
 
 }  // namespace g2p::backend

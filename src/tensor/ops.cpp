@@ -858,16 +858,7 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta, floa
   FloatVec out(x.numel());
   for (int i = 0; i < n; ++i) {
     const std::size_t row = static_cast<std::size_t>(i) * d;
-    float mean = 0.0f;
-    for (int j = 0; j < d; ++j) mean += x.data()[row + j];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int j = 0; j < d; ++j) {
-      const float c = x.data()[row + j] - mean;
-      var += c * c;
-    }
-    var /= static_cast<float>(d);
-    const float istd = 1.0f / std::sqrt(var + eps);
+    const auto [mean, istd] = backend::row_moments(x.data().data() + row, d, eps);
     if (taped) (*inv_std)[static_cast<std::size_t>(i)] = istd;
     for (int j = 0; j < d; ++j) {
       const float y = (x.data()[row + j] - mean) * istd;

@@ -1,16 +1,13 @@
-// Blocked/packed/threaded GEMM vs the scalar reference semantics.
+// Blocked/packed GEMM vs the scalar reference semantics.
 //
 // Kernels::gemm must agree with a naive ascending-k triple loop on every
 // shape — including the ragged edges the blocking logic can mishandle
 // (n = 0, k = 0/1, odd m, partial MR/NR tiles, KC-crossing depths) — on
-// every backend table this machine can dispatch to. matmul_mt must agree
-// with the single-thread kernel (row panels never change an element's
-// reduction order) including when invoked from one of the pool's own
-// workers (the re-entrancy case), and matmul_auto must match whichever
-// kernel it routes to. Kernels::project (the encoder's per-type projection
-// with its bias / residual / LayerNorm row epilogue) must match a naive
-// reference on every table and compute each row independently of the
-// others in its call.
+// every backend table this machine can dispatch to, and matmul_auto must
+// match whichever kernel it routes to. Kernels::project (the encoder's
+// per-type projection with its bias / residual / LayerNorm row epilogue)
+// must match a naive reference on every table and compute each row
+// independently of the others in its call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +18,6 @@
 #include <vector>
 
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "tensor/backend.h"
 #include "tensor/tensor.h"
 
@@ -130,54 +126,6 @@ TEST(Gemm, MatmulAutoMatchesNaive) {
   ASSERT_TRUE(backend::set_active(entry_backend));
 }
 
-TEST(Gemm, ThreadedMatchesSingleThread) {
-  Rng rng(99);
-  ThreadPool pool(3);
-  // Shapes above and below the per-chunk minimum: small ones degrade to the
-  // inline single-thread call, large ones actually fan out.
-  const GemmShape shapes[] = {{5, 8, 16}, {200, 32, 96}, {1024, 64, 256}, {257, 16, 40}};
-  for (const auto& s : shapes) {
-    const auto a = random_values(rng, static_cast<std::size_t>(s.n) * s.k);
-    const auto b = random_values(rng, static_cast<std::size_t>(s.k) * s.m);
-    std::vector<float> single(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-    backend::matmul_auto(a.data(), b.data(), single.data(), s.n, s.k, s.m);
-    std::vector<float> threaded(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-    backend::matmul_mt(a.data(), b.data(), threaded.data(), s.n, s.k, s.m, &pool);
-    // Row panels shift no element's reduction order: bitwise equality.
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      ASSERT_EQ(threaded[i], single[i])
-          << "row-panel split changed element " << i << " of [" << s.n << "," << s.k
-          << "]x[" << s.k << "," << s.m << "]";
-    }
-    // Null pool degrades to the inline call.
-    std::vector<float> no_pool(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-    backend::matmul_mt(a.data(), b.data(), no_pool.data(), s.n, s.k, s.m, nullptr);
-    for (std::size_t i = 0; i < single.size(); ++i) ASSERT_EQ(no_pool[i], single[i]);
-  }
-}
-
-TEST(Gemm, ThreadedIsReentrantUnderParallelFor) {
-  Rng rng(1234);
-  ThreadPool pool(3);
-  const int n = 300, k = 32, m = 96;
-  const auto a = random_values(rng, static_cast<std::size_t>(n) * k);
-  const auto b = random_values(rng, static_cast<std::size_t>(k) * m);
-  std::vector<float> single(static_cast<std::size_t>(n) * m);
-  backend::matmul_auto(a.data(), b.data(), single.data(), n, k, m);
-
-  // matmul_mt from the pool's own workers (a caller already inside a
-  // parallel_for on that same pool) must run inline, not deadlock.
-  constexpr int kConcurrent = 6;
-  std::vector<std::vector<float>> outs(
-      kConcurrent, std::vector<float>(static_cast<std::size_t>(n) * m, 1e30f));
-  pool.parallel_for(kConcurrent, [&](std::size_t i) {
-    backend::matmul_mt(a.data(), b.data(), outs[i].data(), n, k, m, &pool);
-  });
-  for (const auto& out : outs) {
-    for (std::size_t i = 0; i < single.size(); ++i) ASSERT_EQ(out[i], single[i]);
-  }
-}
-
 /// Naive projection epilogue on top of naive_matmul: + bias, + residual,
 /// then LayerNorm (two-pass mean / variance in double) when gamma is given.
 std::vector<float> naive_project(const std::vector<float>& a, const std::vector<float>& w,
@@ -221,10 +169,8 @@ TEST(Project, MatchesNaiveOnEveryBackendShapeAndEpilogue) {
   for (const auto& name : dispatchable_backends()) {
     const backend::Kernels* kern = backend::by_name(name);
     ASSERT_NE(kern, nullptr);
-    // k = 0 is the empty product the encoder's edge-less residual path
-    // uses to reach the LayerNorm epilogue.
     for (const auto& [k, m] : {std::pair{32, 32}, {32, 96}, {32, 24}, {64, 64}, {64, 192},
-                               {64, 24}, {0, 32}}) {
+                               {64, 24}}) {
       const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
       const FloatVec panels = backend::pack_projection(w.data(), k, m);
       const auto bias = random_values(rng, static_cast<std::size_t>(m));
