@@ -8,19 +8,23 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <thread>
 
 #include "core/graph2par.h"
+#include "core/pipeline.h"
 #include "core/pragformer.h"
 #include "tensor/backend.h"
 #include "dataset/generator.h"
@@ -121,6 +125,72 @@ inline PragFormerModel train_pragformer(const Data& data, const BenchEnv& env,
 
 inline std::string pct(double v) { return fmt_fixed(v, 2); }
 
+using Clock = std::chrono::steady_clock;
+
+inline double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The small serving pipeline the serving benches measure: the bench's
+/// corpus at a scale of at least 0.01, trained for at most two epochs.
+inline Pipeline train_serving_pipeline(const BenchEnv& env) {
+  Pipeline::Options options;
+  options.corpus = env.generator_config();
+  options.corpus.scale = std::max(env.scale, 0.01);
+  options.train.epochs = std::min(env.epochs, 2);
+  options.train.seed = env.seed;
+  std::printf("training pipeline (scale %.3f, %d epochs)...\n", options.corpus.scale,
+              options.train.epochs);
+  return Pipeline::train(options);
+}
+
+/// The first `count` distinct whole files of a corpus generated at `scale`
+/// from seed + 1, so the model trained on none of them; several loop
+/// samples can come from one file, hence the dedup by text. Exits with a
+/// FAIL line when the corpus holds fewer distinct files.
+inline std::vector<std::string> fresh_sources(const BenchEnv& env, std::size_t count,
+                                              double scale) {
+  GeneratorConfig fresh = env.generator_config();
+  fresh.scale = scale;
+  fresh.seed = env.seed + 1;
+  const Corpus corpus = CorpusGenerator(fresh).generate();
+  std::vector<std::string> sources;
+  std::set<std::string_view> seen;
+  for (const auto& sample : corpus.samples) {
+    if (seen.insert(sample.file_source).second) sources.push_back(sample.file_source);
+    if (sources.size() == count) break;
+  }
+  if (sources.size() < count) {
+    std::printf("FAIL: only %zu distinct files generated (need %zu); raise G2P_SCALE\n",
+                sources.size(), count);
+    std::exit(1);
+  }
+  return sources;
+}
+
+/// Suggestion-for-suggestion comparison of served output against a
+/// reference: a differing loop count, parallel flag, category or pragma is
+/// a mismatch, and confidences may drift by at most the caller's tolerance.
+struct Equivalence {
+  std::size_t mismatches = 0;
+  double max_conf_delta = 0.0;
+
+  void compare(const std::vector<LoopSuggestion>& got, const std::vector<LoopSuggestion>& want) {
+    if (got.size() != want.size()) {
+      ++mismatches;
+      return;
+    }
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      max_conf_delta = std::max(max_conf_delta, std::fabs(got[k].confidence - want[k].confidence));
+      if (got[k].parallel != want[k].parallel || got[k].category != want[k].category ||
+          got[k].suggested_pragma != want[k].suggested_pragma) {
+        ++mismatches;
+      }
+    }
+  }
+  bool holds(double tolerance) const { return mismatches == 0 && max_conf_delta <= tolerance; }
+};
+
 /// Machine-readable bench results: an insertion-ordered flat JSON object.
 /// Every bench binary accepts `--json <path>`; when given, it writes its
 /// headline metrics here so the perf trajectory can be tracked across PRs
@@ -179,15 +249,17 @@ class JsonMetrics {
 /// the run came from (working-tree HEAD at run time; "unknown" outside a
 /// checkout). One shared shape means the checked-in BENCH_*.json baselines
 /// can be joined/diffed by tooling without per-bench cases — call this
-/// before any bench-specific keys.
-inline void set_common_header(JsonMetrics& json, const char* bench_name) {
+/// before any bench-specific keys. `failpoints` defaults to the schedule
+/// armed now; a bench that arms one only for a phase passes that schedule.
+inline void set_common_header(JsonMetrics& json, const char* bench_name,
+                              const std::string& failpoints = failpoint::active_spec()) {
   json.set("bench", bench_name);
   json.set("backend", backend::active_name());
   json.set("hw_threads", static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   // Resolved fault-injection schedule (normalized spec; "" when disarmed).
   // Numbers measured under injection must never masquerade as clean
-  // baselines, so every bench stamps this, not just bench_chaos.
-  json.set("failpoints", failpoint::active_spec());
+  // baselines, so every bench stamps this.
+  json.set("failpoints", failpoints);
   std::string rev = "unknown";
   if (FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
     char buf[64];

@@ -27,8 +27,6 @@
 // G2P_FRONTEND_REPS (default 10), G2P_FRONTEND_FLOOR, G2P_CACHE_FLOOR,
 // G2P_CACHE_ROUNDS (default 10).
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -46,16 +44,13 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using g2p::bench::Clock;
+using g2p::bench::seconds_since;
 
 // The frontend corpus shape and the pre-arena us/KB baseline measured at
 // exactly that shape.
 constexpr double kFrontendScale = 0.05;
 constexpr double kBaselineUsPerKb = 120.6;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 double env_double(const char* name, double fallback) {
   const char* value = std::getenv(name);
@@ -146,14 +141,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- 2. cached end-to-end suggest on a 90%-repeat stream -----------------
-  Pipeline::Options options;
-  options.corpus = env.generator_config();
-  options.corpus.scale = std::max(env.scale, 0.01);
-  options.train.epochs = std::min(env.epochs, 2);
-  options.train.seed = env.seed;
-  std::printf("\ntraining pipeline (scale %.3f, %d epochs)...\n", options.corpus.scale,
-              options.train.epochs);
-  Pipeline pipeline = Pipeline::train(options);
+  std::printf("\n");
+  Pipeline pipeline = bench::train_serving_pipeline(env);
 
   GeneratorConfig fresh = env.generator_config();
   fresh.scale = std::max(env.scale * 2.0, 0.04);
@@ -207,23 +196,8 @@ int main(int argc, char** argv) {
   const double cached_s = seconds_since(start);
   const auto cache_stats = pipeline.cache_stats();
 
-  double max_conf_delta = 0.0;
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    if (served[i].size() != expected[i].size()) {
-      ++mismatches;
-      continue;
-    }
-    for (std::size_t k = 0; k < expected[i].size(); ++k) {
-      max_conf_delta =
-          std::max(max_conf_delta, std::fabs(served[i][k].confidence - expected[i][k].confidence));
-      if (served[i][k].parallel != expected[i][k].parallel ||
-          served[i][k].category != expected[i][k].category ||
-          served[i][k].suggested_pragma != expected[i][k].suggested_pragma) {
-        ++mismatches;
-      }
-    }
-  }
+  bench::Equivalence eq;
+  for (std::size_t i = 0; i < num_requests; ++i) eq.compare(served[i], expected[i]);
 
   const double cache_speedup = uncached_s / cached_s;
   const double cache_floor = env_double("G2P_CACHE_FLOOR", 5.0);
@@ -244,8 +218,8 @@ int main(int argc, char** argv) {
                   (1024.0 * 1024.0));
   std::printf("cached suggest speedup: %.2fx (floor %.2fx)   max |Δconfidence|: %.2e   "
               "mismatches: %zu\n",
-              cache_speedup, cache_floor, max_conf_delta, mismatches);
-  if (mismatches != 0 || max_conf_delta > 1e-6) {
+              cache_speedup, cache_floor, eq.max_conf_delta, eq.mismatches);
+  if (!eq.holds(1e-6)) {
     std::printf("FAIL: cached outputs are not equivalent to uncached outputs\n");
     ok = false;
   }
@@ -273,8 +247,8 @@ int main(int argc, char** argv) {
   json.set("cache_hit_rate", cache_stats.hit_rate());
   json.set("cache_frontend_saved_ms",
            static_cast<double>(cache_stats.frontend_saved_ns) / 1e6);
-  json.set("max_conf_delta", max_conf_delta);
-  json.set("mismatches", static_cast<std::int64_t>(mismatches));
+  json.set("max_conf_delta", eq.max_conf_delta);
+  json.set("mismatches", static_cast<std::int64_t>(eq.mismatches));
   json.set("pass", ok);
   if (!json.write(json_path)) {
     std::printf("FAIL: could not write %s\n", json_path.c_str());

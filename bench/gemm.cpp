@@ -18,7 +18,6 @@
 // Knobs: G2P_GEMM_REPS (timed repetitions, default 40), G2P_GEMM_FLOOR,
 // G2P_BACKEND, --json <path>.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,11 +31,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using g2p::bench::Clock;
+using g2p::bench::seconds_since;
 
 double max_rel_diff(const std::vector<float>& a, const std::vector<float>& b) {
   double worst = 0.0;

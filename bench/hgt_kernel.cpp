@@ -19,7 +19,6 @@
 // repetitions, default 30; CI smoke runs use a handful), G2P_HGT_FLOOR,
 // G2P_BACKEND (kernel dispatch), --json <path> for machine-readable output.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -34,11 +33,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using g2p::bench::Clock;
+using g2p::bench::seconds_since;
 
 double max_rel_diff(const g2p::Tensor& a, const g2p::Tensor& b) {
   double worst = 0.0;

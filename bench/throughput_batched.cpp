@@ -17,12 +17,9 @@
 //
 // Knobs: G2P_SCALE / G2P_EPOCHS / G2P_SEED as in bench_common.h.
 #include <algorithm>
-#include <chrono>
-#include <functional>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -30,55 +27,24 @@
 
 #include "bench_common.h"
 #include "core/pipeline.h"
-#include "dataset/generator.h"
 #include "support/table.h"
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace g2p;
+  using bench::Clock;
+  using bench::seconds_since;
   const auto env = bench::BenchEnv::from_env();
   const std::string json_path = bench::json_path_from_args(argc, argv);
 
-  Pipeline::Options options;
-  options.corpus = env.generator_config();
-  options.corpus.scale = std::max(env.scale, 0.01);
-  options.train.epochs = std::min(env.epochs, 2);
-  options.train.seed = env.seed;
-  std::printf("training pipeline (scale %.3f, %d epochs)...\n", options.corpus.scale,
-              options.train.epochs);
-  Pipeline pipeline = Pipeline::train(options);
+  Pipeline pipeline = bench::train_serving_pipeline(env);
   // This bench gates the batching machinery (parallel frontend, tiled
   // encode, assembly). The content-addressed serving cache would turn every
   // measured repetition into a lookup in BOTH modes, so it is disabled here;
   // bench_frontend gates the cache path with its own floors.
   pipeline.set_cache_bytes(0);
 
-  // A fresh corpus seed yields files the model has not trained on; dedup by
-  // text since several loop samples can come from one file.
-  GeneratorConfig fresh = env.generator_config();
-  fresh.scale = std::max(env.scale * 3.0, 0.06);
-  fresh.seed = env.seed + 1;
-  const Corpus corpus = CorpusGenerator(fresh).generate();
-  std::vector<std::string> sources;
-  std::set<std::string_view> seen;
-  for (const auto& sample : corpus.samples) {
-    if (seen.insert(sample.file_source).second) sources.push_back(sample.file_source);
-    if (sources.size() == 128) break;
-  }
-  if (sources.size() < 128) {
-    std::printf("FAIL: only %zu distinct files generated (need 128); raise G2P_SCALE\n",
-                sources.size());
-    return 1;
-  }
+  const std::vector<std::string> sources =
+      bench::fresh_sources(env, 128, std::max(env.scale * 3.0, 0.06));
   std::vector<std::string_view> views(sources.begin(), sources.end());
 
   // Steady-state measurement: each serving mode runs once as warmup (page
@@ -141,26 +107,11 @@ int main(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
 
   // ---- equivalence: batched output must match sequential -------------------
-  double max_conf_delta = 0.0;
-  std::size_t mismatches = 0;
-  for (std::size_t s = 0; s < sequential.size(); ++s) {
-    if (full_batch_out[s].size() != sequential[s].size()) {
-      ++mismatches;
-      continue;
-    }
-    for (std::size_t i = 0; i < sequential[s].size(); ++i) {
-      const auto& a = sequential[s][i];
-      const auto& b = full_batch_out[s][i];
-      max_conf_delta = std::max(max_conf_delta, std::fabs(a.confidence - b.confidence));
-      if (a.parallel != b.parallel || a.category != b.category ||
-          a.suggested_pragma != b.suggested_pragma) {
-        ++mismatches;
-      }
-    }
-  }
+  bench::Equivalence eq;
+  for (std::size_t s = 0; s < sequential.size(); ++s) eq.compare(full_batch_out[s], sequential[s]);
   const double speedup = seq_time / full_batch_time;
   std::printf("loops served: %zu   max |Δconfidence|: %.2e   mismatches: %zu\n", num_loops,
-              max_conf_delta, mismatches);
+              eq.max_conf_delta, eq.mismatches);
 
   // The pipeline's worker pool parallelizes the frontend, the encode
   // tiles, and the suggestion assembly; on a single hardware thread
@@ -177,7 +128,7 @@ int main(int argc, char** argv) {
               speedup, floor, hw, hw == 1 ? "" : "s");
 
   bool ok = true;
-  if (mismatches != 0 || max_conf_delta > 1e-5) {
+  if (!eq.holds(1e-5)) {
     std::printf("FAIL: batched outputs are not equivalent to sequential outputs\n");
     ok = false;
   }
@@ -195,8 +146,8 @@ int main(int argc, char** argv) {
   json.set("loops_per_sec_batch128", static_cast<double>(num_loops) / full_batch_time);
   json.set("speedup", speedup);
   json.set("floor", floor);
-  json.set("max_conf_delta", max_conf_delta);
-  json.set("mismatches", static_cast<std::int64_t>(mismatches));
+  json.set("max_conf_delta", eq.max_conf_delta);
+  json.set("mismatches", static_cast<std::int64_t>(eq.mismatches));
   json.set("pass", ok);
   if (!json.write(json_path)) {
     std::printf("FAIL: could not write %s\n", json_path.c_str());

@@ -181,14 +181,33 @@ TEST(Hgt, ForwardShapeAndFiniteness) {
   for (float v : y.data()) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(Hgt, EmptyGraphIsResidual) {
+// A node with no incoming edges aggregates nothing, so its row is
+// A(GELU(0)) + b_A + x = x + b_A exactly (GELU(0) = 0). Linear biases start
+// at zero, so every bias is first set to its own non-zero values; the taped
+// and the fused path must both add exactly the node type's A bias.
+TEST(Hgt, EdgelessNodeIsResidualPlusABias) {
   Rng rng(12);
   HgtLayer layer(8, 2, rng);
+  std::vector<Tensor> params = layer.parameters();
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    if (params[p].shape().size() != 1) continue;
+    auto& bias = params[p].data();
+    for (std::size_t j = 0; j < bias.size(); ++j) bias[j] = 0.01f * static_cast<float>(p + j + 1);
+  }
+  // Parameters register per node type as K, Q, V, A, each weight then bias.
+  const Tensor a_bias = params[8 * static_cast<std::size_t>(HetNodeType::kLoop) + 7];
+  ASSERT_EQ(a_bias.shape(), (Shape{8}));
   HetGraph g;
   g.add_node(HetNodeType::kLoop, 0, 0);
-  auto x = Tensor::randn({1, 8}, rng);
-  auto y = layer.forward(x, g);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y.data()[i], x.data()[i]);
+  const auto x = Tensor::randn({1, 8}, rng);
+  const auto expect_residual_plus_bias = [&](const Tensor& y) {
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      EXPECT_EQ(y.data()[i], x.data()[i] + a_bias.data()[i]) << "column " << i;
+    }
+  };
+  expect_residual_plus_bias(layer.forward(x, g));
+  NoGradGuard no_grad;
+  expect_residual_plus_bias(layer.forward(x, g));
 }
 
 TEST(Hgt, GradientsFlowToAllParameterGroups) {
