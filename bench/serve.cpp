@@ -23,9 +23,10 @@
 //             slack keeps sub-millisecond baselines from gating on scheduler
 //             noise).
 //   chaos     clean at 1x with three retries, under the fault schedule of
-//             G2P_FAILPOINTS or else kDefaultSchedule. Gate: availability of
-//             the requests cache-only mode did not shed >= G2P_CHAOS_FLOOR
-//             (default 0.99).
+//             G2P_FAILPOINTS or else kDefaultSchedule. Gate: clean
+//             availability (completed / clean requests, the poison phase's
+//             formula, so a request cache-only mode sheds counts as a
+//             failure) >= G2P_CHAOS_FLOOR (default 0.99).
 //
 // The fault schedule is held back until the chaos phase: it is armed with
 // failpoint::configure for that phase alone and disarmed after it, so
@@ -457,12 +458,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- chaos: availability under the fault schedule ------------------------
-  // Of the requests cache-only mode did not shed, how many produced a value
-  // (a shed request is deliberate load-shedding, not a failure).
   const PhaseResult& chaos = results[kChaos];
-  const std::size_t not_shed = chaos.clean - std::min<std::size_t>(chaos.clean, chaos.stats.shed);
-  const double availability =
-      not_shed == 0 ? 0.0 : static_cast<double>(chaos.completed) / static_cast<double>(not_shed);
+  const double availability = chaos.clean_availability();
   for (const auto& site : site_counters) {
     std::printf("chaos: site %-18s hits %8llu  injected %6llu\n", site.site.c_str(),
                 static_cast<unsigned long long>(site.hits),

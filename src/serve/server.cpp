@@ -32,8 +32,8 @@ std::chrono::steady_clock::time_point absolute_deadline(std::chrono::millisecond
   return deadline >= headroom ? Clock::time_point::max() : now + deadline;
 }
 
-/// The retry ladder only re-runs faults the fault came from the injection
-/// layer (or anything else that models a passing condition rather than a
+/// The retry ladder only re-runs faults that came from the injection layer
+/// (or anything else that models a passing condition rather than a
 /// property of the request): a parse error is deterministic and retrying it
 /// would just burn the batch budget.
 bool is_transient(const std::exception_ptr& error) {
@@ -148,22 +148,9 @@ void SuggestServer::run(Batch& batch) {
   while (!active.empty()) {
     // Per-attempt deadline sweep: the previous attempt's backoff may have
     // consumed a budget.
-    {
-      const auto now = Clock::now();
-      std::exception_ptr expired_error;
-      std::vector<Batch::Item*> live;
-      live.reserve(active.size());
-      for (Batch::Item* item : active) {
-        if (item->req.deadline <= now) {
-          if (!expired_error) expired_error = std::make_exception_ptr(DeadlineExceeded());
-          Batch::complete_error(*item, expired_error, stats_, &ServerStats::on_expired);
-        } else {
-          live.push_back(item);
-        }
-      }
-      active = std::move(live);
-      if (active.empty()) return;
-    }
+    expel_expired(batch);
+    std::erase_if(active, [](const Batch::Item* item) { return item->completed; });
+    if (active.empty()) return;
 
     std::vector<std::string_view> views;
     views.reserve(active.size());

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "tensor/fastmath.h"
-#include "tensor/gemm_blocked.h"
 
 #if defined(__ARM_NEON)
 #include <arm_neon.h>
@@ -160,75 +159,88 @@ void scalar_matmul(const float* a, const float* b, float* out, int n, int k, int
 }
 
 // ---------------------------------------------------------------------------
-// Scalar blocked GEMM micro-kernel (gemm_blocked.h drives the blocking)
-// ---------------------------------------------------------------------------
-
-/// 4x8 register tile: 32 accumulators fit the 16 baseline-SSE2 XMM registers
-/// when the compiler vectorizes the fixed-width inner loops, and the same
-/// code auto-vectorizes to NEON on aarch64.
-struct ScalarMicro {
-  static constexpr int MR = 4;
-  static constexpr int NR = 8;
-  static void run(int kc, const float* __restrict pa, const float* __restrict pb,
-                  float* __restrict c, int ldc, bool accumulate) {
-    float acc[MR][NR] = {};
-    for (int kk = 0; kk < kc; ++kk) {
-      for (int r = 0; r < MR; ++r) {
-        const float av = pa[r];
-        for (int j = 0; j < NR; ++j) acc[r][j] += av * pb[j];
-      }
-      pa += MR;
-      pb += NR;
-    }
-    for (int r = 0; r < MR; ++r) {
-      float* crow = c + static_cast<std::size_t>(r) * ldc;
-      if (accumulate) {
-        for (int j = 0; j < NR; ++j) crow[j] += acc[r][j];
-      } else {
-        for (int j = 0; j < NR; ++j) crow[j] = acc[r][j];
-      }
-    }
-  }
-};
-
-void scalar_gemm(const float* a, const float* b, float* out, int n, int k, int m) {
-  detail::gemm_blocked<ScalarMicro>(a, b, out, n, k, m);
-}
-
-// ---------------------------------------------------------------------------
 // Scalar projection kernel (pack_projection layout, fused row epilogue)
 // ---------------------------------------------------------------------------
+
+/// Shape of the scalar register tile: rows x columns.
+inline constexpr int kTileRows = 4;
+inline constexpr int kTileCols = 8;
+
+/// One 4x8 register tile over the full k depth. `pa` holds a 4-row block's
+/// A values interleaved (the 4 values of each k contiguous, k ascending),
+/// `w` is one 8-column half of a packed panel (rows kProjectPanel floats
+/// apart), and the tile lands in `c` (row stride kProjectPanel). The 32
+/// accumulators fit the 16 baseline-SSE2 XMM registers when the compiler
+/// vectorizes the fixed-width inner loops, and the same code auto-vectorizes
+/// to NEON on aarch64. Reading the A rows in place instead lets the
+/// compiler vectorize the strided k loop, which runs ~10x slower. Left out
+/// of line (GCC's choice for two call sites), the tile ran ~30% slower.
+[[gnu::always_inline]] inline void project_tile(int k, const float* __restrict pa,
+                                                const float* __restrict w,
+                                                float* __restrict c) {
+  float acc[kTileRows][kTileCols] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    for (int r = 0; r < kTileRows; ++r) {
+      const float av = pa[r];
+      for (int j = 0; j < kTileCols; ++j) acc[r][j] += av * w[j];
+    }
+    pa += kTileRows;
+    w += kProjectPanel;
+  }
+  for (int r = 0; r < kTileRows; ++r) {
+    for (int j = 0; j < kTileCols; ++j) c[r * kProjectPanel + j] = acc[r][j];
+  }
+}
 
 void scalar_project(const float* a, const float* w_panels, float* out, int rows, int k, int m,
                     const RowEpilogue& epi) {
   constexpr int P = kProjectPanel;
+  static_assert(P == 2 * kTileCols, "a panel is two tile halves");
   const int panels = (m + P - 1) / P;
-  for (int r = 0; r < rows; ++r) {
-    const float* arow = a + static_cast<std::size_t>(r) * k;
-    float* orow = out + static_cast<std::size_t>(r) * m;
-    const float* res = epi.residual != nullptr ? epi.residual + static_cast<std::size_t>(r) * m
-                                               : nullptr;
+  FloatVec pa(static_cast<std::size_t>(kTileRows) * k);
+  for (int r0 = 0; r0 < rows; r0 += kTileRows) {
+    const int live_rows = std::min(kTileRows, rows - r0);
+    // Interleave the block's A values once. Rows past `rows` are zero; no
+    // row's chain reads another row's values.
+    const float* ablock = a + static_cast<std::size_t>(r0) * k;
+    for (int kk = 0; kk < k; ++kk) {
+      float* dst = pa.data() + static_cast<std::size_t>(kk) * kTileRows;
+      for (int r = 0; r < kTileRows; ++r) {
+        dst[r] = r < live_rows ? ablock[static_cast<std::size_t>(r) * k + kk] : 0.0f;
+      }
+    }
     for (int p = 0; p < panels; ++p) {
       const float* w = w_panels + static_cast<std::size_t>(p) * k * P;
-      float acc[P] = {};
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        const float* wrow = w + static_cast<std::size_t>(kk) * P;
-        for (int c = 0; c < P; ++c) acc[c] += av * wrow[c];
-      }
+      alignas(64) float tile[kTileRows * P];
+      project_tile(k, pa.data(), w, tile);
+      project_tile(k, pa.data(), w + kTileCols, tile + kTileCols);
       const int col = p * P;
       const int live = std::min(P, m - col);
-      for (int c = 0; c < live; ++c) {
-        float v = acc[c] + epi.bias[col + c];
-        if (res != nullptr) v += res[col + c];
-        orow[col + c] = v;
+      // Copy, then each add in a loop of its own (the same order of adds
+      // per element): one loop with per-element branches ran ~20% slower
+      // at k = 32 in the portable build.
+      for (int r = 0; r < live_rows; ++r) {
+        const std::size_t at = static_cast<std::size_t>(r0 + r) * m + col;
+        float* orow = out + at;
+        const float* trow = tile + r * P;
+        for (int c = 0; c < live; ++c) orow[c] = trow[c];
+        if (epi.bias != nullptr) {
+          for (int c = 0; c < live; ++c) orow[c] += epi.bias[col + c];
+        }
+        if (epi.residual != nullptr) {
+          const float* res = epi.residual + at;
+          for (int c = 0; c < live; ++c) orow[c] += res[c];
+        }
       }
     }
     if (epi.ln_gamma != nullptr) {
-      const auto [mean, istd] = row_moments(orow, m, epi.ln_eps);
-      for (int j = 0; j < m; ++j) {
-        const float y = (orow[j] - mean) * istd;
-        orow[j] = y * epi.ln_gamma[j] + epi.ln_beta[j];
+      for (int r = 0; r < live_rows; ++r) {
+        float* orow = out + static_cast<std::size_t>(r0 + r) * m;
+        const auto [mean, istd] = row_moments(orow, m, epi.ln_eps);
+        for (int j = 0; j < m; ++j) {
+          const float y = (orow[j] - mean) * istd;
+          orow[j] = y * epi.ln_gamma[j] + epi.ln_beta[j];
+        }
       }
     }
   }
@@ -369,7 +381,6 @@ void scalar_segment_weighted_sum_rows(const float* x, const float* w, const int*
 constexpr Kernels kScalar = {
     "scalar",
     scalar_matmul,
-    scalar_gemm,
     scalar_project,
     scalar_hgt_logits,
     scalar_hgt_accumulate,
@@ -407,8 +418,7 @@ void neon_row_dot(const float* a, const float* b, float* out, int n, int d) {
 constexpr Kernels kNeon = {
     "neon",
     scalar_matmul,   // the tuned scalar kernels auto-vectorize on aarch64
-    scalar_gemm,     // ScalarMicro's fixed-width tile vectorizes likewise
-    scalar_project,  // the 16-wide panel accumulators vectorize likewise
+    scalar_project,  // the fixed-width 4x8 tile vectorizes likewise
     scalar_hgt_logits,  // per-edge register map: auto-vectorizes on aarch64
     scalar_hgt_accumulate,
     neon_row_dot,
@@ -510,8 +520,8 @@ FloatVec pack_projection(const float* w, int k, int m) {
 
 namespace {
 
-/// Where the blocked GEMM starts beating the legacy kernels: the packed
-/// panels cost two extra passes over A and B, so tiny products stay on the
+/// Where packing B for `project` starts beating the legacy kernels: the
+/// per-call pack costs an extra pass over B, so tiny products stay on the
 /// register-specialized paths, as do the narrow head matrices (m <= 8) whose
 /// replicated-B kernels the tile can't match. Thresholds picked by
 /// bench_gemm sweeps on the serving shapes.
@@ -540,7 +550,8 @@ RowMoments row_moments(const float* row, int m, float eps) {
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m) {
   const Kernels& kern = active();
   if (gemm_profitable(n, k, m)) {
-    kern.gemm(a, b, out, n, k, m);
+    const FloatVec panels = pack_projection(b, k, m);
+    kern.project(a, panels.data(), out, n, k, m, RowEpilogue{});
   } else {
     kern.matmul(a, b, out, n, k, m);
   }

@@ -9,9 +9,11 @@
 // is always available and defines the reference semantics. The fused HGT
 // inference kernel (nn/hgt.cpp) and the autograd forward passes (ops.cpp)
 // both draw their inner loops from here; future backends (BLAS, GPU) slot in
-// as another Kernels table. The fused encoder's per-node-type projections
-// run through `project` on weights packed once by `pack_projection`; the
-// autograd ops go through matmul_auto.
+// as another Kernels table. Every dense product runs through one of two
+// kernels: the legacy width-specialized `matmul`, or `project` on weights
+// packed by `pack_projection`. The fused encoder's per-node-type
+// projections pack once per weight generation; the autograd ops go through
+// matmul_auto, which packs per call.
 //
 // Numerics: every kernel reduces the k/depth axis in ascending index order,
 // so scalar and SIMD backends agree to float rounding (FMA contraction and
@@ -19,10 +21,10 @@
 // compare across backends use tolerances, never bitwise equality). Within
 // one backend, results are deterministic.
 //
-// GEMM routing is a function of the shape alone: matmul_auto picks the
-// blocked `gemm` or the legacy `matmul` kernels from the product's shape.
-// The backend runs on the calling thread; the encoder parallelizes over
-// node-budget tiles of whole graphs instead.
+// Product routing is a function of the shape alone: matmul_auto picks
+// `project` (with no epilogue) or the legacy `matmul` kernels from the
+// product's shape. The backend runs on the calling thread; the encoder
+// parallelizes over node-budget tiles of whole graphs instead.
 //
 // Environment (every G2P_* runtime knob is documented in docs/tuning.md):
 //   G2P_BACKEND = auto (default) | scalar | avx2 | neon
@@ -52,11 +54,12 @@ inline constexpr int kProjectPanel = 16;
 FloatVec pack_projection(const float* w, int k, int m);
 
 /// What `project` does to each finished output row, in this order:
-/// add `bias` [m], add the row's `residual` ([rows, m], row stride m) when
-/// set, then LayerNorm the row with `ln_gamma` / `ln_beta` [m] and `ln_eps`
-/// when `ln_gamma` is set (the same formula as ops.h's layer_norm).
+/// add `bias` [m] when set, add the row's `residual` ([rows, m], row stride
+/// m) when set, then LayerNorm the row with `ln_gamma` / `ln_beta` [m] and
+/// `ln_eps` when `ln_gamma` is set (the same formula as ops.h's layer_norm).
+/// The default epilogue leaves the bare product.
 struct RowEpilogue {
-  const float* bias = nullptr;  // required
+  const float* bias = nullptr;
   const float* residual = nullptr;
   const float* ln_gamma = nullptr;
   const float* ln_beta = nullptr;
@@ -81,27 +84,21 @@ struct Kernels {
   /// width-specialized register kernels: unbeatable on the narrow head
   /// matrices (m <= 8, k <= 64) and cheap on small inputs, but neither
   /// cache-blocked nor packed — prefer matmul_auto(), which routes large
-  /// shapes to `gemm`.
+  /// shapes to `project`.
   void (*matmul)(const float* a, const float* b, float* out, int n, int k, int m);
-
-  /// Same contract as `matmul`, computed by the cache-blocked packed GEMM
-  /// (gemm_blocked.h): GotoBLAS-style panel packing into 64-byte-aligned
-  /// FloatVec scratch with a per-backend register-tiled micro-kernel
-  /// (6x16 AVX2+FMA, 4x8 scalar/NEON). Wins once B no longer fits L1 and/or
-  /// n is large enough to amortize packing; matmul_auto() holds the shape
-  /// heuristic so callers don't choose by hand.
-  void (*gemm)(const float* a, const float* b, float* out, int n, int k, int m);
 
   /// Per-node-type projection with a fused row epilogue:
   ///   out[r, :] = epilogue(a[r, :] · W)   for r < rows
-  /// `a` is [rows, k] row-major and read as is (no packing); `w_panels` is
-  /// W [k, m] in pack_projection's layout; `out` is [rows, m], fully
-  /// overwritten. Each output element is one product chain over k ascending
-  /// starting from zero, then `+ bias`, then `+ residual` (on the AVX2
-  /// table bitwise what `gemm` followed by separate bias and residual
-  /// passes gives), and every row is computed independently of which other
-  /// rows share the call, so a row's bits do not depend on `rows`. k may be
-  /// 0: the product is then zero and `a` / `w_panels` are not read.
+  /// `a` is [rows, k] row-major; `w_panels` is W [k, m] in
+  /// pack_projection's layout; `out` is [rows, m], fully overwritten. Each
+  /// output element is one product chain over k ascending starting from
+  /// zero, then `+ bias`, then `+ residual`, each only when set; with the
+  /// default epilogue the output is the bare product. Every row is computed
+  /// independently of which other rows share the call, so a row's bits do
+  /// not depend on `rows`. Register tiles: 6 rows x 16 columns on AVX2 (A
+  /// read in place), 4 rows x 8 columns on the scalar and NEON tables (A
+  /// interleaved per 4-row block into per-call scratch). k may be 0: the
+  /// product is then zero and `a` / `w_panels` are not read.
   void (*project)(const float* a, const float* w_panels, float* out, int rows, int k, int m,
                   const RowEpilogue& epilogue);
 
@@ -181,10 +178,10 @@ bool set_active(std::string_view name);
 const Kernels* by_name(std::string_view name);
 
 /// Single-thread matmul with automatic kernel selection on the active table:
-/// the blocked/packed `gemm` when the shape is large enough to amortize
-/// panel packing, the legacy width-specialized `matmul` kernels otherwise
-/// (narrow head matrices and small products). This is what the autograd
-/// forward kernels (ops.cpp) call.
+/// `pack_projection(b)` then `project` with no epilogue when the shape is
+/// large enough to amortize the per-call pack, the legacy width-specialized
+/// `matmul` kernels otherwise (narrow head matrices and small products).
+/// This is what the autograd forward kernels (ops.cpp) call.
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m);
 
 }  // namespace g2p::backend

@@ -20,7 +20,6 @@
 #include <cstddef>
 
 #include "tensor/fastmath.h"
-#include "tensor/gemm_blocked.h"
 
 namespace g2p::backend {
 
@@ -141,53 +140,6 @@ void avx2_matmul(const float* a, const float* b, float* out, int n, int k, int m
 }
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM micro-kernel (gemm_blocked.h drives the blocking)
-// ---------------------------------------------------------------------------
-
-/// 6x16 register tile: 12 YMM accumulators + 2 packed-B vectors + 1 A
-/// broadcast stay inside the 16 architectural registers, and every cycle
-/// feeds both FMA pipes — the configuration the legacy single-row kernels
-/// (one latency-bound chain per column block) cannot reach. Packed B panels
-/// are 64-byte aligned (FloatVec scratch), so the B loads are aligned.
-struct Avx2Micro {
-  static constexpr int MR = 6;
-  static constexpr int NR = 16;
-  static void run(int kc, const float* __restrict pa, const float* __restrict pb,
-                  float* __restrict c, int ldc, bool accumulate) {
-    __m256 acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
-      acc[r][0] = _mm256_setzero_ps();
-      acc[r][1] = _mm256_setzero_ps();
-    }
-    for (int kk = 0; kk < kc; ++kk) {
-      const __m256 b0 = _mm256_load_ps(pb);
-      const __m256 b1 = _mm256_load_ps(pb + 8);
-      pb += NR;
-      for (int r = 0; r < MR; ++r) {
-        const __m256 av = _mm256_broadcast_ss(pa + r);
-        acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-        acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-      }
-      pa += MR;
-    }
-    for (int r = 0; r < MR; ++r) {
-      float* crow = c + static_cast<std::size_t>(r) * ldc;
-      if (accumulate) {
-        _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
-        _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
-      } else {
-        _mm256_storeu_ps(crow, acc[r][0]);
-        _mm256_storeu_ps(crow + 8, acc[r][1]);
-      }
-    }
-  }
-};
-
-void avx2_gemm(const float* a, const float* b, float* out, int n, int k, int m) {
-  detail::gemm_blocked<Avx2Micro>(a, b, out, n, k, m);
-}
-
-// ---------------------------------------------------------------------------
 // Lane-parallel exp: the fastmath.h construction (clamp, split-ln2 range
 // reduction, degree-6 Taylor, exponent-bit scaling) with nearest-even
 // rounding in the reduction — within ~1e-7 relative of the scalar kernel.
@@ -304,12 +256,14 @@ void layer_norm_row(float* row, int m, const RowEpilogue& epi) {
 }
 
 /// R rows (R <= 6) against every panel: 2R YMM accumulators + 2 panel
-/// loads + 1 broadcast stay inside the 16 registers, the Avx2Micro shape
-/// without packing A. Each element is the fmadd chain over k from zero,
-/// then the bias and residual adds, whatever R is.
+/// loads + 1 broadcast stay inside the 16 registers, and every cycle feeds
+/// both FMA pipes. A is read in place; panels are 64-byte aligned, so the
+/// panel loads are aligned. Each element is the fmadd chain over k from
+/// zero, then the bias and residual adds when set, whatever R is.
 template <int R>
 void project_rows(const float* a, const float* w_panels, float* out, int k, int m,
                   const RowEpilogue& epi) {
+  const float* bias = epi.bias;
   const float* residual = epi.residual;
   constexpr int P = kProjectPanel;
   const int panels = (m + P - 1) / P;
@@ -340,12 +294,19 @@ void project_rows(const float* a, const float* w_panels, float* out, int k, int 
     }
     const int col = p * P;
     if (m - col >= P) {
-      const __m256 bias0 = _mm256_loadu_ps(epi.bias + col);
-      const __m256 bias1 = _mm256_loadu_ps(epi.bias + col + 8);
+      __m256 bias0 = _mm256_setzero_ps(), bias1 = _mm256_setzero_ps();
+      if (bias != nullptr) {
+        bias0 = _mm256_loadu_ps(bias + col);
+        bias1 = _mm256_loadu_ps(bias + col + 8);
+      }
       for (int r = 0; r < R; ++r) {
         float* orow = out + static_cast<std::size_t>(r) * m + col;
-        __m256 v0 = _mm256_add_ps(_mm256_load_ps(tile[r]), bias0);
-        __m256 v1 = _mm256_add_ps(_mm256_load_ps(tile[r] + 8), bias1);
+        __m256 v0 = _mm256_load_ps(tile[r]);
+        __m256 v1 = _mm256_load_ps(tile[r] + 8);
+        if (bias != nullptr) {
+          v0 = _mm256_add_ps(v0, bias0);
+          v1 = _mm256_add_ps(v1, bias1);
+        }
         if (residual != nullptr) {
           const float* rrow = residual + static_cast<std::size_t>(r) * m + col;
           v0 = _mm256_add_ps(v0, _mm256_loadu_ps(rrow));
@@ -362,7 +323,8 @@ void project_rows(const float* a, const float* w_panels, float* out, int k, int 
         const float* rrow =
             residual != nullptr ? residual + static_cast<std::size_t>(r) * m + col : nullptr;
         for (int c = 0; c < live; ++c) {
-          float v = tile[r][c] + epi.bias[col + c];
+          float v = tile[r][c];
+          if (bias != nullptr) v += bias[col + c];
           if (rrow != nullptr) v += rrow[c];
           orow[c] = v;
         }
@@ -555,7 +517,6 @@ void avx2_segment_weighted_sum_rows(const float* x, const float* w, const int* s
 const Kernels kAvx2 = {
     "avx2",
     avx2_matmul,
-    avx2_gemm,
     avx2_project,
     avx2_hgt_logits,
     avx2_hgt_accumulate,

@@ -28,8 +28,8 @@ using Shape = std::vector<int>;
 /// caches of them pinned memory on every worker and fragmented the heap.
 namespace tensor_pool {
 /// Every block acquire() hands out is aligned to this (cache line / AVX-512
-/// vector). The blocked GEMM relies on it: packed panels are FloatVec
-/// scratch and the SIMD micro-kernels use aligned loads on them.
+/// vector). `backend::project` relies on it: packed weight panels are
+/// FloatVec and the AVX2 kernel loads them with aligned loads.
 inline constexpr std::size_t kAlignment = 64;
 /// Hosts the `pool.acquire` failpoint (throws FailpointError when it fires).
 void* acquire(std::size_t bytes);

@@ -1,13 +1,14 @@
-// Blocked/packed GEMM vs the scalar reference semantics.
+// The dense product kernels vs the scalar reference semantics.
 //
-// Kernels::gemm must agree with a naive ascending-k triple loop on every
-// shape — including the ragged edges the blocking logic can mishandle
-// (n = 0, k = 0/1, odd m, partial MR/NR tiles, KC-crossing depths) — on
-// every backend table this machine can dispatch to, and matmul_auto must
-// match whichever kernel it routes to. Kernels::project (the encoder's
-// per-type projection with its bias / residual / LayerNorm row epilogue)
-// must match a naive reference on every table and compute each row
-// independently of the others in its call.
+// Kernels::project with no epilogue must agree with a naive ascending-k
+// triple loop on every shape — including the ragged edges a register tile
+// can mishandle (n = 0, k = 0/1, m = 0, odd m, partial row blocks and
+// column panels, a deep k) — on every backend table this machine can
+// dispatch to, and so must the legacy Kernels::matmul and matmul_auto,
+// which routes between the two. With its bias / residual / LayerNorm row
+// epilogue, `project` must match a naive reference on every table, compute
+// each row independently of the others in its call, and give the bare
+// product's bits plus the same adds done separately.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,9 +62,9 @@ struct GemmShape {
   int n, k, m;
 };
 
-/// Adversarial shapes: empties, k = 1, odd m (partial NR tiles), odd n
-/// (partial MR tiles), tall-skinny, wide, serving projection shapes, and
-/// one deep enough to cross the KC blocking boundary.
+/// Adversarial shapes: empties, k = 1, odd m (partial tiles and panels),
+/// odd n (partial row blocks), tall-skinny, wide, serving projection shapes,
+/// and a deep k.
 const GemmShape kShapes[] = {
     {0, 5, 7},    {3, 0, 9},    {4, 3, 0},   {1, 1, 1},   {7, 1, 13},
     {5, 17, 3},   {23, 9, 31},  {6, 16, 16}, {13, 8, 24}, {513, 16, 8},
@@ -83,7 +84,7 @@ std::vector<std::string> dispatchable_backends() {
   return names;
 }
 
-TEST(Gemm, BlockedMatchesNaiveOnEveryBackendAndShape) {
+TEST(Gemm, ProjectMatchesNaiveOnEveryBackendAndShape) {
   Rng rng(20230509);
   for (const auto& name : dispatchable_backends()) {
     const backend::Kernels* kern = backend::by_name(name);
@@ -94,9 +95,10 @@ TEST(Gemm, BlockedMatchesNaiveOnEveryBackendAndShape) {
       const auto want = naive_matmul(a, b, s.n, s.k, s.m);
       // Poison the output so "fully overwritten" is actually verified.
       std::vector<float> got(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-      kern->gemm(a.data(), b.data(), got.data(), s.n, s.k, s.m);
+      const FloatVec panels = backend::pack_projection(b.data(), s.k, s.m);
+      kern->project(a.data(), panels.data(), got.data(), s.n, s.k, s.m, backend::RowEpilogue{});
       EXPECT_LE(max_rel_diff(got, want), kTol)
-          << name << " gemm [" << s.n << "," << s.k << "]x[" << s.k << "," << s.m << "]";
+          << name << " project [" << s.n << "," << s.k << "]x[" << s.k << "," << s.m << "]";
       // The legacy kernels define the same math; sanity-check them on the
       // same shapes so a routing change can never alter semantics.
       std::vector<float> legacy(static_cast<std::size_t>(s.n) * s.m, 1e30f);
@@ -159,8 +161,8 @@ enum class Epilogue { kBias, kBiasResidual, kBiasResidualNorm };
 
 TEST(Project, MatchesNaiveOnEveryBackendShapeAndEpilogue) {
   // Row counts cover the empty call, every remainder of the 6-row AVX2
-  // block, and large counts; m covers the square A stage, the 3x-wide
-  // K|Q|V stage and a ragged last panel.
+  // and 4-row scalar blocks, and large counts; m covers the square A
+  // stage, the 3x-wide K|Q|V stage and a ragged last panel.
   Rng rng(26);
   std::vector<int> row_counts;
   for (int rows = 0; rows <= 13; ++rows) row_counts.push_back(rows);
@@ -199,7 +201,7 @@ TEST(Project, MatchesNaiveOnEveryBackendShapeAndEpilogue) {
                                    std::to_string(k) + " m " + std::to_string(m) +
                                    " epilogue " + std::to_string(static_cast<int>(epi));
           // LayerNorm divides by the row's spread, which scales the
-          // GEMM's rounding: compare normalized rows a little looser.
+          // product's rounding: compare normalized rows a little looser.
           EXPECT_LE(max_rel_diff(got, want), with_norm ? 1e-4 : kTol) << what;
           // Row independence: each row alone gives the same bits.
           for (int r = 0; r < rows; r += std::max(1, rows / 7)) {
@@ -220,37 +222,41 @@ TEST(Project, MatchesNaiveOnEveryBackendShapeAndEpilogue) {
   }
 }
 
-TEST(Project, Avx2MatchesGemmPlusSeparateEpilogueBitwise) {
-  // On the AVX2 table the projection computes the same fmadd chain as the
-  // blocked GEMM's micro-kernel, then the same adds: served outputs keep
-  // their bits across the switch from gemm + bias/residual loops.
-  const backend::Kernels* kern = backend::by_name("avx2");
-  if (kern == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+TEST(Project, EpilogueMatchesBareProductPlusSeparateAddsBitwise) {
+  // The bias and residual adds follow the finished product chain, so the
+  // fused epilogue gives the bits of the bare product (matmul_auto's route)
+  // followed by separate bias and residual passes, on every table.
   Rng rng(2026);
-  for (const int m : {32, 96}) {
-    const int rows = 301, k = 32;
-    const auto a = random_values(rng, static_cast<std::size_t>(rows) * k);
-    const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
-    const auto bias = random_values(rng, static_cast<std::size_t>(m));
-    const auto residual = random_values(rng, static_cast<std::size_t>(rows) * m);
-    std::vector<float> want(static_cast<std::size_t>(rows) * m);
-    kern->gemm(a.data(), w.data(), want.data(), rows, k, m);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      want[i] = want[i] + bias[i % static_cast<std::size_t>(m)] + residual[i];
+  for (const auto& name : dispatchable_backends()) {
+    const backend::Kernels* kern = backend::by_name(name);
+    ASSERT_NE(kern, nullptr);
+    for (const int m : {32, 96, 24}) {
+      const int rows = 301, k = 32;
+      const auto a = random_values(rng, static_cast<std::size_t>(rows) * k);
+      const auto w = random_values(rng, static_cast<std::size_t>(k) * m);
+      const auto bias = random_values(rng, static_cast<std::size_t>(m));
+      const auto residual = random_values(rng, static_cast<std::size_t>(rows) * m);
+      const FloatVec panels = backend::pack_projection(w.data(), k, m);
+      std::vector<float> want(static_cast<std::size_t>(rows) * m);
+      kern->project(a.data(), panels.data(), want.data(), rows, k, m, backend::RowEpilogue{});
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        want[i] = want[i] + bias[i % static_cast<std::size_t>(m)] + residual[i];
+      }
+      backend::RowEpilogue epilogue;
+      epilogue.bias = bias.data();
+      epilogue.residual = residual.data();
+      std::vector<float> got(want.size());
+      kern->project(a.data(), panels.data(), got.data(), rows, k, m, epilogue);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << name << " m " << m << " at " << i;
+      }
     }
-    const FloatVec panels = backend::pack_projection(w.data(), k, m);
-    backend::RowEpilogue epilogue;
-    epilogue.bias = bias.data();
-    epilogue.residual = residual.data();
-    std::vector<float> got(want.size());
-    kern->project(a.data(), panels.data(), got.data(), rows, k, m, epilogue);
-    for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "m " << m;
   }
 }
 
 TEST(Gemm, PackedPanelScratchIsAligned) {
-  // The SIMD micro-kernels load packed panels with 64-byte-aligned vector
-  // loads; FloatVec (tensor_pool) guarantees it for every size class.
+  // The AVX2 projection kernel loads packed panels with aligned vector
+  // loads; FloatVec (tensor_pool) guarantees 64 bytes for every size class.
   for (const std::size_t count : {1u << 2, 1u << 10, 1u << 14, 1u << 16, 1u << 20}) {
     FloatVec v(count);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % tensor_pool::kAlignment, 0u)

@@ -239,9 +239,9 @@ TEST(Arena, MoveTransfersOwnership) {
 // ---- tensor_pool ------------------------------------------------------------
 
 TEST(TensorPool, HandsOut64ByteAlignedBlocks) {
-  // The blocked GEMM packs panels into FloatVec scratch and reads them with
-  // aligned SIMD loads — every size must come back 64-byte aligned, fresh or
-  // reallocated.
+  // pack_projection packs weight panels into a FloatVec that the AVX2
+  // projection kernel reads with aligned loads — every size must come back
+  // 64-byte aligned, fresh or reallocated.
   const auto aligned = [](const void* p) {
     return reinterpret_cast<std::uintptr_t>(p) % tensor_pool::kAlignment == 0;
   };
