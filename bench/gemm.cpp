@@ -1,19 +1,18 @@
-// Microbench: matmul_auto vs the legacy width-specialized matmul kernels,
-// single-thread.
+// Microbench: matmul_auto vs a naive ascending-k loop, single-thread.
 //
 // Shapes are the serving projections of the HGT encoder: the fused
 // per-node-type K/Q/V product ([N, dim]x[dim, 3*dim] at dim 32) and the
 // "[N, 64]x[64, 256]-class" projections a larger config would run, plus a
-// compute-bound square as the roofline reference. Every shape is large
-// enough that matmul_auto routes it to `project`. For each shape:
-//   * legacy — Kernels::matmul on the active table
-//   * auto   — backend::matmul_auto: pack_projection(b) per call, then
-//              Kernels::project with no epilogue
-// and a correctness gate against a naive ascending-k loop.
+// compute-bound square as the roofline reference. Every shape is at least
+// one panel wide, so matmul_auto routes it to `project`. For each shape:
+//   * naive — the ikj loop over k ascending (the backend contract), which
+//             is also the correctness reference
+//   * auto  — backend::matmul_auto: pack_projection(b) per call, then
+//             Kernels::project with no epilogue
 //
 // Fails (exit 1) if
-//   * either kernel diverges from the naive loop beyond 1e-4 relative, or
-//   * the headline single-thread speedup (auto vs legacy at the
+//   * auto diverges from the naive loop beyond 1e-4 relative, or
+//   * the headline single-thread speedup (auto vs naive at the
 //     [N, 64]x[64, 256] shape) misses the floor (default 2x,
 //     G2P_GEMM_FLOOR overrides — CI runners pin a lenient value).
 //
@@ -37,9 +36,9 @@ using g2p::bench::Clock;
 using g2p::bench::seconds_since;
 
 /// Naive reference: ascending-k accumulation, the backend contract.
-std::vector<float> naive_matmul(const std::vector<float>& a, const std::vector<float>& b, int n,
-                                int k, int m) {
-  std::vector<float> out(static_cast<std::size_t>(n) * m, 0.0f);
+void naive_matmul(const std::vector<float>& a, const std::vector<float>& b,
+                  std::vector<float>& out, int n, int k, int m) {
+  std::fill(out.begin(), out.end(), 0.0f);
   for (int i = 0; i < n; ++i) {
     float* orow = out.data() + static_cast<std::size_t>(i) * m;
     for (int kk = 0; kk < k; ++kk) {
@@ -48,7 +47,6 @@ std::vector<float> naive_matmul(const std::vector<float>& a, const std::vector<f
       for (int j = 0; j < m; ++j) orow[j] += av * brow[j];
     }
   }
-  return out;
 }
 
 double max_rel_diff(const std::vector<float>& a, const std::vector<float>& b) {
@@ -83,8 +81,6 @@ int main(int argc, char** argv) {
       {"square256", 256, 256, 256, false},  // compute-bound roofline check
   };
 
-  const auto& kern = backend::active();
-
   bench::JsonMetrics json;
   bench::set_common_header(json, "gemm");
   json.set("reps", reps);
@@ -100,7 +96,7 @@ int main(int argc, char** argv) {
     return best;
   };
 
-  TextTable table({"shape", "legacy (µs)", "auto (µs)", "auto GF/s", "speedup"});
+  TextTable table({"shape", "naive (µs)", "auto (µs)", "auto GF/s", "speedup"});
   bool ok = true;
   double headline_speedup = 0.0;
   Rng rng(20230509);
@@ -109,31 +105,24 @@ int main(int argc, char** argv) {
     std::vector<float> b(static_cast<std::size_t>(s.k) * s.m);
     for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    std::vector<float> out_legacy(static_cast<std::size_t>(s.n) * s.m);
-    std::vector<float> out_auto(out_legacy.size());
+    std::vector<float> out_naive(static_cast<std::size_t>(s.n) * s.m);
+    std::vector<float> out_auto(out_naive.size());
 
-    const double legacy_s = time_best(
-        [&] { kern.matmul(a.data(), b.data(), out_legacy.data(), s.n, s.k, s.m); });
+    const double naive_s = time_best([&] { naive_matmul(a, b, out_naive, s.n, s.k, s.m); });
     const double auto_s = time_best(
         [&] { backend::matmul_auto(a.data(), b.data(), out_auto.data(), s.n, s.k, s.m); });
 
-    const std::vector<float> out_ref = naive_matmul(a, b, s.n, s.k, s.m);
-    const std::pair<const std::vector<float>*, const char*> checks[] = {
-        {&out_legacy, "legacy"}, {&out_auto, "auto"}};
-    for (const auto& [out, what] : checks) {
-      const double diff = max_rel_diff(*out, out_ref);
-      if (diff > 1e-4) {
-        std::printf("FAIL: %s %s diverges from the naive reference (%.3g rel)\n", s.name, what,
-                    diff);
-        ok = false;
-      }
+    const double diff = max_rel_diff(out_auto, out_naive);
+    if (diff > 1e-4) {
+      std::printf("FAIL: %s auto diverges from the naive reference (%.3g rel)\n", s.name, diff);
+      ok = false;
     }
 
     const double flops = 2.0 * s.n * s.k * s.m;
-    const double speedup = legacy_s / auto_s;
-    table.add_row({s.name, fmt_fixed(legacy_s * 1e6, 1), fmt_fixed(auto_s * 1e6, 1),
+    const double speedup = naive_s / auto_s;
+    table.add_row({s.name, fmt_fixed(naive_s * 1e6, 1), fmt_fixed(auto_s * 1e6, 1),
                    fmt_fixed(flops / auto_s * 1e-9, 1), fmt_fixed(speedup, 2)});
-    json.set(std::string(s.name) + "_legacy_us", legacy_s * 1e6);
+    json.set(std::string(s.name) + "_naive_us", naive_s * 1e6);
     json.set(std::string(s.name) + "_auto_us", auto_s * 1e6);
     json.set(std::string(s.name) + "_auto_gflops", flops / auto_s * 1e-9);
     json.set(std::string(s.name) + "_speedup", speedup);

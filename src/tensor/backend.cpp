@@ -1,10 +1,10 @@
-// Scalar reference kernels, NEON variants, and the runtime dispatch table.
+// Scalar reference kernels and the runtime dispatch table.
 //
-// The scalar matmul specializations moved here from ops.cpp unchanged: one
-// output row of compile-time width accumulated in registers, a 4-row variant
-// whose independent FMA chains hide multiply-add latency, and a replicated-B
-// kernel for narrow head matrices. Every kernel sums k in ascending order,
-// so all scalar paths produce bitwise-identical results.
+// The scalar matmul kernels serve the narrow products (m < kProjectPanel)
+// that matmul_auto keeps off `project`: one output row of compile-time
+// width accumulated in registers, a replicated-B kernel for the head
+// matrices, and a generic ikj loop for odd widths. Every kernel sums k in
+// ascending order, so all scalar paths produce bitwise-identical results.
 
 #include "tensor/backend.h"
 
@@ -20,10 +20,6 @@
 
 #include "tensor/fastmath.h"
 
-#if defined(__ARM_NEON)
-#include <arm_neon.h>
-#endif
-
 namespace g2p::backend {
 
 // Implemented in backend_avx2.cpp (a TU compiled with -mavx2 -mfma when the
@@ -34,7 +30,7 @@ const Kernels* avx2_table();
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar matmul (moved verbatim from ops.cpp)
+// Scalar matmul: the narrow products, m < kProjectPanel
 // ---------------------------------------------------------------------------
 
 /// One output row accumulated in registers across the k loop.
@@ -51,41 +47,6 @@ void matmul_fixed_width(const float* __restrict a, const float* __restrict b,
     }
     float* orow = out + static_cast<std::size_t>(i) * M;
     for (int j = 0; j < M; ++j) orow[j] = acc[j];
-  }
-}
-
-/// Four output rows in flight — independent FMA chains hide the multiply-add
-/// latency that serializes the single-row kernel.
-template <int M>
-void matmul_fixed_width_x4(const float* __restrict a, const float* __restrict b,
-                           float* __restrict out, int n, int k) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float acc0[M] = {}, acc1[M] = {}, acc2[M] = {}, acc3[M] = {};
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    for (int kk = 0; kk < k; ++kk) {
-      const float* brow = b + static_cast<std::size_t>(kk) * M;
-      const float v0 = a0[kk], v1 = a1[kk], v2 = a2[kk], v3 = a3[kk];
-      for (int j = 0; j < M; ++j) {
-        const float bj = brow[j];
-        acc0[j] += v0 * bj;
-        acc1[j] += v1 * bj;
-        acc2[j] += v2 * bj;
-        acc3[j] += v3 * bj;
-      }
-    }
-    float* orow = out + static_cast<std::size_t>(i) * M;
-    for (int j = 0; j < M; ++j) orow[j] = acc0[j];
-    for (int j = 0; j < M; ++j) orow[M + j] = acc1[j];
-    for (int j = 0; j < M; ++j) orow[2 * M + j] = acc2[j];
-    for (int j = 0; j < M; ++j) orow[3 * M + j] = acc3[j];
-  }
-  if (i < n) {
-    matmul_fixed_width<M>(a + static_cast<std::size_t>(i) * k, b,
-                          out + static_cast<std::size_t>(i) * M, n - i, k);
   }
 }
 
@@ -140,9 +101,6 @@ void scalar_matmul(const float* a, const float* b, float* out, int n, int k, int
     case 2: return matmul_fixed_width<2>(a, b, out, n, k);
     case 4: return matmul_fixed_width<4>(a, b, out, n, k);
     case 8: return matmul_fixed_width<8>(a, b, out, n, k);
-    case 16: return matmul_fixed_width_x4<16>(a, b, out, n, k);
-    case 32: return matmul_fixed_width_x4<32>(a, b, out, n, k);
-    case 64: return matmul_fixed_width<64>(a, b, out, n, k);
     default: break;
   }
   // Generic ikj fallback for other widths (accumulates, so zero first).
@@ -357,16 +315,6 @@ void scalar_segment_softmax(const float* logits, const int* seg, int e, int num_
   }
 }
 
-void scalar_segment_sum_rows(const float* x, const int* seg, int n, int d, int num_segments,
-                             float* out) {
-  std::fill(out, out + static_cast<std::size_t>(num_segments) * d, 0.0f);
-  for (int i = 0; i < n; ++i) {
-    const float* src = x + static_cast<std::size_t>(i) * d;
-    float* dst = out + static_cast<std::size_t>(seg[i]) * d;
-    for (int j = 0; j < d; ++j) dst[j] += src[j];
-  }
-}
-
 void scalar_segment_weighted_sum_rows(const float* x, const float* w, const int* seg, int n,
                                       int d, int num_segments, float* out) {
   std::fill(out, out + static_cast<std::size_t>(num_segments) * d, 0.0f);
@@ -387,48 +335,8 @@ constexpr Kernels kScalar = {
     scalar_row_dot,
     scalar_gelu,
     scalar_segment_softmax,
-    scalar_segment_sum_rows,
     scalar_segment_weighted_sum_rows,
 };
-
-// ---------------------------------------------------------------------------
-// NEON (aarch64: baseline feature, no extra compile flags needed)
-// ---------------------------------------------------------------------------
-
-#if defined(__ARM_NEON)
-
-float neon_dot(const float* a, const float* b, int d) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  int j = 0;
-  for (; j + 4 <= d; j += 4) {
-    acc = vmlaq_f32(acc, vld1q_f32(a + j), vld1q_f32(b + j));
-  }
-  float sum = vaddvq_f32(acc);
-  for (; j < d; ++j) sum += a[j] * b[j];
-  return sum;
-}
-
-void neon_row_dot(const float* a, const float* b, float* out, int n, int d) {
-  for (int i = 0; i < n; ++i) {
-    const std::size_t row = static_cast<std::size_t>(i) * d;
-    out[i] = neon_dot(a + row, b + row, d);
-  }
-}
-
-constexpr Kernels kNeon = {
-    "neon",
-    scalar_matmul,   // the tuned scalar kernels auto-vectorize on aarch64
-    scalar_project,  // the fixed-width 4x8 tile vectorizes likewise
-    scalar_hgt_logits,  // per-edge register map: auto-vectorizes on aarch64
-    scalar_hgt_accumulate,
-    neon_row_dot,
-    scalar_gelu,  // aarch64 compilers auto-vectorize the polynomial well
-    scalar_segment_softmax,
-    scalar_segment_sum_rows,
-    scalar_segment_weighted_sum_rows,
-};
-
-#endif  // __ARM_NEON
 
 // ---------------------------------------------------------------------------
 // Dispatch
@@ -446,9 +354,6 @@ const Kernels* resolve_auto() {
   if (cpu_has_avx2_fma()) {
     if (const Kernels* t = avx2_table()) return t;
   }
-#if defined(__ARM_NEON)
-  return &kNeon;
-#endif
   return &kScalar;
 }
 
@@ -471,11 +376,6 @@ const Kernels* by_name(std::string_view name) {
   if (name == "scalar") return &kScalar;
   if (name == "auto") return resolve_auto();
   if (name == "avx2") return cpu_has_avx2_fma() ? avx2_table() : nullptr;
-#if defined(__ARM_NEON)
-  if (name == "neon") return &kNeon;
-#else
-  if (name == "neon") return nullptr;
-#endif
   return nullptr;
 }
 
@@ -518,22 +418,6 @@ FloatVec pack_projection(const float* w, int k, int m) {
   return packed;
 }
 
-namespace {
-
-/// Where packing B for `project` starts beating the legacy kernels: the
-/// per-call pack costs an extra pass over B, so tiny products stay on the
-/// register-specialized paths, as do the narrow head matrices (m <= 8) whose
-/// replicated-B kernels the tile can't match. Thresholds picked by
-/// bench_gemm sweeps on the serving shapes.
-bool gemm_profitable(int n, int k, int m) {
-  if (m < 16 || n < 8 || k < 4) return false;
-  return static_cast<std::size_t>(n) * static_cast<std::size_t>(k) *
-             static_cast<std::size_t>(m) >=
-         (1u << 15);
-}
-
-}  // namespace
-
 RowMoments row_moments(const float* row, int m, float eps) {
   float mean = 0.0f;
   for (int j = 0; j < m; ++j) mean += row[j];
@@ -549,12 +433,9 @@ RowMoments row_moments(const float* row, int m, float eps) {
 
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m) {
   const Kernels& kern = active();
-  if (gemm_profitable(n, k, m)) {
-    const FloatVec panels = pack_projection(b, k, m);
-    kern.project(a, panels.data(), out, n, k, m, RowEpilogue{});
-  } else {
-    kern.matmul(a, b, out, n, k, m);
-  }
+  if (m < kProjectPanel) return kern.matmul(a, b, out, n, k, m);
+  const FloatVec panels = pack_projection(b, k, m);
+  kern.project(a, panels.data(), out, n, k, m, RowEpilogue{});
 }
 
 }  // namespace g2p::backend

@@ -5,15 +5,16 @@
 // hot forward kernels behind a table of function pointers resolved once at
 // startup: an AVX2+FMA implementation compiled in its own translation unit
 // with -mavx2 -mfma (selected via CPUID, so portable binaries still run on
-// pre-AVX2 machines), a NEON variant on aarch64, and a scalar fallback that
-// is always available and defines the reference semantics. The fused HGT
-// inference kernel (nn/hgt.cpp) and the autograd forward passes (ops.cpp)
-// both draw their inner loops from here; future backends (BLAS, GPU) slot in
-// as another Kernels table. Every dense product runs through one of two
-// kernels: the legacy width-specialized `matmul`, or `project` on weights
-// packed by `pack_projection`. The fused encoder's per-node-type
-// projections pack once per weight generation; the autograd ops go through
-// matmul_auto, which packs per call.
+// pre-AVX2 machines), and a scalar fallback that is always available,
+// defines the reference semantics and serves every other CPU (aarch64
+// included). The fused HGT inference kernel (nn/hgt.cpp) and the autograd
+// forward passes (ops.cpp) both draw their inner loops from here; future
+// backends (BLAS, GPU) slot in as another Kernels table. Every dense
+// product runs through one of two kernels by its width: `project` on
+// weights packed by `pack_projection` for every product at least one panel
+// (kProjectPanel columns) wide, the narrow `matmul` kernels below that. The
+// fused encoder's per-node-type projections pack once per weight
+// generation; the autograd ops go through matmul_auto, which packs per call.
 //
 // Numerics: every kernel reduces the k/depth axis in ascending index order,
 // so scalar and SIMD backends agree to float rounding (FMA contraction and
@@ -21,13 +22,13 @@
 // compare across backends use tolerances, never bitwise equality). Within
 // one backend, results are deterministic.
 //
-// Product routing is a function of the shape alone: matmul_auto picks
-// `project` (with no epilogue) or the legacy `matmul` kernels from the
-// product's shape. The backend runs on the calling thread; the encoder
+// Product routing is a function of the output width alone: matmul_auto runs
+// `project` (with no epilogue) when m >= kProjectPanel and `matmul`
+// otherwise. The backend runs on the calling thread; the encoder
 // parallelizes over node-budget tiles of whole graphs instead.
 //
 // Environment (every G2P_* runtime knob is documented in docs/tuning.md):
-//   G2P_BACKEND = auto (default) | scalar | avx2 | neon
+//   G2P_BACKEND = auto (default) | scalar | avx2
 //     "auto" picks the best table the CPU supports; naming an unavailable
 //     backend falls back to auto with a stderr note. Read once, at the first
 //     call to active().
@@ -80,11 +81,11 @@ RowMoments row_moments(const float* row, int m, float eps);
 struct Kernels {
   const char* name;
 
-  /// Row-major [n,k] x [k,m] -> [n,m]; out is fully overwritten. The legacy
-  /// width-specialized register kernels: unbeatable on the narrow head
-  /// matrices (m <= 8, k <= 64) and cheap on small inputs, but neither
-  /// cache-blocked nor packed — prefer matmul_auto(), which routes large
-  /// shapes to `project`.
+  /// Row-major [n,k] x [k,m] -> [n,m] for narrow outputs, m <
+  /// kProjectPanel; out is fully overwritten. Width-specialized register
+  /// kernels for the head matrices (m = 2, 4, 8), a generic loop for the
+  /// other widths. Wider products belong to `project`; matmul_auto()
+  /// routes between the two.
   void (*matmul)(const float* a, const float* b, float* out, int n, int k, int m);
 
   /// Per-node-type projection with a fused row epilogue:
@@ -96,9 +97,9 @@ struct Kernels {
   /// default epilogue the output is the bare product. Every row is computed
   /// independently of which other rows share the call, so a row's bits do
   /// not depend on `rows`. Register tiles: 6 rows x 16 columns on AVX2 (A
-  /// read in place), 4 rows x 8 columns on the scalar and NEON tables (A
-  /// interleaved per 4-row block into per-call scratch). k may be 0: the
-  /// product is then zero and `a` / `w_panels` are not read.
+  /// read in place), 4 rows x 8 columns on the scalar table (A interleaved
+  /// per 4-row block into per-call scratch). k may be 0: the product is
+  /// then zero and `a` / `w_panels` are not read.
   void (*project)(const float* a, const float* w_panels, float* out, int rows, int k, int m,
                   const RowEpilogue& epilogue);
 
@@ -150,12 +151,9 @@ struct Kernels {
   void (*segment_softmax)(const float* logits, const int* seg, int e, int num_segments,
                           float* out);
 
-  /// out[seg[i], :] += x[i, :]; out is [num_segments, d], fully overwritten
-  /// (zeroed first). Check-free: segment ids validated by the caller.
-  void (*segment_sum_rows)(const float* x, const int* seg, int n, int d, int num_segments,
-                           float* out);
-
-  /// out[seg[i], :] += w[i] * x[i, :]; same contract as segment_sum_rows.
+  /// out[seg[i], :] += w[i] * x[i, :], rows in ascending i; out is
+  /// [num_segments, d], fully overwritten (zeroed first). Check-free:
+  /// segment ids validated by the caller.
   void (*segment_weighted_sum_rows)(const float* x, const float* w, const int* seg, int n,
                                     int d, int num_segments, float* out);
 };
@@ -166,7 +164,7 @@ const Kernels& active();
 /// The scalar reference table (always available; defines the semantics).
 const Kernels& scalar();
 
-/// Name of the active table ("scalar", "avx2", "neon").
+/// Name of the active table ("scalar", "avx2").
 const char* active_name();
 
 /// Force a specific backend in-process (tests/bench only; not thread-safe
@@ -177,11 +175,10 @@ bool set_active(std::string_view name);
 /// The table `name` resolves to on this machine, or nullptr if unavailable.
 const Kernels* by_name(std::string_view name);
 
-/// Single-thread matmul with automatic kernel selection on the active table:
-/// `pack_projection(b)` then `project` with no epilogue when the shape is
-/// large enough to amortize the per-call pack, the legacy width-specialized
-/// `matmul` kernels otherwise (narrow head matrices and small products).
-/// This is what the autograd forward kernels (ops.cpp) call.
+/// Single-thread matmul on the active table, routed by the output width:
+/// `pack_projection(b)` then `project` with no epilogue when m >=
+/// kProjectPanel, the narrow `matmul` kernels otherwise. This is what the
+/// autograd forward passes (ops.cpp) call.
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m);
 
 }  // namespace g2p::backend

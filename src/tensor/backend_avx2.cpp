@@ -26,56 +26,8 @@ namespace g2p::backend {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Dense matmul: m % 8 == 0 fast paths, scalar table fallback otherwise
+// Dense matmul: the m == 8 head maps, scalar table for the other narrow widths
 // ---------------------------------------------------------------------------
-
-/// Two output rows x MV eight-lane column blocks held in registers across
-/// the k loop (MV=4 covers m=32 with 8 accumulators + 2 broadcasts in
-/// flight — comfortably inside the 16 YMM registers).
-template <int MV>
-void matmul_rows2(const float* a, const float* b, float* out, int n, int k) {
-  constexpr int M = MV * 8;
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m256 acc0[MV], acc1[MV];
-    for (int v = 0; v < MV; ++v) {
-      acc0[v] = _mm256_setzero_ps();
-      acc1[v] = _mm256_setzero_ps();
-    }
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    const float* a1 = a0 + k;
-    for (int kk = 0; kk < k; ++kk) {
-      const __m256 v0 = _mm256_broadcast_ss(a0 + kk);
-      const __m256 v1 = _mm256_broadcast_ss(a1 + kk);
-      const float* brow = b + static_cast<std::size_t>(kk) * M;
-      for (int v = 0; v < MV; ++v) {
-        const __m256 bv = _mm256_loadu_ps(brow + v * 8);
-        acc0[v] = _mm256_fmadd_ps(v0, bv, acc0[v]);
-        acc1[v] = _mm256_fmadd_ps(v1, bv, acc1[v]);
-      }
-    }
-    float* o0 = out + static_cast<std::size_t>(i) * M;
-    float* o1 = o0 + M;
-    for (int v = 0; v < MV; ++v) {
-      _mm256_storeu_ps(o0 + v * 8, acc0[v]);
-      _mm256_storeu_ps(o1 + v * 8, acc1[v]);
-    }
-  }
-  if (i < n) {
-    __m256 acc[MV];
-    for (int v = 0; v < MV; ++v) acc[v] = _mm256_setzero_ps();
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      const __m256 v0 = _mm256_broadcast_ss(a0 + kk);
-      const float* brow = b + static_cast<std::size_t>(kk) * M;
-      for (int v = 0; v < MV; ++v) {
-        acc[v] = _mm256_fmadd_ps(v0, _mm256_loadu_ps(brow + v * 8), acc[v]);
-      }
-    }
-    float* o0 = out + static_cast<std::size_t>(i) * M;
-    for (int v = 0; v < MV; ++v) _mm256_storeu_ps(o0 + v * 8, acc[v]);
-  }
-}
 
 /// Four rows x one eight-lane block: the m == 8 head-matrix shape.
 void matmul_m8(const float* a, const float* b, float* out, int n, int k) {
@@ -112,30 +64,7 @@ void matmul_m8(const float* a, const float* b, float* out, int n, int k) {
 }
 
 void avx2_matmul(const float* a, const float* b, float* out, int n, int k, int m) {
-  switch (m) {
-    case 8: return matmul_m8(a, b, out, n, k);
-    case 16: return matmul_rows2<2>(a, b, out, n, k);
-    case 32: return matmul_rows2<4>(a, b, out, n, k);
-    case 64: return matmul_rows2<8>(a, b, out, n, k);
-    default: break;
-  }
-  if (m % 8 == 0 && m <= 256) {
-    // Generic multiple-of-8 width: one row in flight, column blocks of 8.
-    for (int i = 0; i < n; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      float* orow = out + static_cast<std::size_t>(i) * m;
-      for (int j = 0; j < m; j += 8) {
-        __m256 acc = _mm256_setzero_ps();
-        for (int kk = 0; kk < k; ++kk) {
-          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + kk),
-                                _mm256_loadu_ps(b + static_cast<std::size_t>(kk) * m + j),
-                                acc);
-        }
-        _mm256_storeu_ps(orow + j, acc);
-      }
-    }
-    return;
-  }
+  if (m == 8) return matmul_m8(a, b, out, n, k);
   scalar().matmul(a, b, out, n, k, m);
 }
 
@@ -470,28 +399,9 @@ void avx2_gelu(const float* x, float* out, int n) {
 }
 
 // ---------------------------------------------------------------------------
-// Segment kernels: sequential over rows (order is part of the numerics
+// Segment kernel: sequential over rows (order is part of the numerics
 // contract), vectorized across the feature axis
 // ---------------------------------------------------------------------------
-
-void avx2_segment_sum_rows(const float* x, const int* seg, int n, int d, int num_segments,
-                           float* out) {
-  const std::size_t total = static_cast<std::size_t>(num_segments) * d;
-  std::size_t z = 0;
-  const __m256 zero = _mm256_setzero_ps();
-  for (; z + 8 <= total; z += 8) _mm256_storeu_ps(out + z, zero);
-  for (; z < total; ++z) out[z] = 0.0f;
-  for (int i = 0; i < n; ++i) {
-    const float* src = x + static_cast<std::size_t>(i) * d;
-    float* dst = out + static_cast<std::size_t>(seg[i]) * d;
-    int j = 0;
-    for (; j + 8 <= d; j += 8) {
-      _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                              _mm256_loadu_ps(src + j)));
-    }
-    for (; j < d; ++j) dst[j] += src[j];
-  }
-}
 
 void avx2_segment_weighted_sum_rows(const float* x, const float* w, const int* seg, int n,
                                     int d, int num_segments, float* out) {
@@ -525,7 +435,6 @@ const Kernels kAvx2 = {
     // Per-segment softmax is gather/scatter-bound with a fixed accumulation
     // order; the scalar kernel (auto-vectorized where profitable) is used.
     nullptr,  // patched to scalar().segment_softmax in avx2_table()
-    avx2_segment_sum_rows,
     avx2_segment_weighted_sum_rows,
 };
 

@@ -7,8 +7,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "support/rng.h"
-
 namespace g2p {
 
 namespace {
@@ -30,15 +28,36 @@ void accumulate(const std::shared_ptr<TensorImpl>& parent, const FloatVec& src) 
 int rows_of(const Tensor& t) { return t.rank() == 1 ? 1 : t.dim(0); }
 int cols_of(const Tensor& t) { return t.rank() == 1 ? t.dim(0) : t.dim(1); }
 
-// The dense forward kernels (matmul specializations, row_dot, the segment
+// The dense forward kernels (backend::matmul_auto, row_dot, the segment
 // inner loops) live behind the runtime-dispatched backend table in
-// tensor/backend.{h,cpp}: AVX2+FMA / NEON where the CPU has them, the tuned
-// scalar kernels otherwise. ops.cpp keeps shape checks, autograd taping, and
-// the backward passes.
-void matmul_forward_kernel(const float* a, const float* b, float* out, int n, int k, int m) {
-  // Shape-routed: blocked/packed GEMM for big products, the legacy
-  // width-specialized kernels for narrow/small ones (backend.h).
-  backend::matmul_auto(a, b, out, n, k, m);
+// tensor/backend.{h,cpp}: AVX2+FMA where the CPU has it, the tuned scalar
+// kernels otherwise. ops.cpp keeps shape checks, autograd taping, and the
+// backward passes.
+
+/// Backward of out = a · b ([n,k] x [k,m]): dA += dOut · B^T, then
+/// dB += A^T · dOut.
+void matmul_backward(const FloatVec& grad, TensorImpl& a, TensorImpl& b, int n, int k, int m) {
+  a.ensure_grad();
+  b.ensure_grad();
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      const float g = grad[static_cast<std::size_t>(i) * m + j];
+      if (g == 0.0f) continue;
+      for (int kk = 0; kk < k; ++kk) {
+        a.grad[static_cast<std::size_t>(i) * k + kk] +=
+            g * b.data[static_cast<std::size_t>(kk) * m + j];
+      }
+    }
+  }
+  for (int kk = 0; kk < k; ++kk) {
+    for (int i = 0; i < n; ++i) {
+      const float av = a.data[static_cast<std::size_t>(i) * k + kk];
+      if (av == 0.0f) continue;
+      const std::size_t grow = static_cast<std::size_t>(i) * m;
+      const std::size_t brow = static_cast<std::size_t>(kk) * m;
+      for (int j = 0; j < m; ++j) b.grad[brow + j] += av * grad[grow + j];
+    }
+  }
 }
 
 /// Validate all segment ids in one pass (a branch-free min/max scan the
@@ -70,22 +89,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return make_result(a.shape(), std::move(out), {a, b}, [pa, pb](const TensorImpl& self) {
     accumulate(pa, self.grad);
     accumulate(pb, self.grad);
-  });
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  FloatVec out(a.numel());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = a.data()[i] - b.data()[i];
-  auto pa = a.impl();
-  auto pb = b.impl();
-  return make_result(a.shape(), std::move(out), {a, b}, [pa, pb](const TensorImpl& self) {
-    pa->ensure_grad();
-    pb->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      pa->grad[i] += self.grad[i];
-      pb->grad[i] -= self.grad[i];
-    }
   });
 }
 
@@ -148,18 +151,6 @@ Tensor add_rowvec(const Tensor& x, const Tensor& bias) {
 // Activations
 // ---------------------------------------------------------------------------
 
-Tensor relu(const Tensor& x) {
-  FloatVec out(x.numel());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = x.data()[i] > 0 ? x.data()[i] : 0.0f;
-  auto px = x.impl();
-  return make_result(x.shape(), std::move(out), {x}, [px](const TensorImpl& self) {
-    px->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      if (px->data[i] > 0) px->grad[i] += self.grad[i];
-    }
-  });
-}
-
 Tensor gelu(const Tensor& x) {
   // tanh approximation: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))),
   // computed by the backend (lane-parallel exp on SIMD targets — GELU is
@@ -182,50 +173,6 @@ Tensor gelu(const Tensor& x) {
   });
 }
 
-Tensor tanh_op(const Tensor& x) {
-  FloatVec out(x.numel());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = fast_tanhf(x.data()[i]);
-  auto px = x.impl();
-  return make_result(x.shape(), std::move(out), {x}, [px](const TensorImpl& self) {
-    px->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      px->grad[i] += self.grad[i] * (1.0f - self.data[i] * self.data[i]);
-    }
-  });
-}
-
-Tensor sigmoid(const Tensor& x) {
-  FloatVec out(x.numel());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = 1.0f / (1.0f + fast_expf(-x.data()[i]));
-  auto px = x.impl();
-  return make_result(x.shape(), std::move(out), {x}, [px](const TensorImpl& self) {
-    px->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      px->grad[i] += self.grad[i] * self.data[i] * (1.0f - self.data[i]);
-    }
-  });
-}
-
-Tensor dropout(const Tensor& x, float p, Rng& rng, bool training) {
-  if (!training || p <= 0.0f) return x;
-  if (p >= 1.0f) throw std::invalid_argument("dropout: p must be < 1");
-  const float keep = 1.0f - p;
-  auto mask = std::make_shared<std::vector<float>>(x.numel());
-  FloatVec out(x.numel());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const float m = rng.chance(p) ? 0.0f : 1.0f / keep;
-    (*mask)[i] = m;
-    out[i] = x.data()[i] * m;
-  }
-  auto px = x.impl();
-  return make_result(x.shape(), std::move(out), {x}, [px, mask](const TensorImpl& self) {
-    px->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      px->grad[i] += self.grad[i] * (*mask)[i];
-    }
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Linear algebra
 // ---------------------------------------------------------------------------
@@ -237,33 +184,11 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   }
   const int n = a.dim(0), k = a.dim(1), m = b.dim(1);
   FloatVec out(static_cast<std::size_t>(n) * m);
-  matmul_forward_kernel(a.data().data(), b.data().data(), out.data(), n, k, m);
+  backend::matmul_auto(a.data().data(), b.data().data(), out.data(), n, k, m);
   auto pa = a.impl();
   auto pb = b.impl();
   return make_result({n, m}, std::move(out), {a, b}, [pa, pb, n, k, m](const TensorImpl& self) {
-    pa->ensure_grad();
-    pb->ensure_grad();
-    // dA = dOut * B^T
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < m; ++j) {
-        const float g = self.grad[static_cast<std::size_t>(i) * m + j];
-        if (g == 0.0f) continue;
-        for (int kk = 0; kk < k; ++kk) {
-          pa->grad[static_cast<std::size_t>(i) * k + kk] +=
-              g * pb->data[static_cast<std::size_t>(kk) * m + j];
-        }
-      }
-    }
-    // dB = A^T * dOut
-    for (int kk = 0; kk < k; ++kk) {
-      for (int i = 0; i < n; ++i) {
-        const float av = pa->data[static_cast<std::size_t>(i) * k + kk];
-        if (av == 0.0f) continue;
-        const std::size_t grow = static_cast<std::size_t>(i) * m;
-        const std::size_t brow = static_cast<std::size_t>(kk) * m;
-        for (int j = 0; j < m; ++j) pb->grad[brow + j] += av * self.grad[grow + j];
-      }
-    }
+    matmul_backward(self.grad, *pa, *pb, n, k, m);
   });
 }
 
@@ -274,7 +199,7 @@ Tensor matmul_bias(const Tensor& x, const Tensor& w, const Tensor& bias) {
   }
   const int n = x.dim(0), k = x.dim(1), m = w.dim(1);
   FloatVec out(static_cast<std::size_t>(n) * m);
-  matmul_forward_kernel(x.data().data(), w.data().data(), out.data(), n, k, m);
+  backend::matmul_auto(x.data().data(), w.data().data(), out.data(), n, k, m);
   const float* bptr = bias.data().data();
   for (int i = 0; i < n; ++i) {
     float* orow = out.data() + static_cast<std::size_t>(i) * m;
@@ -286,30 +211,9 @@ Tensor matmul_bias(const Tensor& x, const Tensor& w, const Tensor& bias) {
   auto pb = bias.impl();
   return make_result(
       {n, m}, std::move(out), {x, w, bias}, [px, pw, pb, n, k, m](const TensorImpl& self) {
-        px->ensure_grad();
-        pw->ensure_grad();
+        matmul_backward(self.grad, *px, *pw, n, k, m);
+        // db = column sums of dOut
         pb->ensure_grad();
-        // dX = dOut * W^T
-        for (int i = 0; i < n; ++i) {
-          for (int j = 0; j < m; ++j) {
-            const float g = self.grad[static_cast<std::size_t>(i) * m + j];
-            if (g == 0.0f) continue;
-            for (int kk = 0; kk < k; ++kk) {
-              px->grad[static_cast<std::size_t>(i) * k + kk] +=
-                  g * pw->data[static_cast<std::size_t>(kk) * m + j];
-            }
-          }
-        }
-        // dW = X^T * dOut; db = column sums of dOut
-        for (int kk = 0; kk < k; ++kk) {
-          for (int i = 0; i < n; ++i) {
-            const float xv = px->data[static_cast<std::size_t>(i) * k + kk];
-            if (xv == 0.0f) continue;
-            const std::size_t grow = static_cast<std::size_t>(i) * m;
-            const std::size_t wrow = static_cast<std::size_t>(kk) * m;
-            for (int j = 0; j < m; ++j) pw->grad[wrow + j] += xv * self.grad[grow + j];
-          }
-        }
         for (int i = 0; i < n; ++i) {
           const std::size_t grow = static_cast<std::size_t>(i) * m;
           for (int j = 0; j < m; ++j) {
@@ -365,17 +269,6 @@ Tensor sum_all(const Tensor& x) {
   });
 }
 
-Tensor mean_all(const Tensor& x) {
-  const float inv = 1.0f / static_cast<float>(x.numel());
-  float total = 0.0f;
-  for (float v : x.data()) total += v;
-  auto px = x.impl();
-  return make_result({1}, {total * inv}, {x}, [px, inv](const TensorImpl& self) {
-    px->ensure_grad();
-    for (auto& g : px->grad) g += self.grad[0] * inv;
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Softmax & losses
 // ---------------------------------------------------------------------------
@@ -409,54 +302,16 @@ Tensor softmax_rows(const Tensor& x) {
   });
 }
 
-Tensor log_softmax_rows(const Tensor& x) {
-  if (x.rank() != 2) throw std::invalid_argument("log_softmax_rows: rank-2 only");
-  const int n = x.dim(0), c = x.dim(1);
-  FloatVec out(x.numel());
-  for (int i = 0; i < n; ++i) {
-    const std::size_t row = static_cast<std::size_t>(i) * c;
-    float mx = x.data()[row];
-    for (int j = 1; j < c; ++j) mx = std::max(mx, x.data()[row + j]);
-    float denom = 0.0f;
-    for (int j = 0; j < c; ++j) denom += std::exp(x.data()[row + j] - mx);
-    const float log_denom = std::log(denom) + mx;
-    for (int j = 0; j < c; ++j) out[row + j] = x.data()[row + j] - log_denom;
-  }
-  auto px = x.impl();
-  return make_result(x.shape(), std::move(out), {x}, [px, n, c](const TensorImpl& self) {
-    px->ensure_grad();
-    for (int i = 0; i < n; ++i) {
-      const std::size_t row = static_cast<std::size_t>(i) * c;
-      float gsum = 0.0f;
-      for (int j = 0; j < c; ++j) gsum += self.grad[row + j];
-      for (int j = 0; j < c; ++j) {
-        px->grad[row + j] += self.grad[row + j] - std::exp(self.data[row + j]) * gsum;
-      }
-    }
-  });
-}
-
 Tensor cross_entropy(const Tensor& logits, std::span<const int> labels) {
-  std::vector<float> uniform_weights(static_cast<std::size_t>(logits.dim(1)), 1.0f);
-  return cross_entropy_weighted(logits, labels, uniform_weights);
-}
-
-Tensor cross_entropy_weighted(const Tensor& logits, std::span<const int> labels,
-                              std::span<const float> class_weights) {
   if (logits.rank() != 2) throw std::invalid_argument("cross_entropy: rank-2 logits");
   const int n = logits.dim(0), c = logits.dim(1);
   if (static_cast<int>(labels.size()) != n) {
     throw std::invalid_argument("cross_entropy: labels size != batch");
   }
-  if (static_cast<int>(class_weights.size()) != c) {
-    throw std::invalid_argument("cross_entropy: class_weights size != classes");
-  }
-  // Forward: weighted mean of -log softmax[label].
+  // Forward: mean of -log softmax[label].
   auto probs = std::make_shared<std::vector<float>>(logits.numel());
   std::vector<int> labels_copy(labels.begin(), labels.end());
-  std::vector<float> weights_copy(class_weights.begin(), class_weights.end());
   float loss = 0.0f;
-  float weight_total = 0.0f;
   for (int i = 0; i < n; ++i) {
     const int label = labels_copy[static_cast<std::size_t>(i)];
     if (label < 0 || label >= c) throw std::invalid_argument("cross_entropy: label out of range");
@@ -469,26 +324,22 @@ Tensor cross_entropy_weighted(const Tensor& logits, std::span<const int> labels,
       denom += (*probs)[row + j];
     }
     for (int j = 0; j < c; ++j) (*probs)[row + j] /= denom;
-    const float w = weights_copy[static_cast<std::size_t>(label)];
-    loss -= w * std::log(std::max((*probs)[row + static_cast<std::size_t>(label)], 1e-12f));
-    weight_total += w;
+    loss -= std::log(std::max((*probs)[row + static_cast<std::size_t>(label)], 1e-12f));
   }
-  if (weight_total <= 0.0f) weight_total = 1.0f;
-  loss /= weight_total;
+  const float count = n > 0 ? static_cast<float>(n) : 1.0f;
+  loss /= count;
 
   auto pl = logits.impl();
   return make_result(
-      {1}, {loss}, {logits},
-      [pl, probs, labels_copy, weights_copy, n, c, weight_total](const TensorImpl& self) {
+      {1}, {loss}, {logits}, [pl, probs, labels_copy, n, c, count](const TensorImpl& self) {
         pl->ensure_grad();
-        const float gscale = self.grad[0] / weight_total;
+        const float gscale = self.grad[0] / count;
         for (int i = 0; i < n; ++i) {
           const int label = labels_copy[static_cast<std::size_t>(i)];
-          const float w = weights_copy[static_cast<std::size_t>(label)];
           const std::size_t row = static_cast<std::size_t>(i) * c;
           for (int j = 0; j < c; ++j) {
             const float indicator = (j == label) ? 1.0f : 0.0f;
-            pl->grad[row + j] += gscale * w * ((*probs)[row + j] - indicator);
+            pl->grad[row + j] += gscale * ((*probs)[row + j] - indicator);
           }
         }
       });
@@ -519,38 +370,6 @@ Tensor index_select_rows(const Tensor& x, std::span<const int> index) {
                          const std::size_t src = i * static_cast<std::size_t>(d);
                          const std::size_t dst = static_cast<std::size_t>(idx[i]) * d;
                          for (int j = 0; j < d; ++j) px->grad[dst + j] += self.grad[src + j];
-                       }
-                     });
-}
-
-Tensor scatter_add_rows(const Tensor& src, std::span<const int> index, int num_rows) {
-  if (src.rank() != 2) throw std::invalid_argument("scatter_add_rows: rank-2 only");
-  const int e = src.dim(0), d = src.dim(1);
-  if (static_cast<int>(index.size()) != e) {
-    throw std::invalid_argument("scatter_add_rows: index size != rows");
-  }
-  FloatVec out(static_cast<std::size_t>(num_rows) * d, 0.0f);
-  for (int i = 0; i < e; ++i) {
-    if (index[static_cast<std::size_t>(i)] < 0 ||
-        index[static_cast<std::size_t>(i)] >= num_rows) {
-      throw std::out_of_range("scatter_add_rows: bad index");
-    }
-    const std::size_t dst = static_cast<std::size_t>(index[static_cast<std::size_t>(i)]) * d;
-    const std::size_t s = static_cast<std::size_t>(i) * d;
-    for (int j = 0; j < d; ++j) out[dst + j] += src.data()[s + j];
-  }
-  if (!grad_enabled()) return make_result({num_rows, d}, std::move(out), {}, nullptr);
-  std::vector<int> idx(index.begin(), index.end());
-  auto ps = src.impl();
-  return make_result({num_rows, d}, std::move(out), {src},
-                     [ps, idx, d](const TensorImpl& self) {
-                       ps->ensure_grad();
-                       for (std::size_t i = 0; i < idx.size(); ++i) {
-                         const std::size_t src_off = static_cast<std::size_t>(idx[i]) * d;
-                         const std::size_t dst_off = i * static_cast<std::size_t>(d);
-                         for (int j = 0; j < d; ++j) {
-                           ps->grad[dst_off + j] += self.grad[src_off + j];
-                         }
                        }
                      });
 }
@@ -592,9 +411,12 @@ Tensor segment_sum_rows(const Tensor& x, std::span<const int> segment, int num_s
     throw std::invalid_argument("segment_sum_rows: segment size != rows");
   }
   validate_segment_ids(segment, num_segments, "segment_sum_rows");
-  FloatVec out(static_cast<std::size_t>(num_segments) * d);  // kernel zero-fills
-  backend::active().segment_sum_rows(x.data().data(), segment.data(), n, d, num_segments,
-                                     out.data());
+  FloatVec out(static_cast<std::size_t>(num_segments) * d, 0.0f);
+  for (int i = 0; i < n; ++i) {
+    const std::size_t src = static_cast<std::size_t>(i) * d;
+    const std::size_t dst = static_cast<std::size_t>(segment[static_cast<std::size_t>(i)]) * d;
+    for (int j = 0; j < d; ++j) out[dst + j] += x.data()[src + j];
+  }
   if (!grad_enabled()) return make_result({num_segments, d}, std::move(out), {}, nullptr);
   std::vector<int> seg(segment.begin(), segment.end());
   auto px = x.impl();

@@ -1,9 +1,9 @@
 // Differentiable tensor operations.
 //
 // Everything the HGT layer, the transformer baseline, and the training loop
-// need: dense linear algebra, activations, softmax/cross-entropy, and the
-// irregular graph ops (gather / scatter-add / segment-softmax / segment-mean)
-// that make heterogeneous message passing efficient on CPU.
+// need: dense linear algebra, GELU, softmax/cross-entropy, and the irregular
+// graph ops (gather / segment-softmax / segment sums and means) that make
+// heterogeneous message passing efficient on CPU.
 //
 // All ops are pure: they return fresh tensors wired into the autograd tape.
 #pragma once
@@ -15,22 +15,14 @@
 
 namespace g2p {
 
-class Rng;
-
 // ---- elementwise / broadcast ----
 Tensor add(const Tensor& a, const Tensor& b);        // same shape
-Tensor sub(const Tensor& a, const Tensor& b);        // same shape
 Tensor mul(const Tensor& a, const Tensor& b);        // Hadamard, same shape
 Tensor scale(const Tensor& a, float factor);
 Tensor add_rowvec(const Tensor& x, const Tensor& bias);  // [N,D] + [D]
 
 // ---- activations ----
-Tensor relu(const Tensor& x);
 Tensor gelu(const Tensor& x);     // tanh approximation
-Tensor tanh_op(const Tensor& x);
-Tensor sigmoid(const Tensor& x);
-/// Inverted dropout; identity when `training` is false or p == 0.
-Tensor dropout(const Tensor& x, float p, Rng& rng, bool training);
 
 // ---- linear algebra ----
 Tensor matmul(const Tensor& a, const Tensor& b);     // [N,K] x [K,M] -> [N,M]
@@ -41,28 +33,21 @@ Tensor reshape(const Tensor& a, Shape new_shape);
 
 // ---- reductions ----
 Tensor sum_all(const Tensor& x);    // -> scalar
-Tensor mean_all(const Tensor& x);   // -> scalar
 
 // ---- softmax & losses ----
 Tensor softmax_rows(const Tensor& x);       // [N,C] row-wise
-Tensor log_softmax_rows(const Tensor& x);   // [N,C]
 /// Mean cross-entropy of logits [N,C] against integer labels (size N).
 Tensor cross_entropy(const Tensor& logits, std::span<const int> labels);
-/// Per-class weighted mean cross-entropy (class-imbalance handling).
-Tensor cross_entropy_weighted(const Tensor& logits, std::span<const int> labels,
-                              std::span<const float> class_weights);
 
 // ---- irregular / graph ops ----
 /// rows[i] = x[index[i]]; the embedding-lookup / neighbor-gather primitive.
 Tensor index_select_rows(const Tensor& x, std::span<const int> index);
-/// out[index[i]] += src[i]; out has `num_rows` rows.
-Tensor scatter_add_rows(const Tensor& src, std::span<const int> index, int num_rows);
 /// Softmax over groups: entries sharing segment[i] form one softmax.
 /// `logits` is rank-1 [E]; segment ids are in [0, num_segments).
 Tensor segment_softmax(const Tensor& logits, std::span<const int> segment, int num_segments);
-/// Sum of rows per segment: [N,D] with segment ids -> [S,D]. Empty segments
-/// yield zero rows. Unlike scatter_add_rows the segment ids are validated
-/// against num_segments up front (batched-readout contract).
+/// Sum of rows per segment: [N,D] with segment ids -> [S,D], rows added in
+/// ascending order. Empty segments yield zero rows; segment ids are
+/// validated against num_segments up front.
 Tensor segment_sum_rows(const Tensor& x, std::span<const int> segment, int num_segments);
 /// Mean of rows per segment: [N,D] with segment ids -> [S,D]. Empty segments
 /// yield zero rows.

@@ -104,11 +104,14 @@ TEST(Chaos, RandomizedFaultScheduleInvariants) {
   for (const auto& src : sources) expected.push_back(pipeline->suggest(src));
   pipeline->clear_cache();
 
+  // Decisions are a pure function of (seed, hit index), and a run makes as
+  // few as ~120 pool.acquire hits, so that site's seed must fire early:
+  // seed 43 at p = 0.02 injects at hits 4, 42, 52, ...
   failpoint::configure(
       "frontend.parse=throw@0.2,11;"
       "cache.insert=error@0.2,22;"
       "encode.forward=throw@0.1,33;"
-      "pool.acquire=throw@0.02,44;"
+      "pool.acquire=throw@0.02,43;"
       "scheduler.batch=throw@0.05,55");
 
   SuggestServer::Options options;

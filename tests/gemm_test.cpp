@@ -2,13 +2,14 @@
 //
 // Kernels::project with no epilogue must agree with a naive ascending-k
 // triple loop on every shape — including the ragged edges a register tile
-// can mishandle (n = 0, k = 0/1, m = 0, odd m, partial row blocks and
+// can mishandle (n = 0, k = 0/1/2/3, m = 0, odd m, partial row blocks and
 // column panels, a deep k) — on every backend table this machine can
-// dispatch to, and so must the legacy Kernels::matmul and matmul_auto,
-// which routes between the two. With its bias / residual / LayerNorm row
-// epilogue, `project` must match a naive reference on every table, compute
-// each row independently of the others in its call, and give the bare
-// product's bits plus the same adds done separately.
+// dispatch to, and so must matmul_auto, which routes every product at
+// least one panel wide to `project`, and the narrow Kernels::matmul on the
+// shapes it serves (m < kProjectPanel). With its bias / residual /
+// LayerNorm row epilogue, `project` must match a naive reference on every
+// table, compute each row independently of the others in its call, and
+// give the bare product's bits plus the same adds done separately.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,11 +65,12 @@ struct GemmShape {
 
 /// Adversarial shapes: empties, k = 1, odd m (partial tiles and panels),
 /// odd n (partial row blocks), tall-skinny, wide, serving projection shapes,
-/// and a deep k.
+/// a deep k, and few rows of a shallow k at and past one panel's width.
 const GemmShape kShapes[] = {
-    {0, 5, 7},    {3, 0, 9},    {4, 3, 0},   {1, 1, 1},   {7, 1, 13},
-    {5, 17, 3},   {23, 9, 31},  {6, 16, 16}, {13, 8, 24}, {513, 16, 8},
-    {9, 24, 250}, {300, 32, 96}, {128, 64, 256}, {37, 400, 19},
+    {0, 5, 7},    {3, 0, 9},     {4, 3, 0},     {1, 1, 1},    {7, 1, 13},
+    {5, 17, 3},   {23, 9, 31},   {6, 16, 16},   {13, 8, 24},  {513, 16, 8},
+    {9, 24, 250}, {300, 32, 96}, {128, 64, 256}, {37, 400, 19}, {1, 1, 16},
+    {5, 2, 33},   {7, 3, 24},    {3, 1, 64},
 };
 
 // Tolerance for FMA-contracted register tiles vs the naive loop: both
@@ -78,7 +80,7 @@ constexpr double kTol = 2e-5;
 
 std::vector<std::string> dispatchable_backends() {
   std::vector<std::string> names;
-  for (const char* name : {"scalar", "avx2", "neon"}) {
+  for (const char* name : {"scalar", "avx2"}) {
     if (backend::by_name(name) != nullptr) names.emplace_back(name);
   }
   return names;
@@ -99,11 +101,11 @@ TEST(Gemm, ProjectMatchesNaiveOnEveryBackendAndShape) {
       kern->project(a.data(), panels.data(), got.data(), s.n, s.k, s.m, backend::RowEpilogue{});
       EXPECT_LE(max_rel_diff(got, want), kTol)
           << name << " project [" << s.n << "," << s.k << "]x[" << s.k << "," << s.m << "]";
-      // The legacy kernels define the same math; sanity-check them on the
-      // same shapes so a routing change can never alter semantics.
-      std::vector<float> legacy(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-      kern->matmul(a.data(), b.data(), legacy.data(), s.n, s.k, s.m);
-      EXPECT_LE(max_rel_diff(legacy, want), kTol)
+      // The narrow kernels define the same math on the widths they serve.
+      if (s.m >= backend::kProjectPanel) continue;
+      std::vector<float> narrow(static_cast<std::size_t>(s.n) * s.m, 1e30f);
+      kern->matmul(a.data(), b.data(), narrow.data(), s.n, s.k, s.m);
+      EXPECT_LE(max_rel_diff(narrow, want), kTol)
           << name << " matmul [" << s.n << "," << s.k << "]x[" << s.k << "," << s.m << "]";
     }
   }

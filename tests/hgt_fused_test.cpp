@@ -379,7 +379,7 @@ TEST(HgtFused, ScalarAndDispatchedBackendsAgree) {
   }
   EXPECT_LE(max_rel_diff(scalar_ref, scalar_fused), kTol) << "scalar backend";
 
-  // Whatever dispatch picks for this machine (avx2 / neon / scalar again).
+  // Whatever dispatch picks for this machine (avx2, or scalar again).
   ASSERT_TRUE(backend::set_active("auto"));
   {
     const NoGradGuard no_grad;

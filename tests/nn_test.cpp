@@ -35,8 +35,8 @@ TEST(Linear, LearnsIdentityMap) {
   for (int step = 0; step < 300; ++step) {
     auto x = Tensor::randn({8, 2}, rng);
     opt.zero_grad();
-    auto diff = sub(lin.forward(x), x);
-    mean_all(mul(diff, diff)).backward();
+    auto diff = add(lin.forward(x), scale(x, -1.0f));
+    scale(sum_all(mul(diff, diff)), 1.0f / static_cast<float>(diff.numel())).backward();
     opt.step();
   }
   auto x = Tensor::randn({4, 2}, rng);

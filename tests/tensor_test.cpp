@@ -86,12 +86,12 @@ TEST(Tensor, DetachCutsTape) {
 
 // ---- forward values -----------------------------------------------------------
 
-TEST(Ops, AddSubMulForward) {
+TEST(Ops, AddMulScaleForward) {
   auto a = Tensor::from_vector({3}, {1, 2, 3});
   auto b = Tensor::from_vector({3}, {10, 20, 30});
   EXPECT_EQ(add(a, b).data()[1], 22.0f);
-  EXPECT_EQ(sub(b, a).data()[2], 27.0f);
   EXPECT_EQ(mul(a, b).data()[0], 10.0f);
+  EXPECT_EQ(scale(b, -0.5f).data()[2], -15.0f);
 }
 
 TEST(Ops, ShapeMismatchThrows) {
@@ -153,13 +153,14 @@ TEST(Ops, IndexSelectRowsForward) {
   EXPECT_EQ(y.at({2, 0}), 5.0f);
 }
 
-TEST(Ops, ScatterAddRowsForward) {
+TEST(Ops, SegmentSumRowsForward) {
   auto src = Tensor::from_vector({3, 2}, {1, 1, 2, 2, 3, 3});
-  const std::vector<int> idx = {1, 1, 0};
-  auto y = scatter_add_rows(src, idx, 2);
+  const std::vector<int> seg = {1, 1, 0};
+  auto y = segment_sum_rows(src, seg, 3);
   EXPECT_EQ(y.at({0, 0}), 3.0f);
   EXPECT_EQ(y.at({1, 0}), 3.0f);
   EXPECT_EQ(y.at({1, 1}), 3.0f);
+  EXPECT_EQ(y.at({2, 0}), 0.0f);  // empty segment
 }
 
 TEST(Ops, SegmentSoftmaxPerSegment) {
@@ -222,28 +223,6 @@ TEST(Ops, ArgmaxRows) {
   EXPECT_EQ(idx, (std::vector<int>{1, 0}));
 }
 
-TEST(Ops, DropoutEvalIsIdentity) {
-  Rng rng(1);
-  auto x = Tensor::from_vector({4}, {1, 2, 3, 4}, true);
-  auto y = dropout(x, 0.5f, rng, /*training=*/false);
-  EXPECT_EQ(y.data(), x.data());
-}
-
-TEST(Ops, DropoutTrainScalesKeptUnits) {
-  Rng rng(1);
-  auto x = Tensor::full({1000}, 1.0f, true);
-  auto y = dropout(x, 0.5f, rng, /*training=*/true);
-  int kept = 0;
-  for (float v : y.data()) {
-    if (v != 0.0f) {
-      EXPECT_NEAR(v, 2.0f, 1e-5f);
-      ++kept;
-    }
-  }
-  EXPECT_GT(kept, 400);
-  EXPECT_LT(kept, 600);
-}
-
 // ---- gradient checks ----------------------------------------------------------
 
 TEST(Grad, AddMulChain) {
@@ -253,11 +232,11 @@ TEST(Grad, AddMulChain) {
   grad_check({a, b}, [&] { return sum_all(mul(add(a, b), b)); });
 }
 
-TEST(Grad, SubScale) {
+TEST(Grad, ScaledDifference) {
   Rng rng(12);
   auto a = make_rand({5}, rng);
   auto b = make_rand({5}, rng);
-  grad_check({a, b}, [&] { return sum_all(scale(sub(a, b), 3.0f)); });
+  grad_check({a, b}, [&] { return sum_all(scale(add(a, scale(b, -1.0f)), 3.0f)); });
 }
 
 TEST(Grad, Matmul) {
@@ -271,7 +250,7 @@ TEST(Grad, MatmulThroughNonlinearity) {
   Rng rng(14);
   auto a = make_rand({2, 3}, rng);
   auto b = make_rand({3, 3}, rng);
-  grad_check({a, b}, [&] { return mean_all(tanh_op(matmul(a, b))); });
+  grad_check({a, b}, [&] { return scale(sum_all(gelu(matmul(a, b))), 1.0f / 6.0f); });
 }
 
 TEST(Grad, AddRowvecBias) {
@@ -281,19 +260,10 @@ TEST(Grad, AddRowvecBias) {
   grad_check({x, bias}, [&] { return sum_all(gelu(add_rowvec(x, bias))); });
 }
 
-TEST(Grad, ReluAwayFromKink) {
-  auto x = Tensor::from_vector({4}, {-1.0f, 2.0f, -0.5f, 3.0f}, true);
-  grad_check({x}, [&] { return sum_all(relu(x)); });
-}
-
-TEST(Grad, GeluSigmoidTanh) {
+TEST(Grad, Gelu) {
   Rng rng(16);
   auto x = make_rand({6}, rng);
   grad_check({x}, [&] { return sum_all(gelu(x)); });
-  x.zero_grad();
-  grad_check({x}, [&] { return sum_all(sigmoid(x)); });
-  x.zero_grad();
-  grad_check({x}, [&] { return sum_all(tanh_op(x)); });
 }
 
 TEST(Grad, SoftmaxRows) {
@@ -303,26 +273,11 @@ TEST(Grad, SoftmaxRows) {
   grad_check({x}, [&] { return sum_all(mul(softmax_rows(x), w)); });
 }
 
-TEST(Grad, LogSoftmaxRows) {
-  Rng rng(18);
-  auto x = make_rand({3, 4}, rng);
-  auto w = Tensor::randn({3, 4}, rng, 1.0f);
-  grad_check({x}, [&] { return sum_all(mul(log_softmax_rows(x), w)); });
-}
-
 TEST(Grad, CrossEntropy) {
   Rng rng(19);
   auto logits = make_rand({5, 3}, rng);
   const std::vector<int> labels = {0, 2, 1, 1, 0};
   grad_check({logits}, [&] { return cross_entropy(logits, labels); });
-}
-
-TEST(Grad, CrossEntropyWeighted) {
-  Rng rng(20);
-  auto logits = make_rand({4, 2}, rng);
-  const std::vector<int> labels = {0, 1, 1, 1};
-  const std::vector<float> weights = {2.0f, 0.5f};
-  grad_check({logits}, [&] { return cross_entropy_weighted(logits, labels, weights); });
 }
 
 TEST(Grad, IndexSelectRows) {
@@ -331,14 +286,6 @@ TEST(Grad, IndexSelectRows) {
   const std::vector<int> idx = {3, 1, 1, 0};
   auto w = Tensor::randn({4, 3}, rng, 1.0f);
   grad_check({x}, [&] { return sum_all(mul(index_select_rows(x, idx), w)); });
-}
-
-TEST(Grad, ScatterAddRows) {
-  Rng rng(22);
-  auto src = make_rand({5, 2}, rng);
-  const std::vector<int> idx = {0, 1, 1, 2, 0};
-  auto w = Tensor::randn({3, 2}, rng, 1.0f);
-  grad_check({src}, [&] { return sum_all(mul(scatter_add_rows(src, idx, 3), w)); });
 }
 
 TEST(Grad, SegmentSoftmax) {
@@ -512,7 +459,7 @@ TEST(Optim, AdamMinimizesShiftedQuadratic) {
   Adam opt({x}, 0.05f);
   for (int i = 0; i < 500; ++i) {
     opt.zero_grad();
-    auto diff = sub(x, target);
+    auto diff = add(x, scale(target, -1.0f));
     sum_all(mul(diff, diff)).backward();
     opt.step();
   }
