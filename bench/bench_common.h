@@ -1,9 +1,10 @@
-// Shared setup for the paper-reproduction bench binaries.
+// Shared setup for the bench binaries: bench_reproduction (the paper's
+// tables), the serving benches and the kernel microbenches.
 //
 // Environment knobs (all optional):
 //   G2P_SCALE  — corpus scale as a fraction of the paper's Table 1 counts
-//                (default 0.05; 1.0 regenerates the full-size OMP_Serial).
-//   G2P_EPOCHS — training epochs (default 6).
+//                (default 0.03; 1.0 regenerates the full-size OMP_Serial).
+//   G2P_EPOCHS — training epochs (default 5).
 //   G2P_SEED   — experiment seed (default 20230509).
 #pragma once
 
@@ -63,65 +64,6 @@ struct BenchEnv {
     return cfg;
   }
 };
-
-/// Corpus + split + vocabulary, printed once per binary.
-struct Data {
-  Corpus corpus;
-  CorpusSplit split;
-  Vocab vocab;
-};
-
-inline Data load_data(const BenchEnv& env) {
-  Data data;
-  data.corpus = CorpusGenerator(env.generator_config()).generate();
-  data.split = data.corpus.split();
-  data.vocab = build_corpus_vocab(data.corpus, data.split.train);
-  std::printf("corpus: %d loops (%d parallel) | train %zu / val %zu / test %zu | vocab %d\n\n",
-              data.corpus.size(), data.corpus.count_parallel(), data.split.train.size(),
-              data.split.validation.size(), data.split.test.size(), data.vocab.size());
-  return data;
-}
-
-/// The vanilla-AST representation of Table 2/3 ("AST" / "HGT-AST" baseline).
-inline AugAstOptions vanilla_ast_options() {
-  AugAstOptions opts;
-  opts.cfg_edges = false;
-  opts.lexical_edges = false;
-  opts.call_edges = false;
-  return opts;
-}
-
-/// Train a Graph2Par-architecture model on the given representation.
-inline Graph2ParModel train_hgt(const Data& data, const AugAstOptions& aug,
-                                const BenchEnv& env, std::vector<Example>* test_out,
-                                const char* label) {
-  const auto train_examples = prepare_examples(data.corpus, data.split.train, data.vocab, aug);
-  if (test_out) *test_out = prepare_examples(data.corpus, data.split.test, data.vocab, aug);
-  Graph2ParConfig mc;
-  mc.vocab_size = data.vocab.size();
-  Rng rng(env.seed);
-  Graph2ParModel model(mc, rng);
-  std::printf("training %s on %zu loops (%d epochs)...\n", label, train_examples.size(),
-              env.epochs);
-  train_graph_model(model, train_examples, env.train_config());
-  return model;
-}
-
-/// Train the PragFormer token baseline.
-inline PragFormerModel train_pragformer(const Data& data, const BenchEnv& env,
-                                        std::vector<Example>* test_out) {
-  const AugAstOptions aug;  // graphs unused by the token model; tokens ride along
-  const auto train_examples = prepare_examples(data.corpus, data.split.train, data.vocab, aug);
-  if (test_out) *test_out = prepare_examples(data.corpus, data.split.test, data.vocab, aug);
-  PragFormerConfig pc;
-  pc.vocab_size = data.vocab.size();
-  Rng rng(env.seed);
-  PragFormerModel model(pc, rng);
-  std::printf("training PragFormer on %zu loops (%d epochs)...\n", train_examples.size(),
-              env.epochs);
-  train_token_model(model, train_examples, env.train_config());
-  return model;
-}
 
 inline std::string pct(double v) { return fmt_fixed(v, 2); }
 

@@ -1,6 +1,7 @@
 #include "eval/trainer.h"
 
 #include <algorithm>
+#include <span>
 
 #include "frontend/lexer.h"
 #include "support/log.h"
@@ -52,26 +53,7 @@ std::vector<Example> prepare_examples(const Corpus& corpus, const std::vector<in
 
 namespace {
 
-/// Merge a shuffled mini-batch of example graphs into one indexed
-/// BatchedGraph; every HGT layer of the step shares the precomputed CSR.
-BatchedGraph batch_of(const std::vector<Example>& examples, std::span<const int> order,
-                      std::size_t begin, std::size_t end) {
-  std::vector<const HetGraph*> graphs;
-  graphs.reserve(end - begin);
-  for (std::size_t k = begin; k < end; ++k) {
-    graphs.push_back(&examples[static_cast<std::size_t>(order[k])].graph.graph);
-  }
-  return batch_graphs(graphs);
-}
-
-/// Contiguous (unshuffled) batch for evaluation/prediction passes.
-BatchedGraph batch_of(const std::vector<Example>& examples, std::size_t begin,
-                      std::size_t end) {
-  std::vector<const HetGraph*> graphs;
-  graphs.reserve(end - begin);
-  for (std::size_t k = begin; k < end; ++k) graphs.push_back(&examples[k].graph.graph);
-  return batch_graphs(graphs);
-}
+using ExampleSpan = std::span<const Example* const>;
 
 /// Cross-entropy restricted to rows where `mask` is true; null tensor if no
 /// rows qualify.
@@ -89,16 +71,20 @@ Tensor masked_ce(const Tensor& logits, const std::vector<int>& labels,
   return cross_entropy(index_select_rows(logits, rows), kept_labels);
 }
 
-}  // namespace
-
-void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
-                       const TrainConfig& config) {
+/// The joint-task training loop shared by every model: shuffled
+/// mini-batches, the parallel head's loss plus the weighted clause losses,
+/// Adam with gradient clipping. `pool_rows` turns a batch of examples into
+/// pooled rows [batch, dim]; it is the only part that differs per model.
+template <typename Model, typename PoolRows>
+void train_jointly(Model& model, const std::vector<Example>& train, const TrainConfig& config,
+                   const char* name, PoolRows pool_rows) {
   Rng rng(config.seed);
   Adam opt(model.parameters(), config.lr, 0.9f, 0.999f, 1e-8f, config.weight_decay);
 
   std::vector<int> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
 
+  std::vector<const Example*> batch;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng.shuffle(order);
     double epoch_loss = 0.0;
@@ -107,13 +93,14 @@ void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
          begin += static_cast<std::size_t>(config.batch_size)) {
       const std::size_t end =
           std::min(order.size(), begin + static_cast<std::size_t>(config.batch_size));
-      const auto batch = batch_of(train, order, begin, end);
 
+      batch.clear();
       std::vector<int> parallel_labels;
       std::vector<bool> is_parallel;
       std::array<std::vector<int>, 4> clause_labels;
       for (std::size_t k = begin; k < end; ++k) {
         const Example& ex = train[static_cast<std::size_t>(order[k])];
+        batch.push_back(&ex);
         parallel_labels.push_back(ex.label_parallel);
         is_parallel.push_back(ex.label_parallel == 1);
         for (int c = 0; c < 4; ++c) {
@@ -123,7 +110,7 @@ void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
       }
 
       opt.zero_grad();
-      const Tensor pooled = model.encode(batch);
+      const Tensor pooled = pool_rows(ExampleSpan(batch));
       Tensor loss = cross_entropy(model.task_logits(pooled, PredictionTask::kParallel),
                                   parallel_labels);
       // Clause heads: only parallel loops carry a clause label (§6.3).
@@ -142,38 +129,45 @@ void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
       ++batches;
     }
     if (config.verbose) {
-      G2P_LOG_INFO << "graph-model epoch " << epoch + 1 << "/" << config.epochs
+      G2P_LOG_INFO << name << " epoch " << epoch + 1 << "/" << config.epochs
                    << " loss=" << (batches ? epoch_loss / batches : 0.0);
     }
   }
 }
 
-EvalReport evaluate_graph_model(const Graph2ParModel& model,
-                                const std::vector<Example>& examples, int batch_size) {
+/// The evaluation loop shared by every model: contiguous batches of
+/// `batch_size` examples through `pool_rows`, every head's argmax scored
+/// against its label. Clause tasks are scored on parallel loops only
+/// (§6.3 labeling rule).
+template <typename Model, typename PoolRows>
+EvalReport evaluate_jointly(const Model& model, const std::vector<Example>& examples,
+                            int batch_size, PoolRows pool_rows) {
   EvalReport report;
+  report.predicted_parallel.resize(examples.size());
   const NoGradGuard no_grad;
+  std::vector<const Example*> batch;
   for (std::size_t begin = 0; begin < examples.size();
        begin += static_cast<std::size_t>(batch_size)) {
     const std::size_t end =
         std::min(examples.size(), begin + static_cast<std::size_t>(batch_size));
-    const auto batch = batch_of(examples, begin, end);
-    const Tensor pooled = model.encode(batch);
-    const auto parallel_pred =
-        argmax_rows(model.task_logits(pooled, PredictionTask::kParallel));
-    std::array<std::vector<int>, 4> clause_preds;
-    for (int c = 0; c < 4; ++c) {
-      clause_preds[static_cast<std::size_t>(c)] =
-          argmax_rows(model.task_logits(pooled, static_cast<PredictionTask>(c + 1)));
+    batch.clear();
+    for (std::size_t k = begin; k < end; ++k) batch.push_back(&examples[k]);
+    const Tensor pooled = pool_rows(ExampleSpan(batch));
+    std::array<std::vector<int>, kNumPredictionTasks> preds;
+    for (int t = 0; t < kNumPredictionTasks; ++t) {
+      preds[static_cast<std::size_t>(t)] =
+          argmax_rows(model.task_logits(pooled, static_cast<PredictionTask>(t)));
     }
     for (std::size_t k = begin; k < end; ++k) {
       const Example& ex = examples[k];
       const std::size_t row = k - begin;
-      report.tasks[0].add(parallel_pred[row] == 1, ex.label_parallel == 1);
-      // Clause tasks are evaluated on parallel loops (§6.3 labeling rule).
+      const bool parallel = preds[0][row] == 1;
+      report.predicted_parallel[k] = parallel;
+      report.tasks[0].add(parallel, ex.label_parallel == 1);
       if (ex.label_parallel == 1) {
         for (int c = 0; c < 4; ++c) {
           report.tasks[static_cast<std::size_t>(c + 1)].add(
-              clause_preds[static_cast<std::size_t>(c)][row] == 1,
+              preds[static_cast<std::size_t>(c + 1)][row] == 1,
               ex.clause_labels[static_cast<std::size_t>(c)] == 1);
         }
       }
@@ -182,103 +176,54 @@ EvalReport evaluate_graph_model(const Graph2ParModel& model,
   return report;
 }
 
-std::vector<bool> predict_parallel(const Graph2ParModel& model,
-                                   const std::vector<Example>& examples, int batch_size) {
-  std::vector<bool> out(examples.size());
-  const NoGradGuard no_grad;
-  for (std::size_t begin = 0; begin < examples.size();
-       begin += static_cast<std::size_t>(batch_size)) {
-    const std::size_t end =
-        std::min(examples.size(), begin + static_cast<std::size_t>(batch_size));
-    const auto batch = batch_of(examples, begin, end);
-    const auto preds =
-        argmax_rows(model.task_logits(model.encode(batch), PredictionTask::kParallel));
-    for (std::size_t k = begin; k < end; ++k) out[k] = preds[k - begin] == 1;
-  }
-  return out;
+/// Graph2Par pools a batch through one disjoint union: every HGT layer of
+/// the step shares its precomputed CSR. The union lives until the next call,
+/// which frees it before building the next one, as a per-step local would.
+/// Freeing it before the step's backward pass instead changed glibc's heap
+/// trimming enough to slow training inside perfbench's process in 5 of 6
+/// runs (up to +50%).
+auto graph_rows(const Graph2ParModel& model) {
+  return [&model, held = BatchedGraph{}](ExampleSpan batch) mutable {
+    std::vector<const HetGraph*> graphs;
+    graphs.reserve(batch.size());
+    for (const Example* ex : batch) graphs.push_back(&ex->graph.graph);
+    held = BatchedGraph{};
+    held = batch_graphs(graphs);
+    return model.encode(held);
+  };
 }
 
-// ---------------------------------------------------------------------------
-// PragFormer
-// ---------------------------------------------------------------------------
+/// PragFormer encodes sequences one by one (ragged lengths) and
+/// concatenates the pooled rows into one batch for the heads.
+auto token_rows(const PragFormerModel& model) {
+  return [&model](ExampleSpan batch) {
+    std::vector<Tensor> rows;
+    rows.reserve(batch.size());
+    for (const Example* ex : batch) rows.push_back(model.encode(ex->tokens));
+    return concat_rows(rows);
+  };
+}
+
+}  // namespace
+
+void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
+                       const TrainConfig& config) {
+  train_jointly(model, train, config, "graph-model", graph_rows(model));
+}
+
+EvalReport evaluate_graph_model(const Graph2ParModel& model,
+                                const std::vector<Example>& examples, int batch_size) {
+  return evaluate_jointly(model, examples, batch_size, graph_rows(model));
+}
 
 void train_token_model(PragFormerModel& model, const std::vector<Example>& train,
                        const TrainConfig& config) {
-  Rng rng(config.seed);
-  Adam opt(model.parameters(), config.lr, 0.9f, 0.999f, 1e-8f, config.weight_decay);
-
-  std::vector<int> order(train.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.shuffle(order);
-    double epoch_loss = 0.0;
-    int batches = 0;
-    for (std::size_t begin = 0; begin < order.size();
-         begin += static_cast<std::size_t>(config.batch_size)) {
-      const std::size_t end =
-          std::min(order.size(), begin + static_cast<std::size_t>(config.batch_size));
-
-      // Sequences are encoded one by one (ragged lengths); pooled rows are
-      // then concatenated into one batch for the heads.
-      std::vector<Tensor> pooled_rows;
-      std::vector<int> parallel_labels;
-      std::vector<bool> is_parallel;
-      std::array<std::vector<int>, 4> clause_labels;
-      for (std::size_t k = begin; k < end; ++k) {
-        const Example& ex = train[static_cast<std::size_t>(order[k])];
-        pooled_rows.push_back(model.encode(ex.tokens));
-        parallel_labels.push_back(ex.label_parallel);
-        is_parallel.push_back(ex.label_parallel == 1);
-        for (int c = 0; c < 4; ++c) {
-          clause_labels[static_cast<std::size_t>(c)].push_back(
-              ex.clause_labels[static_cast<std::size_t>(c)]);
-        }
-      }
-      opt.zero_grad();
-      const Tensor pooled = concat_rows(pooled_rows);
-      Tensor loss = cross_entropy(model.task_logits(pooled, PredictionTask::kParallel),
-                                  parallel_labels);
-      for (int c = 0; c < 4; ++c) {
-        const Tensor clause_loss =
-            masked_ce(model.task_logits(pooled, static_cast<PredictionTask>(c + 1)),
-                      clause_labels[static_cast<std::size_t>(c)], is_parallel);
-        if (clause_loss.defined()) {
-          loss = add(loss, scale(clause_loss, config.clause_loss_weight));
-        }
-      }
-      loss.backward();
-      opt.clip_grad_norm(config.clip_norm);
-      opt.step();
-      epoch_loss += loss.item();
-      ++batches;
-    }
-    if (config.verbose) {
-      G2P_LOG_INFO << "token-model epoch " << epoch + 1 << "/" << config.epochs
-                   << " loss=" << (batches ? epoch_loss / batches : 0.0);
-    }
-  }
+  train_jointly(model, train, config, "token-model", token_rows(model));
 }
 
 EvalReport evaluate_token_model(const PragFormerModel& model,
                                 const std::vector<Example>& examples) {
-  EvalReport report;
-  const NoGradGuard no_grad;
-  for (const Example& ex : examples) {
-    const Tensor pooled = model.encode(ex.tokens);
-    const bool parallel_pred =
-        argmax_rows(model.task_logits(pooled, PredictionTask::kParallel))[0] == 1;
-    report.tasks[0].add(parallel_pred, ex.label_parallel == 1);
-    if (ex.label_parallel == 1) {
-      for (int c = 0; c < 4; ++c) {
-        const bool pred =
-            argmax_rows(model.task_logits(pooled, static_cast<PredictionTask>(c + 1)))[0] == 1;
-        report.tasks[static_cast<std::size_t>(c + 1)].add(
-            pred, ex.clause_labels[static_cast<std::size_t>(c)] == 1);
-      }
-    }
-  }
-  return report;
+  return evaluate_jointly(model, examples, 1, token_rows(model));
 }
 
 }  // namespace g2p

@@ -48,13 +48,17 @@ struct TrainConfig {
   bool verbose = false;
 };
 
-/// Per-task metrics of one evaluation pass.
+/// Per-task metrics of one evaluation pass, plus the parallel head's
+/// prediction for every example in input order (Table 3/4 counting).
 struct EvalReport {
   std::array<BinaryMetrics, kNumPredictionTasks> tasks;
+  std::vector<bool> predicted_parallel;
   const BinaryMetrics& parallel() const { return tasks[0]; }
 };
 
-// ---- Graph2Par ----
+// Graph2Par and PragFormer share one joint-task training loop and one
+// evaluation loop; they differ only in how a batch of examples becomes
+// pooled rows (one disjoint-union encode vs per-sequence encodes).
 
 /// Train all heads jointly; clause heads see only parallel-labeled examples.
 void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
@@ -63,15 +67,10 @@ void train_graph_model(Graph2ParModel& model, const std::vector<Example>& train,
 EvalReport evaluate_graph_model(const Graph2ParModel& model,
                                 const std::vector<Example>& examples, int batch_size = 32);
 
-/// Per-example parallel predictions (Table 3/4 counting).
-std::vector<bool> predict_parallel(const Graph2ParModel& model,
-                                   const std::vector<Example>& examples, int batch_size = 32);
-
-// ---- PragFormer ----
-
 void train_token_model(PragFormerModel& model, const std::vector<Example>& train,
                        const TrainConfig& config);
 
+/// Evaluates one sequence per step.
 EvalReport evaluate_token_model(const PragFormerModel& model,
                                 const std::vector<Example>& examples);
 

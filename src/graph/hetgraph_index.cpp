@@ -28,24 +28,24 @@ HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
     return position_of_node[static_cast<std::size_t>(node)];
   };
 
-  // Pass 1: count incoming edges per (edge type, destination position).
-  for (auto& slice : per_edge_type) {
-    slice.row_offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  }
+  // Pass 1: count incoming edges per (edge type, destination position),
+  // then turn the counts into each destination's first CSR entry.
+  std::vector<std::vector<int>> cursor(
+      per_edge_type.size(), std::vector<int>(static_cast<std::size_t>(num_nodes) + 1, 0));
   for (const auto& e : graph.edges) {
     if (e.src < 0 || e.src >= num_nodes || e.dst < 0 || e.dst >= num_nodes) {
       throw std::invalid_argument("HetGraphIndex: edge endpoint out of range");
     }
-    ++per_edge_type[static_cast<std::size_t>(e.type)]
-          .row_offsets[static_cast<std::size_t>(position(e.dst)) + 1];
+    ++cursor[static_cast<std::size_t>(e.type)][static_cast<std::size_t>(position(e.dst)) + 1];
   }
   int concat_offset = 0;
-  for (auto& slice : per_edge_type) {
+  for (std::size_t t = 0; t < per_edge_type.size(); ++t) {
+    auto& starts = cursor[t];
     for (int v = 0; v < num_nodes; ++v) {
-      slice.row_offsets[static_cast<std::size_t>(v) + 1] +=
-          slice.row_offsets[static_cast<std::size_t>(v)];
+      starts[static_cast<std::size_t>(v) + 1] += starts[static_cast<std::size_t>(v)];
     }
-    const int count = slice.row_offsets[static_cast<std::size_t>(num_nodes)];
+    auto& slice = per_edge_type[t];
+    const int count = starts[static_cast<std::size_t>(num_nodes)];
     slice.src.resize(static_cast<std::size_t>(count));
     slice.dst.resize(static_cast<std::size_t>(count));
     slice.concat_offset = concat_offset;
@@ -57,11 +57,6 @@ HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
   // arrays alongside.
   dst_concat.resize(static_cast<std::size_t>(num_edges));
   meta_concat.resize(static_cast<std::size_t>(num_edges));
-  std::vector<std::vector<int>> cursor(per_edge_type.size());
-  for (std::size_t t = 0; t < per_edge_type.size(); ++t) {
-    cursor[t].assign(per_edge_type[t].row_offsets.begin(),
-                     per_edge_type[t].row_offsets.end() - 1);
-  }
   for (const auto& e : graph.edges) {
     const auto t = static_cast<std::size_t>(e.type);
     auto& slice = per_edge_type[t];

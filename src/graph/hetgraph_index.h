@@ -12,9 +12,8 @@
 // order is its *position*; type τ owns positions [type_offsets[τ],
 // type_offsets[τ+1]), so every per-node-type projection of the HGT layer is
 // one GEMM on a contiguous slice of a position-order buffer. Everything
-// below the node-type grouping speaks positions: CSR row_offsets are
-// indexed by destination position, and src / dst / dst_concat hold
-// positions. `nodes_by_type` maps position -> node id and
+// below the node-type grouping speaks positions: src / dst / dst_concat
+// hold positions. `nodes_by_type` maps position -> node id and
 // `position_of_node` maps back; `rows_of_type` holds node ids and
 // `meta_concat` node types.
 //
@@ -35,25 +34,16 @@
 namespace g2p {
 
 struct HetGraphIndex {
-  /// CSR block of one edge type φ. Incoming edges of the node at position v
-  /// occupy entries [row_offsets[v], row_offsets[v+1]) of `src` / `dst`.
+  /// CSR block of one edge type φ: its edges sorted by destination
+  /// position, so the incoming edges of each node are one contiguous run of
+  /// `src` / `dst`. Entry p is edge `concat_offset + p` of the type-major
+  /// order (the dst_concat / meta_concat index).
   struct EdgeTypeSlice {
-    std::vector<int> row_offsets;  // size num_nodes + 1, by destination position
     std::vector<int> src;          // source position of each edge, CSR order
     std::vector<int> dst;          // destination position of each edge, CSR order
     int concat_offset = 0;         // block start in the type-major edge order
     bool empty() const { return src.empty(); }
     int size() const { return static_cast<int>(src.size()); }
-
-    // Per-destination walk: incoming edges of the node at position v
-    // occupy CSR entries [in_begin(v), in_end(v)) of `src`; entry p is edge
-    // `concat_offset + p` of the type-major order (the dst_concat /
-    // meta_concat index). Valid on every slice of a built index — the
-    // constructor sizes row_offsets to num_nodes + 1 even for edge types
-    // with no edges — but not on a default-constructed slice.
-    int in_begin(int v) const { return row_offsets[static_cast<std::size_t>(v)]; }
-    int in_end(int v) const { return row_offsets[static_cast<std::size_t>(v) + 1]; }
-    int in_degree(int v) const { return in_end(v) - in_begin(v); }
   };
 
   int num_nodes = 0;
@@ -79,15 +69,6 @@ struct HetGraphIndex {
   /// Meta-relation id (τ(s), φ(e), τ(t)) of every edge, same order; gathers
   /// the µ prior of formula 2.
   std::vector<int> meta_concat;
-
-  /// Total incoming edges of the node at position v across every edge type.
-  int total_in_degree(int v) const {
-    int deg = 0;
-    for (const auto& slice : per_edge_type) {
-      if (!slice.empty()) deg += slice.in_degree(v);
-    }
-    return deg;
-  }
 
   HetGraphIndex() = default;
   /// Build in O(V + E) with a stable counting sort. Throws

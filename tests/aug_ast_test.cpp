@@ -151,14 +151,13 @@ TEST(AugAst, PositionAttributeReflectsChildOrder) {
   const auto vocab = test_vocab(*e);
   const auto lg = AugAstBuilder(vocab).build(
       *parse_statement("x = a - b;"));
-  // Find VarRef nodes for a and b: positions must differ (0 vs 1).
+  // Find the VarRef nodes of a and b by their text attribute: positions
+  // must differ (0 vs 1).
   int pos_a = -1, pos_b = -1;
-  for (const auto& [node, idx] : lg.index_of) {
-    if (node->kind() == NodeKind::kDeclRef) {
-      const auto& ref = static_cast<const DeclRef&>(*node);
-      if (ref.name == "a") pos_a = lg.graph.nodes[static_cast<std::size_t>(idx)].position;
-      if (ref.name == "b") pos_b = lg.graph.nodes[static_cast<std::size_t>(idx)].position;
-    }
+  for (const auto& node : lg.graph.nodes) {
+    if (node.type != HetNodeType::kVarRef) continue;
+    if (node.token_id == vocab.id("a")) pos_a = node.position;
+    if (node.token_id == vocab.id("b")) pos_b = node.position;
   }
   EXPECT_EQ(pos_a, 0);
   EXPECT_EQ(pos_b, 1);

@@ -97,7 +97,6 @@ TEST(HetGraphIndex, CsrStructureOfHandBuiltGraph) {
   const auto& ast = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kAstChild)];
   // Incoming kAstChild edges: node 0 none, node 1 two (from 0 then 2, original
   // order preserved), node 2 one (from 0).
-  EXPECT_EQ(ast.row_offsets, (std::vector<int>{0, 0, 2, 3}));
   EXPECT_EQ(ast.src, (std::vector<int>{0, 2, 0}));
   EXPECT_EQ(ast.dst, (std::vector<int>{1, 1, 2}));
   EXPECT_EQ(ast.concat_offset, 0);
@@ -164,7 +163,6 @@ TEST(HetGraphIndex, TypeMajorPositions) {
   // has one kAstChild in-edge from node 2 (position 4); position 1 (node 3)
   // has three, from nodes 4, 0, 2 (positions 3, 2, 4) in insertion order.
   const auto& ast = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kAstChild)];
-  EXPECT_EQ(ast.row_offsets, (std::vector<int>{0, 1, 4, 4, 4, 4}));
   EXPECT_EQ(ast.src, (std::vector<int>{4, 3, 2, 4}));
   EXPECT_EQ(ast.dst, (std::vector<int>{0, 1, 1, 1}));
   const auto& cfg = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kCfgNext)];

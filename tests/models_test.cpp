@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <memory>
 
 #include <unistd.h>  // truncate(), for the corrupt-checkpoint tests
 
@@ -85,14 +87,25 @@ TEST_F(ModelFixture, Graph2ParPredictionsAlignWithEvaluate) {
   tc.epochs = 2;
   train_graph_model(model, state().train_examples, tc);
 
-  const auto preds = predict_parallel(model, state().test_examples);
-  const auto report = evaluate_graph_model(model, state().test_examples);
+  // The report's per-example predictions are in input order: each equals
+  // the parallel head on that example's graph alone, and together they
+  // recount the report's parallel metrics.
+  const auto& examples = state().test_examples;
+  const auto report = evaluate_graph_model(model, examples);
+  ASSERT_EQ(report.predicted_parallel.size(), examples.size());
+  const NoGradGuard no_grad;
   BinaryMetrics recount;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    recount.add(preds[i], state().test_examples[i].label_parallel == 1);
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    const bool alone =
+        argmax_rows(model.task_logits(model.encode(examples[i].graph.graph),
+                                      PredictionTask::kParallel))[0] == 1;
+    EXPECT_EQ(report.predicted_parallel[i], alone) << "example " << i;
+    recount.add(report.predicted_parallel[i], examples[i].label_parallel == 1);
   }
   EXPECT_EQ(recount.tp, report.parallel().tp);
   EXPECT_EQ(recount.fp, report.parallel().fp);
+  EXPECT_EQ(recount.tn, report.parallel().tn);
+  EXPECT_EQ(recount.fn, report.parallel().fn);
 }
 
 TEST_F(ModelFixture, PragFormerLearnsAboveChance) {
@@ -120,6 +133,30 @@ TEST_F(ModelFixture, DeterministicTrainingGivesIdenticalModels) {
     return evaluate_graph_model(model, state().test_examples).parallel().accuracy();
   };
   EXPECT_EQ(build(), build());
+}
+
+TEST_F(ModelFixture, PragFormerDeterministicTraining) {
+  auto train = [&] {
+    Rng rng(5);
+    PragFormerConfig pc;
+    pc.vocab_size = state().vocab.size();
+    auto model = std::make_unique<PragFormerModel>(pc, rng);
+    TrainConfig tc;
+    tc.epochs = 1;
+    tc.seed = 17;
+    train_token_model(*model, state().train_examples, tc);
+    return model;
+  };
+  const auto a = train();
+  const auto b = train();
+  ASSERT_EQ(a->parameters().size(), b->parameters().size());
+  for (std::size_t p = 0; p < a->parameters().size(); ++p) {
+    const auto& da = a->parameters()[p].data();
+    const auto& db = b->parameters()[p].data();
+    ASSERT_EQ(da.size(), db.size()) << "parameter " << p;
+    EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(float)), 0)
+        << "parameter " << p << " differs between two runs from one seed";
+  }
 }
 
 TEST_F(ModelFixture, ComparisonHarnessShapes) {
