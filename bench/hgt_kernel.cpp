@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   if (const char* s = std::getenv("G2P_HGT_FLOOR")) floor = std::atof(s);
 
   // Serving-shaped inputs: real aug-AST graphs (full edge set) from the
-  // corpus generator, batched like suggest_batch batches them.
+  // corpus generator, batched like suggest_batch_results batches them.
   GeneratorConfig gen = env.generator_config();
   gen.scale = std::max(env.scale, 0.02);
   const Corpus corpus = CorpusGenerator(gen).generate();

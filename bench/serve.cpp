@@ -403,9 +403,9 @@ int main(int argc, char** argv) {
               " = %.2fx (floor %.2fx)\n",
               server_rps, seq_rps, bench::percentile(seq_latency_s, 0.50) * 1e3,
               bench::percentile(seq_latency_s, 0.99) * 1e3, ratio, serve_floor);
-  std::printf("capacity: serving cache %.1f%% hit rate | race verifier %s (%llu verified / "
-              "%llu repaired / %llu vetoed / %llu unknown)\n",
-              cap.stats.cache_hit_rate() * 100.0, cap.stats.verify ? "on" : "off",
+  std::printf("capacity: serving cache %.1f%% hit rate | race verifier: %llu verified / "
+              "%llu repaired / %llu vetoed / %llu unknown\n",
+              cap.stats.cache_hit_rate() * 100.0,
               static_cast<unsigned long long>(cap.stats.verdict_verified),
               static_cast<unsigned long long>(cap.stats.verdict_repaired),
               static_cast<unsigned long long>(cap.stats.verdict_vetoed),
@@ -505,7 +505,6 @@ int main(int argc, char** argv) {
   json.set("capacity_throughput_ratio", ratio);
   json.set("capacity_floor", serve_floor);
   json.set("capacity_cache_hit_rate", cap.stats.cache_hit_rate());
-  json.set("capacity_verify", cap.stats.verify);
   json.set("capacity_verdict_verified", static_cast<std::int64_t>(cap.stats.verdict_verified));
   json.set("capacity_verdict_repaired", static_cast<std::int64_t>(cap.stats.verdict_repaired));
   json.set("capacity_verdict_vetoed", static_cast<std::int64_t>(cap.stats.verdict_vetoed));

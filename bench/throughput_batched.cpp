@@ -3,11 +3,13 @@
 // Trains a small pipeline, then serves 128 generated C files (fresh seed, so
 // none were seen in training) two ways:
 //   * sequential: one Pipeline::suggest call per file, and
-//   * batched: Pipeline::suggest_batch over chunks of {1, 8, 32, 128} files,
+//   * batched: Pipeline::suggest_batch_results over chunks of {1, 8, 32,
+//     128} files,
 // reporting steady-state loops/sec per configuration (warmup + best of three
-// repetitions). The run fails (exit 1) if batched and sequential outputs
-// disagree (category/pragma mismatch, or confidence drift above 1e-5) or if
-// the full-batch speedup misses the floor: 3x with >= 2 hardware threads
+// repetitions). The run fails (exit 1) if a batched slot reports an error,
+// if batched and sequential outputs disagree (category/pragma mismatch, or
+// confidence drift above 1e-5) or if the full-batch speedup misses the
+// floor: 3x with >= 2 hardware threads
 // (the pipeline parallelizes frontend, encode tiles, and assembly);
 // 1.25x on a single hardware thread. The single-thread floor was 2x before
 // the fused HGT inference kernel (PR 3): batching then mostly amortized
@@ -83,6 +85,7 @@ int main(int argc, char** argv) {
 
   double full_batch_time = 0.0;
   std::vector<std::vector<LoopSuggestion>> full_batch_out;
+  std::size_t failed_slots = 0;  // every source parses, so any error fails
   for (const std::size_t batch_size : {std::size_t{1}, std::size_t{8}, std::size_t{32},
                                        std::size_t{128}}) {
     const double elapsed = run_best([&] {
@@ -90,9 +93,12 @@ int main(int argc, char** argv) {
       out.reserve(views.size());
       for (std::size_t begin = 0; begin < views.size(); begin += batch_size) {
         const std::size_t end = std::min(views.size(), begin + batch_size);
-        auto chunk = pipeline.suggest_batch(
+        auto chunk = pipeline.suggest_batch_results(
             std::span<const std::string_view>(views.data() + begin, end - begin));
-        for (auto& s : chunk) out.push_back(std::move(s));
+        for (auto& r : chunk) {
+          if (!r.ok()) ++failed_slots;
+          out.push_back(std::move(r.suggestions));
+        }
       }
       return out;
     });
@@ -128,6 +134,10 @@ int main(int argc, char** argv) {
               speedup, floor, hw, hw == 1 ? "" : "s");
 
   bool ok = true;
+  if (failed_slots != 0) {
+    std::printf("FAIL: %zu batched slots reported an error\n", failed_slots);
+    ok = false;
+  }
   if (!eq.holds(1e-5)) {
     std::printf("FAIL: batched outputs are not equivalent to sequential outputs\n");
     ok = false;

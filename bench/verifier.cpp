@@ -2,11 +2,13 @@
 // fresh labeled corpus.
 //
 // Trains a small pipeline, generates an unseen labeled corpus (seed+1), and
-// serves every distinct file twice through the same trained pipeline — once
-// with verification off (the model's raw suggestions) and once with it on
-// (vetoes withdraw provable races, repairs add missing/wrong clauses). The
-// pragma-existence BinaryMetrics of both modes are compared per labeled
-// loop:
+// serves every distinct file once. Serving always verifies (vetoes withdraw
+// provable races, repairs add missing/wrong clauses), and that one pass
+// yields both rows: the model's raw existence call is exactly
+// `confidence >= 0.5` (the pipeline sets `parallel` that way before the
+// verifier runs, and a veto clears `parallel` but never touches
+// `confidence`), the served one is `parallel`. The pragma-existence
+// BinaryMetrics of both are compared per labeled loop:
 //
 //   * precision must strictly improve: every veto that fires on a loop the
 //     generator built around a real dependence (flow dep, prefix sum,
@@ -18,10 +20,10 @@
 //     proves racy — which the conservatism contract in analysis/verifier.h
 //     says must not happen (modulo label noise in the generated corpus).
 //
-// Also enforces the determinism/agreement acceptance criterion: with
-// verification on, `suggest`, `suggest_batch_results`, a cached replay, and
-// a recomputation after clear_cache must agree bitwise on every field
-// (verdict, veto_reason, repaired_clauses included).
+// Also enforces the determinism/agreement acceptance criterion: `suggest`,
+// `suggest_batch_results`, a cached replay, and a recomputation after
+// clear_cache must agree bitwise on every field (verdict, veto_reason,
+// repaired_clauses included).
 //
 // Knobs: G2P_SCALE / G2P_EPOCHS / G2P_SEED as in bench_common.h, plus
 //   G2P_VERIFIER_FLOOR       — minimum precision improvement (default 0:
@@ -49,7 +51,8 @@ namespace {
 using namespace g2p;
 
 struct EvalOut {
-  BinaryMetrics existence;                  // predicted-parallel vs label
+  BinaryMetrics model_only;                 // confidence >= 0.5 vs label
+  BinaryMetrics verified;                   // served `parallel` vs label
   std::array<std::uint64_t, 5> verdicts{};  // indexed by Verdict
   std::uint64_t repairs = 0;                // total repaired clauses
   std::size_t unmatched = 0;                // labeled loops with no suggestion
@@ -125,65 +128,55 @@ int main(int argc, char** argv) {
   std::printf("fresh corpus: %d labeled loops across %zu distinct files\n\n", corpus.size(),
               files.size());
 
-  const auto evaluate = [&](bool verify) {
-    pipeline.set_verify_suggestions(verify);
-    EvalOut out;
-    for (std::size_t f = 0; f < files.size(); ++f) {
-      const std::vector<LoopSuggestion> suggestions = pipeline.suggest(files[f]);
-      for (const LoopSample* sample : samples_of[f]) {
-        const LoopSuggestion* match = nullptr;
-        for (const LoopSuggestion& s : suggestions) {
-          if (s.loop_source == sample->loop_source) {
-            match = &s;
-            break;
-          }
+  EvalOut out;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const std::vector<LoopSuggestion> suggestions = pipeline.suggest(files[f]);
+    for (const LoopSample* sample : samples_of[f]) {
+      const LoopSuggestion* match = nullptr;
+      for (const LoopSuggestion& s : suggestions) {
+        if (s.loop_source == sample->loop_source) {
+          match = &s;
+          break;
         }
-        if (match == nullptr) {
-          ++out.unmatched;
-          continue;
-        }
-        out.existence.add(match->parallel, sample->parallel);
-        ++out.verdicts[static_cast<std::size_t>(match->verdict)];
-        out.repairs += match->repaired_clauses.size();
       }
+      if (match == nullptr) {
+        ++out.unmatched;
+        continue;
+      }
+      out.model_only.add(match->confidence >= 0.5, sample->parallel);
+      out.verified.add(match->parallel, sample->parallel);
+      ++out.verdicts[static_cast<std::size_t>(match->verdict)];
+      out.repairs += match->repaired_clauses.size();
     }
-    return out;
-  };
-
-  // The result-cache key is salted with the verifier config, so evaluating
-  // both modes on one pipeline (frontend artifacts shared, rendered results
-  // separate) is exactly the comparison serving would see.
-  const EvalOut base = evaluate(/*verify=*/false);
-  const EvalOut ver = evaluate(/*verify=*/true);
+  }
+  const BinaryMetrics& base = out.model_only;
+  const BinaryMetrics& ver = out.verified;
 
   TextTable table({"mode", "precision", "recall", "F1", "accuracy"});
   const auto add = [&table](const char* name, const BinaryMetrics& m) {
     table.add_row({name, bench::pct(m.precision()), bench::pct(m.recall()),
                    bench::pct(m.f1()), bench::pct(m.accuracy())});
   };
-  add("model only", base.existence);
-  add("model + verifier", ver.existence);
+  add("model only", base);
+  add("model + verifier", ver);
   std::printf("%s", table.render().c_str());
   std::printf("verdicts: %llu verified / %llu repaired / %llu vetoed / %llu unknown "
               "(%llu clause repairs)\n",
-              static_cast<unsigned long long>(ver.verdicts[static_cast<std::size_t>(Verdict::kVerified)]),
-              static_cast<unsigned long long>(ver.verdicts[static_cast<std::size_t>(Verdict::kRepaired)]),
-              static_cast<unsigned long long>(ver.verdicts[static_cast<std::size_t>(Verdict::kVetoed)]),
-              static_cast<unsigned long long>(ver.verdicts[static_cast<std::size_t>(Verdict::kUnknown)]),
-              static_cast<unsigned long long>(ver.repairs));
+              static_cast<unsigned long long>(out.verdicts[static_cast<std::size_t>(Verdict::kVerified)]),
+              static_cast<unsigned long long>(out.verdicts[static_cast<std::size_t>(Verdict::kRepaired)]),
+              static_cast<unsigned long long>(out.verdicts[static_cast<std::size_t>(Verdict::kVetoed)]),
+              static_cast<unsigned long long>(out.verdicts[static_cast<std::size_t>(Verdict::kUnknown)]),
+              static_cast<unsigned long long>(out.repairs));
   std::printf("model only: %d tp / %d fp / %d fn | with verifier: %d tp / %d fp / %d fn\n",
-              base.existence.tp, base.existence.fp, base.existence.fn, ver.existence.tp,
-              ver.existence.fp, ver.existence.fn);
-  if (base.unmatched != 0 || ver.unmatched != 0) {
+              base.tp, base.fp, base.fn, ver.tp, ver.fp, ver.fn);
+  if (out.unmatched != 0) {
     std::printf("note: %zu/%zu labeled loops had no matching suggestion (extractor gap)\n",
-                std::max(base.unmatched, ver.unmatched),
-                static_cast<std::size_t>(corpus.size()));
+                out.unmatched, static_cast<std::size_t>(corpus.size()));
   }
 
   // ---- agreement gate: suggest == batch == cached replay == recompute ------
-  // All with verification on (the serving default). Covers the acceptance
-  // criterion that sequential, batched, and cached outputs agree bitwise.
-  pipeline.set_verify_suggestions(true);
+  // Covers the acceptance criterion that sequential, batched, and cached
+  // outputs agree bitwise.
   std::size_t agreement_mismatches = 0;
   const std::size_t probe = std::min<std::size_t>(files.size(), 12);
   for (std::size_t f = 0; f < probe; ++f) {
@@ -204,13 +197,13 @@ int main(int argc, char** argv) {
               probe, agreement_mismatches);
 
   // ---- gates ---------------------------------------------------------------
-  const double prec_delta = ver.existence.precision() - base.existence.precision();
-  const double rec_delta = ver.existence.recall() - base.existence.recall();
+  const double prec_delta = ver.precision() - base.precision();
+  const double rec_delta = ver.recall() - base.recall();
   std::printf("precision delta: %+.4f (floor %+.4f) | recall delta: %+.4f (allowed %.4f)\n",
               prec_delta, floor, rec_delta, recall_drop);
 
   bool ok = true;
-  if (base.existence.fp == 0) {
+  if (base.fp == 0) {
     // Nothing to veto: strict improvement is vacuous, but the verifier must
     // not make precision worse.
     if (prec_delta < 0.0) {
@@ -237,24 +230,24 @@ int main(int argc, char** argv) {
   bench::set_common_header(json, "verifier");
   json.set("scale", options.corpus.scale);
   json.set("epochs", options.train.epochs);
-  json.set("loops_evaluated", base.existence.total());
-  json.set("base_precision", base.existence.precision());
-  json.set("base_recall", base.existence.recall());
-  json.set("base_f1", base.existence.f1());
-  json.set("verified_precision", ver.existence.precision());
-  json.set("verified_recall", ver.existence.recall());
-  json.set("verified_f1", ver.existence.f1());
+  json.set("loops_evaluated", base.total());
+  json.set("base_precision", base.precision());
+  json.set("base_recall", base.recall());
+  json.set("base_f1", base.f1());
+  json.set("verified_precision", ver.precision());
+  json.set("verified_recall", ver.recall());
+  json.set("verified_f1", ver.f1());
   json.set("precision_delta", prec_delta);
   json.set("recall_delta", rec_delta);
   json.set("verdict_verified",
-           static_cast<std::int64_t>(ver.verdicts[static_cast<std::size_t>(Verdict::kVerified)]));
+           static_cast<std::int64_t>(out.verdicts[static_cast<std::size_t>(Verdict::kVerified)]));
   json.set("verdict_repaired",
-           static_cast<std::int64_t>(ver.verdicts[static_cast<std::size_t>(Verdict::kRepaired)]));
+           static_cast<std::int64_t>(out.verdicts[static_cast<std::size_t>(Verdict::kRepaired)]));
   json.set("verdict_vetoed",
-           static_cast<std::int64_t>(ver.verdicts[static_cast<std::size_t>(Verdict::kVetoed)]));
+           static_cast<std::int64_t>(out.verdicts[static_cast<std::size_t>(Verdict::kVetoed)]));
   json.set("verdict_unknown",
-           static_cast<std::int64_t>(ver.verdicts[static_cast<std::size_t>(Verdict::kUnknown)]));
-  json.set("clause_repairs", static_cast<std::int64_t>(ver.repairs));
+           static_cast<std::int64_t>(out.verdicts[static_cast<std::size_t>(Verdict::kUnknown)]));
+  json.set("clause_repairs", static_cast<std::int64_t>(out.repairs));
   json.set("agreement_mismatches", static_cast<std::int64_t>(agreement_mismatches));
   json.set("precision_floor", floor);
   json.set("recall_drop_allowed", recall_drop);

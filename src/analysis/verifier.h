@@ -33,8 +33,7 @@
 // verdict is a pure function of the loop's AST, so it is deterministic
 // across suggest / suggest_batch_results / cache replay.
 //
-// Knob: Pipeline::Options::verify_suggestions (default on) wires this into
-// serving; Pipeline::set_verify_suggestions toggles it on a live pipeline.
+// Serving runs it on every suggestion; there is no switch to turn it off.
 // The full story, including the lattice's guarantees and worked examples,
 // lives in docs/analysis.md.
 #pragma once

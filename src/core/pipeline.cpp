@@ -20,11 +20,10 @@ namespace g2p {
 namespace {
 
 /// Build the per-source frontend artifact: lex, parse, extract loops, build
-/// aug-ASTs. The measured wall time rides along so cache hits can report how
-/// much frontend work they skipped.
+/// full aug-ASTs. The measured wall time rides along so cache hits can
+/// report how much frontend work they skipped.
 std::shared_ptr<const FrontendArtifact> build_artifact(std::string_view c_source,
-                                                       const Vocab& vocab,
-                                                       const AugAstOptions& aug) {
+                                                       const Vocab& vocab) {
   const auto start = std::chrono::steady_clock::now();
   // Failpoint: a parse-stage fault is a per-source error — it rides the
   // same exception_ptr slot a real parse error would, poisoning nothing.
@@ -41,7 +40,7 @@ std::shared_ptr<const FrontendArtifact> build_artifact(std::string_view c_source
   if (gov != nullptr) gov->checkpoint();
   out->loops = extract_loops(*out->parsed.tu);
   if (gov != nullptr) gov->charge_loops(out->loops.size());
-  AugAstBuilder builder(vocab, aug);
+  AugAstBuilder builder(vocab);
   out->graphs.reserve(out->loops.size());
   for (const auto& loop : out->loops) {
     out->graphs.push_back(builder.build(*loop.loop, out->parsed.tu));
@@ -61,8 +60,7 @@ std::shared_ptr<const FrontendArtifact> build_artifact(std::string_view c_source
 /// serving entry point (sequential, batched, cached replay) funnels through
 /// here, so verification behaves bitwise-identically across them.
 LoopSuggestion make_suggestion(const ExtractedLoop& loop, const TranslationUnit* tu,
-                               double confidence, const std::array<int, 4>& clause_pred,
-                               bool verify) {
+                               double confidence, const std::array<int, 4>& clause_pred) {
   // The wall-clock dimension reaches into the verifier stage: one
   // cooperative check per rendered loop (also the `governor.check`
   // failpoint site).
@@ -100,28 +98,14 @@ LoopSuggestion make_suggestion(const ExtractedLoop& loop, const TranslationUnit*
       if (!info.declared_in_body) privates.push_back(var);
     }
     suggestion.suggested_pragma = render_pragma(suggestion.category, privates, reductions);
-    if (verify) {
-      // The verifier reuses the facts computed above, so its cost is the
-      // clause classification itself — no second analysis pass.
-      apply_verifier_result(
-          verify_clauses(facts, suggestion.category, privates, reductions), suggestion);
-    }
-  } else if (verify) {
+    // The verifier reuses the facts computed above, so its cost is the
+    // clause classification itself — no second analysis pass.
+    apply_verifier_result(verify_clauses(facts, suggestion.category, privates, reductions),
+                          suggestion);
+  } else {
     suggestion.verdict = Verdict::kVerified;  // no pragma, nothing to race
   }
   return suggestion;
-}
-
-/// Full-result cache keys are salted with the verifier config:
-/// verified/vetoed renders and raw model renders must never alias when
-/// set_verify_suggestions toggles between calls. The frontend tier stays on
-/// the raw content hash — artifacts are config-independent.
-Hash128 result_cache_key(Hash128 key, bool verify) {
-  if (verify) {
-    key.lo ^= 0x9e3779b97f4a7c15ull;
-    key.hi ^= 0xc2b2ae3d27d4eb4full;
-  }
-  return key;
 }
 
 }  // namespace
@@ -173,7 +157,7 @@ Pipeline Pipeline::train(const Options& options) {
   Pipeline pipeline(options, std::move(vocab));
 
   const auto train_examples =
-      prepare_examples(corpus, split.train, pipeline.vocab_, options.aug);
+      prepare_examples(corpus, split.train, pipeline.vocab_, AugAstOptions{});
   G2P_LOG_INFO << "Pipeline::train: " << train_examples.size() << " training loops, vocab "
                << pipeline.vocab_.size();
   train_graph_model(*pipeline.model_, train_examples, options.train);
@@ -190,21 +174,8 @@ std::optional<std::vector<LoopSuggestion>> Pipeline::try_cached(
     std::string_view c_source) const {
   if (!cache_->enabled()) return std::nullopt;
   const std::uint64_t stamp = model_stamp_.load(std::memory_order_acquire);
-  const Hash128 rkey = result_cache_key(hash_source(c_source), verify_active());
-  if (auto hit = cache_->get_result(rkey, stamp)) return *hit;
+  if (auto hit = cache_->get_result(hash_source(c_source), stamp)) return *hit;
   return std::nullopt;
-}
-
-std::vector<std::vector<LoopSuggestion>> Pipeline::suggest_batch(
-    std::span<const std::string_view> sources) const {
-  auto results = suggest_batch_results(sources);
-  std::vector<std::vector<LoopSuggestion>> out;
-  out.reserve(results.size());
-  for (auto& r : results) {
-    if (r.error) std::rethrow_exception(r.error);
-    out.push_back(std::move(r.suggestions));
-  }
-  return out;
 }
 
 std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
@@ -214,7 +185,6 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
   if (sources.empty()) return out;
   ThreadPool& pool = this->pool();
   const std::uint64_t stamp = model_stamp_.load(std::memory_order_acquire);
-  const bool verify = verify_active();
   const bool cached = cache_->enabled();
 
   // Stage 0 (serial, cheap): content-address every source. Duplicate keys
@@ -242,7 +212,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
       }
     }
     if (!cached) continue;
-    if (auto hit = cache_->get_result(result_cache_key(keys[i], verify), stamp)) {
+    if (auto hit = cache_->get_result(keys[i], stamp)) {
       out[i].suggestions = *hit;
       done[i] = 1;
       continue;
@@ -265,7 +235,7 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
     governors[i] = std::make_unique<ResourceGovernor>(options_.budget);
     const GovernorScope governor_scope(governors[i].get());
     try {
-      artifacts[i] = build_artifact(sources[i], vocab_, options_.aug);
+      artifacts[i] = build_artifact(sources[i], vocab_);
       if (cached) cache_->put_frontend(keys[i], artifacts[i]);
     } catch (...) {
       out[i].error = std::current_exception();
@@ -321,14 +291,12 @@ std::vector<Pipeline::SourceResult> Pipeline::suggest_batch_results(
             artifact.loops[i], artifact.parsed.tu,
             parallel_probs.at({static_cast<int>(r), 1}),
             {clause_preds[0][r], clause_preds[1][r], clause_preds[2][r],
-             clause_preds[3][r]},
-            verify));
+             clause_preds[3][r]}));
       }
       if (cached) {
-        cache_->put_result(
-            result_cache_key(keys[s], verify), stamp,
-            std::make_shared<std::vector<LoopSuggestion>>(out[s].suggestions),
-            artifact.frontend_ns);
+        cache_->put_result(keys[s], stamp,
+                           std::make_shared<std::vector<LoopSuggestion>>(out[s].suggestions),
+                           artifact.frontend_ns);
       }
     } catch (...) {
       out[s].suggestions.clear();

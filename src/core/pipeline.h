@@ -2,10 +2,11 @@
 // suggestions out (§6.4: Graph2Par assists the developer with suggestions
 // rather than rewriting code).
 //
-// A Pipeline bundles a vocabulary, a trained Graph2Par model, the aug-AST
-// builder options, and a content-addressed serving cache (suggest_cache.h):
-// repeat sources skip the frontend (and, when the model has not changed,
-// the forward pass too).
+// A Pipeline bundles a vocabulary, a trained Graph2Par model and a
+// content-addressed serving cache (suggest_cache.h): repeat sources skip the
+// frontend (and, when the model has not changed, the forward pass too).
+// Serving always builds the full aug-AST (AugAstOptions{}) and always runs
+// the static race verifier (analysis/verifier.h) on every suggestion.
 #pragma once
 
 #include <atomic>
@@ -35,15 +36,9 @@ class Pipeline {
     GeneratorConfig corpus;      // training-corpus generation
     Graph2ParConfig model;       // vocab_size is filled in automatically
     TrainConfig train;
-    AugAstOptions aug;           // full aug-AST by default
     /// Byte budget of the content-addressed serving cache (two LRU tiers:
     /// rendered results + frontend artifacts). 0 disables caching.
     std::size_t cache_bytes = 64u << 20;
-    /// Run the static race verifier (analysis/verifier.h) on every
-    /// suggestion: provable races are vetoed, missing/wrong clauses are
-    /// repaired, unanalyzable loops pass through flagged kUnknown
-    /// (docs/analysis.md).
-    bool verify_suggestions = true;
     /// Per-request resource caps enforced through lex, parse, loop
     /// extraction, aug-AST build, and verification (the adversarial-input
     /// governor, support/resource_governor.h). The defaults admit any
@@ -83,20 +78,13 @@ class Pipeline {
   /// serves from when the forward path is saturated.
   std::optional<std::vector<LoopSuggestion>> try_cached(std::string_view c_source) const;
 
-  /// Batched serving entry point: many translation units in, one suggestion
-  /// list per unit out (aligned with `sources`). Per-source frontend work
-  /// (parse, loop extraction, aug-AST construction) runs on a worker pool;
-  /// all loops across all sources are merged into a single disjoint batch
-  /// union for one model forward. Numerically equivalent to calling
-  /// `suggest` per source, just faster. Throws on the first source that
-  /// fails to parse, like `suggest` does.
-  std::vector<std::vector<LoopSuggestion>> suggest_batch(
-      std::span<const std::string_view> sources) const;
-
-  /// Error-tolerant batch entry point for servers: a source that fails to
-  /// parse or analyze reports its exception in its own slot instead of
+  /// Batched serving entry point: many translation units in, one result per
+  /// unit out (aligned with `sources`). Per-source frontend work (parse,
+  /// loop extraction, aug-AST construction) runs on a worker pool; all loops
+  /// across all sources join one tiled model forward. A source that fails
+  /// to parse or analyze reports its exception in its own slot instead of
   /// poisoning batch-mates; every healthy source still gets suggestions
-  /// numerically equivalent to per-source `suggest`. Aligned with `sources`.
+  /// numerically equivalent to per-source `suggest`.
   /// Sources with the same normalized content (the cache key) are computed
   /// once, cache on or off: later copies are marked `duplicate` and carry
   /// the first copy's suggestions or error.
@@ -132,17 +120,10 @@ class Pipeline {
   /// one with its cache off).
   Pipeline clone() const;
 
-  /// Replace the worker pool used by `suggest_batch*`. Null restores the
+  /// Replace the worker pool used by `suggest_batch_results`. Null restores the
   /// process-wide shared default pool (hardware-sized). A server injects its
   /// own pool here so serving concurrency is owned by the server, not a global.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);
-
-  /// Whether serving verifies: Options::verify_suggestions.
-  bool verify_active() const { return options_.verify_suggestions; }
-  /// Runtime toggle (benches/tests compare model-only vs model+verifier on
-  /// one trained pipeline). The result-cache key is salted with the
-  /// verifier config, so toggling can never serve stale verdicts.
-  void set_verify_suggestions(bool on) { options_.verify_suggestions = on; }
 
   /// Serving-cache counters (hits per tier, bytes, frontend time saved).
   SuggestCache::Stats cache_stats() const { return cache_->stats(); }

@@ -14,8 +14,9 @@ namespace g2p {
 
 /// Static race-verifier verdict lattice for one suggestion (see
 /// analysis/verifier.h and docs/analysis.md). Ordered by severity:
-/// vetoed > unknown > repaired > verified; kUnchecked means the verifier
-/// did not run (Options::verify_suggestions off).
+/// vetoed > unknown > repaired > verified. kUnchecked is the default of a
+/// default-constructed record and is never produced by serving: the
+/// pipeline verifies every suggestion it renders.
 enum class Verdict {
   kUnchecked,
   kVerified,  // no provable cross-iteration dependence under the clauses
@@ -34,7 +35,7 @@ struct LoopSuggestion {
   PragmaCategory category = PragmaCategory::kNone;
   std::string suggested_pragma;  // rendered directive, "" when not parallel
 
-  // Filled by the static race verifier when verification is enabled. A
+  // Filled by the static race verifier on every served suggestion. A
   // veto withdraws the pragma (parallel=false, suggested_pragma="") and
   // explains why; a repair lists the clauses the verifier added or fixed
   // (already merged into suggested_pragma). `confidence` always remains

@@ -16,9 +16,9 @@ namespace {
 // Trailing integrity record appended after the parameter payload:
 // 8 magic bytes + FNV-1a 64 of every payload byte that precedes it. A
 // bit-flipped checkpoint passes the structural checks (counts and sizes
-// still parse) but not this one. Streams without the trailer (pre-trailer
-// checkpoints end exactly at the last float) still load, so old files stay
-// readable; any *partial* or mismatched trailer is corruption and rejects.
+// still parse) but not this one. The trailer is required: a stream that ends
+// at the last float, or carries a partial or mismatched trailer, is
+// corruption and rejects.
 constexpr char kChecksumMagic[8] = {'G', '2', 'P', 'C', 'K', 'S', 'M', '1'};
 
 std::uint64_t fnv1a64_update(std::uint64_t h, const void* data, std::size_t bytes) {
@@ -79,26 +79,22 @@ void Module::load(std::istream& in) {
     sum = fnv1a64_update(sum, &n, sizeof(n));
     sum = fnv1a64_update(sum, staged[i].data(), n * sizeof(float));
   }
-  // Integrity trailer. Zero trailing bytes is the legacy format; anything
-  // else must be exactly magic + matching checksum of the payload above.
+  // Integrity trailer: exactly magic + matching checksum of the payload
+  // above, and nothing after it.
   char trailer[sizeof(kChecksumMagic) + sizeof(std::uint64_t)];
   in.read(trailer, sizeof(trailer));
-  const std::streamsize got = in.gcount();
-  if (got != 0) {
-    if (got != sizeof(trailer) ||
-        std::memcmp(trailer, kChecksumMagic, sizeof(kChecksumMagic)) != 0) {
-      throw std::runtime_error("Module::load: malformed checksum trailer");
-    }
-    std::uint64_t recorded = 0;
-    std::memcpy(&recorded, trailer + sizeof(kChecksumMagic), sizeof(recorded));
-    if (recorded != sum) {
-      throw std::runtime_error("Module::load: checksum mismatch (corrupt checkpoint)");
-    }
-    // Nothing may follow the trailer.
-    char extra = 0;
-    in.read(&extra, 1);
-    if (in.gcount() != 0) throw std::runtime_error("Module::load: trailing garbage");
+  if (in.gcount() != sizeof(trailer) ||
+      std::memcmp(trailer, kChecksumMagic, sizeof(kChecksumMagic)) != 0) {
+    throw std::runtime_error("Module::load: missing or malformed checksum trailer");
   }
+  std::uint64_t recorded = 0;
+  std::memcpy(&recorded, trailer + sizeof(kChecksumMagic), sizeof(recorded));
+  if (recorded != sum) {
+    throw std::runtime_error("Module::load: checksum mismatch (corrupt checkpoint)");
+  }
+  char extra = 0;
+  in.read(&extra, 1);
+  if (in.gcount() != 0) throw std::runtime_error("Module::load: trailing garbage");
   // Commit: every read succeeded. data() bumps each TensorImpl::version, so
   // fused-weight caches keyed on parameter stamps rebuild as usual.
   for (std::size_t i = 0; i < params_.size(); ++i) {

@@ -28,8 +28,8 @@ class Module {
   /// Write / read all parameter values. Layout: per parameter, numel floats,
   /// followed by an integrity trailer (8 magic bytes + FNV-1a 64 checksum of
   /// the payload) so bit-flipped — not just truncated — checkpoints are
-  /// rejected. Trailer-less legacy files still load; a present-but-wrong
-  /// trailer throws. Shapes must already match (load into an
+  /// rejected. The trailer is required: a missing, partial or wrong trailer
+  /// throws. Shapes must already match (load into an
   /// identically-configured model). `load` throws on mismatch, truncation,
   /// or checksum failure; load_file returns false instead. Loads are
   /// staged-then-committed: on any failure the previous parameter values are

@@ -219,8 +219,7 @@ SuggestServer::SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options
   if (options_.max_batch_requests == 0) options_.max_batch_requests = 1;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
   if (options_.max_retries < 0) options_.max_retries = 0;
-  pool_ = std::make_shared<ThreadPool>(
-      options_.pool_threads != 0 ? options_.pool_threads : ThreadPool::default_thread_count());
+  pool_ = std::make_shared<ThreadPool>(ThreadPool::default_thread_count());
   pipeline_->set_thread_pool(pool_);
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
@@ -229,7 +228,6 @@ SuggestServer::~SuggestServer() { shutdown(); }
 
 ServerStatsSnapshot SuggestServer::stats() const {
   ServerStatsSnapshot snapshot = stats_.snapshot();
-  snapshot.verify = pipeline_->verify_active();
   const SuggestCache::Stats cache = pipeline_->cache_stats();
   snapshot.cache_full_hits = cache.full_hits;
   snapshot.cache_frontend_hits = cache.frontend_hits;

@@ -1,7 +1,7 @@
 // Asynchronous micro-batching front end over the batched suggestion engine.
 //
-// PR 1 made one synchronous call fast (`Pipeline::suggest_batch`); this
-// turns it into a server loop. Callers `submit` C sources and get a
+// `Pipeline::suggest_batch_results` makes one synchronous batched call
+// fast; this turns it into a server loop. Callers `submit` C sources and get a
 // `std::future` per request; a scheduler thread waits for work, pops
 // everything queued (up to `max_batch_requests` requests), merges it into one
 // `suggest_batch_results` call, and completes every future — a request that
@@ -79,9 +79,6 @@ class SuggestServer {
     /// Queue bound. `submit` blocks (backpressure) when this many requests
     /// are already waiting; `try_submit` returns nullopt instead.
     std::size_t max_queue_depth = 1024;
-    /// Worker threads for the owned pool the pipeline serves on.
-    /// 0 = hardware concurrency.
-    unsigned pool_threads = 0;
 
     /// Transient-fault retry ladder: a batch attempt that fails with a
     /// transient error (failpoint::FailpointError) is re-run up to this many
@@ -97,7 +94,8 @@ class SuggestServer {
   };
 
   /// Takes shared ownership of the pipeline and injects the server's worker
-  /// pool into it (serving concurrency belongs to the server, not a global).
+  /// pool into it (serving concurrency belongs to the server, not a global;
+  /// the pool has ThreadPool::default_thread_count() workers).
   /// The pipeline stays usable for read-only calls (`suggest`) from other
   /// threads. Throws std::invalid_argument on a null pipeline.
   SuggestServer(std::shared_ptr<Pipeline> pipeline, Options options);

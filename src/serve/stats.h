@@ -63,11 +63,8 @@ struct ServerStatsSnapshot {
   std::uint64_t cache_misses = 0;         // cold sources (frontend built)
   std::uint64_t cache_frontend_saved_us = 0;  // frontend time not spent
 
-  // Whether the pipeline runs the static race verifier, plus per-verdict
-  // tallies over every suggestion in the unique (non-duplicate) slots of
-  // every batch served. All zero when verification is off — suggestions
-  // then carry Verdict::kUnchecked, which is deliberately not counted.
-  bool verify = false;
+  // Static race-verifier verdict tallies over every suggestion in the
+  // unique (non-duplicate) slots of every batch served.
   std::uint64_t verdict_verified = 0;
   std::uint64_t verdict_repaired = 0;
   std::uint64_t verdict_vetoed = 0;
@@ -134,8 +131,8 @@ class ServerStats {
         .fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// One suggestion's verifier verdict (kUnchecked is not tallied: with
-  /// verification off the counters stay zero instead of counting noise).
+  /// One suggestion's verifier verdict (kUnchecked, which serving never
+  /// produces, is not tallied).
   void on_verdict(Verdict v) {
     switch (v) {
       case Verdict::kVerified: verdict_verified_.fetch_add(1, std::memory_order_relaxed); break;

@@ -6,38 +6,9 @@
 
 namespace g2p {
 
-void Optimizer::clip_grad_norm(float max_norm) {
-  const float norm = grad_l2_norm(params_);
-  if (norm <= max_norm || norm == 0.0f) return;
-  const float factor = max_norm / norm;
-  for (auto& p : params_) {
-    for (auto& g : p.grad()) g *= factor;
-  }
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    velocity_[i].assign(params_[i].numel(), 0.0f);
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& data = params_[i].data();
-    auto& grad = params_[i].grad();
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      vel[j] = momentum_ * vel[j] + grad[j];
-      data[j] -= lr_ * vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2, float eps,
            float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -66,6 +37,15 @@ void Adam::step() {
       // Decoupled weight decay (AdamW).
       data[j] -= lr_ * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * data[j]);
     }
+  }
+}
+
+void Adam::clip_grad_norm(float max_norm) {
+  const float norm = grad_l2_norm(params_);
+  if (norm <= max_norm || norm == 0.0f) return;
+  const float factor = max_norm / norm;
+  for (auto& p : params_) {
+    for (auto& g : p.grad()) g *= factor;
   }
 }
 

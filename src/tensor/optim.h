@@ -1,4 +1,4 @@
-// Optimizers: SGD with momentum, Adam with decoupled weight decay (AdamW).
+// Adam with decoupled weight decay (AdamW), the one optimizer training uses.
 #pragma once
 
 #include <vector>
@@ -7,14 +7,14 @@
 
 namespace g2p {
 
-/// Common optimizer interface over a fixed parameter list.
-class Optimizer {
+/// Adam over a fixed parameter list.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
+       float eps = 1e-8f, float weight_decay = 0.0f);
 
   /// Apply one update from the accumulated gradients.
-  virtual void step() = 0;
+  void step();
 
   /// Clear gradients of all parameters.
   void zero_grad() {
@@ -26,32 +26,8 @@ class Optimizer {
 
   const std::vector<Tensor>& params() const { return params_; }
 
- protected:
+ private:
   std::vector<Tensor> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void step() override;
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-       float eps = 1e-8f, float weight_decay = 0.0f);
-  void step() override;
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
   float lr_, beta1_, beta2_, eps_, weight_decay_;
   int t_ = 0;
   std::vector<std::vector<float>> m_, v_;

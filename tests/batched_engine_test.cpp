@@ -402,7 +402,7 @@ TEST(ThreadPool, NestedParallelForAtFullSaturationDoesNotDeadlock) {
   // Regression: parallel_for used to enqueue-and-wait even when called from
   // one of the pool's own workers. With every worker blocked in future::get()
   // on chunks stuck behind the waiters, the pool deadlocked — exactly what a
-  // server doing suggest_batch on pool threads triggers. Nested calls must
+  // server doing suggest_batch_results on pool threads triggers. Nested calls must
   // run inline on the calling worker.
   ThreadPool pool(2);
   std::atomic<int> count{0};
@@ -558,7 +558,7 @@ TEST(ThreadPool, ConcurrentEncodesMatchSerial) {
   std::vector<Tensor> concurrent(graphs.size());
   ThreadPool pool(4);
   pool.parallel_for(graphs.size(), [&](std::size_t g) {
-    const NoGradGuard no_grad;  // thread-local, as in Pipeline::suggest_batch
+    const NoGradGuard no_grad;  // thread-local, as in Pipeline::suggest_batch_results
     concurrent[g] = encoder.forward(features[g], graphs[g]);
   });
   for (std::size_t g = 0; g < graphs.size(); ++g) {
@@ -569,7 +569,7 @@ TEST(ThreadPool, ConcurrentEncodesMatchSerial) {
   }
 }
 
-// ---- suggest_batch ----------------------------------------------------------
+// ---- suggest_batch_results --------------------------------------------------
 
 TEST(SuggestBatch, MatchesSequentialSuggest) {
   const Pipeline& pipeline = trained_pipeline();
@@ -588,20 +588,24 @@ TEST(SuggestBatch, MatchesSequentialSuggest) {
       "}\n"};
   std::vector<std::string_view> views(sources.begin(), sources.end());
 
-  const auto batched = pipeline.suggest_batch(views);
-  ASSERT_EQ(batched.size(), sources.size());
-  EXPECT_TRUE(batched[1].empty());
+  const auto results = pipeline.suggest_batch_results(views);
+  ASSERT_EQ(results.size(), sources.size());
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    ASSERT_TRUE(results[s].ok()) << "source " << s;
+  }
+  EXPECT_TRUE(results[1].suggestions.empty());
 
   for (std::size_t s = 0; s < sources.size(); ++s) {
+    const auto& batched = results[s].suggestions;
     const auto sequential = pipeline.suggest(sources[s]);
-    ASSERT_EQ(batched[s].size(), sequential.size()) << "source " << s;
+    ASSERT_EQ(batched.size(), sequential.size()) << "source " << s;
     for (std::size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_EQ(batched[s][i].parallel, sequential[i].parallel);
-      EXPECT_EQ(batched[s][i].category, sequential[i].category);
-      EXPECT_EQ(batched[s][i].suggested_pragma, sequential[i].suggested_pragma);
-      EXPECT_EQ(batched[s][i].line, sequential[i].line);
-      EXPECT_EQ(batched[s][i].function_name, sequential[i].function_name);
-      EXPECT_NEAR(batched[s][i].confidence, sequential[i].confidence, 1e-6);
+      EXPECT_EQ(batched[i].parallel, sequential[i].parallel);
+      EXPECT_EQ(batched[i].category, sequential[i].category);
+      EXPECT_EQ(batched[i].suggested_pragma, sequential[i].suggested_pragma);
+      EXPECT_EQ(batched[i].line, sequential[i].line);
+      EXPECT_EQ(batched[i].function_name, sequential[i].function_name);
+      EXPECT_NEAR(batched[i].confidence, sequential[i].confidence, 1e-6);
     }
   }
 }
@@ -687,10 +691,15 @@ TEST(SuggestBatch, CloneServesBitwiseIdenticalSuggestions) {
 TEST(SuggestBatch, EmptyInputAndParseErrors) {
   const Pipeline& pipeline = trained_pipeline();
 
-  EXPECT_TRUE(pipeline.suggest_batch({}).empty());
+  EXPECT_TRUE(pipeline.suggest_batch_results({}).empty());
 
   const std::vector<std::string_view> bad = {"void ok(void) {}", "int broken( {"};
-  EXPECT_THROW(pipeline.suggest_batch(bad), std::exception);
+  const auto results = pipeline.suggest_batch_results(bad);
+  ASSERT_EQ(results.size(), bad.size());
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_THROW(std::rethrow_exception(results[1].error), std::exception);
+  EXPECT_THROW((void)pipeline.suggest(bad[1]), std::exception);
 }
 
 }  // namespace

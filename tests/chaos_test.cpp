@@ -457,6 +457,39 @@ TEST(Chaos, BitFlippedCheckpointIsRejectedBeforeCommit) {
   std::remove(vocab_path.c_str());
 }
 
+TEST(Chaos, TrailerlessBitFlippedCheckpointIsRejectedBeforeCommit) {
+  auto pipeline = shared_pipeline();
+  const auto sources = chaos_sources(2);
+  const std::string model_path = testing::TempDir() + "chaos_no_trailer.bin";
+  const std::string vocab_path = testing::TempDir() + "chaos_no_trailer_vocab.txt";
+  ASSERT_TRUE(pipeline->save(model_path, vocab_path));
+  const auto expected = pipeline->suggest(sources[0]);
+
+  // Cut the 16-byte integrity trailer (8 magic bytes + 8 checksum bytes)
+  // and flip one payload bit. Every count and size still parses and the
+  // stream ends exactly at the last float, so only a required trailer can
+  // catch it.
+  std::vector<char> bytes;
+  {
+    std::ifstream in(model_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 64u);
+  bytes.resize(bytes.size() - 16);
+  bytes[bytes.size() / 2] ^= 0x20;
+  {
+    std::ofstream out(model_path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_FALSE(pipeline->load_weights(model_path));
+
+  // Nothing was committed: the previous generation serves bit for bit.
+  expect_bitwise(pipeline->suggest(sources[0]), expected, "post-trailerless-load");
+
+  std::remove(model_path.c_str());
+  std::remove(vocab_path.c_str());
+}
+
 // ---- shutdown while degraded ------------------------------------------------
 
 TEST(Chaos, ShutdownWhileDegradedCompletesQueuedMissesTyped) {

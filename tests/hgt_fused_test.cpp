@@ -193,7 +193,7 @@ TEST(HgtFused, OptimizerStepInvalidatesWeightCache) {
   }
 
   // One taped training step mutates every parameter (incl. W_ATT / W_MSG).
-  Sgd opt(layer.parameters(), 0.05f);
+  Adam opt(layer.parameters(), 0.05f);
   opt.zero_grad();
   sum_all(layer.forward_reference(x, index)).backward();
   opt.step();

@@ -415,18 +415,21 @@ TEST(SuggestServer, SuggestBatchRunsOnItsOwnPoolThreads) {
 
   const auto sources = test_sources();
   std::vector<std::string_view> views(sources.begin(), sources.end());
-  const auto direct = pipeline->suggest_batch(views);
+  const auto direct = pipeline->suggest_batch_results(views);
+  for (const auto& r : direct) ASSERT_TRUE(r.ok());
 
   // Saturate the pool: every worker runs a full batched call.
-  std::vector<std::future<std::vector<std::vector<LoopSuggestion>>>> futures;
+  std::vector<std::future<std::vector<Pipeline::SourceResult>>> futures;
   for (int i = 0; i < 4; ++i) {
-    futures.push_back(pool->submit([&] { return pipeline->suggest_batch(views); }));
+    futures.push_back(pool->submit([&] { return pipeline->suggest_batch_results(views); }));
   }
   for (auto& f : futures) {
     const auto nested = f.get();
     ASSERT_EQ(nested.size(), direct.size());
     for (std::size_t s = 0; s < direct.size(); ++s) {
-      expect_equivalent(nested[s], direct[s], "pool-thread batch source " + std::to_string(s));
+      ASSERT_TRUE(nested[s].ok()) << "pool-thread batch source " << s;
+      expect_equivalent(nested[s].suggestions, direct[s].suggestions,
+                        "pool-thread batch source " + std::to_string(s));
     }
   }
 }
@@ -448,9 +451,6 @@ TEST(SuggestBatchResults, AlignsErrorsAndSuggestionsWithSources) {
   expect_equivalent(results[0].suggestions, pipeline->suggest(sources[0]), "tolerant slot 0");
   expect_equivalent(results[3].suggestions, pipeline->suggest(sources[1]), "tolerant slot 3");
   EXPECT_THROW(std::rethrow_exception(results[1].error), std::exception);
-
-  // The throwing wrapper still throws on the first failing source.
-  EXPECT_THROW(pipeline->suggest_batch(mixed), std::exception);
 }
 
 // ---- resource governor: request-scoped rejection ----------------------------

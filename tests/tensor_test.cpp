@@ -429,30 +429,6 @@ TEST(Grad, DiamondGraph) {
 
 // ---- optimizers ---------------------------------------------------------------
 
-TEST(Optim, SgdMinimizesQuadratic) {
-  auto x = Tensor::from_vector({2}, {5.0f, -3.0f}, true);
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    auto loss = sum_all(mul(x, x));
-    loss.backward();
-    opt.step();
-  }
-  EXPECT_NEAR(x.data()[0], 0.0f, 1e-3f);
-  EXPECT_NEAR(x.data()[1], 0.0f, 1e-3f);
-}
-
-TEST(Optim, SgdMomentumConverges) {
-  auto x = Tensor::from_vector({1}, {10.0f}, true);
-  Sgd opt({x}, 0.05f, 0.9f);
-  for (int i = 0; i < 300; ++i) {
-    opt.zero_grad();
-    sum_all(mul(x, x)).backward();
-    opt.step();
-  }
-  EXPECT_NEAR(x.data()[0], 0.0f, 1e-2f);
-}
-
 TEST(Optim, AdamMinimizesShiftedQuadratic) {
   auto x = Tensor::from_vector({2}, {0.0f, 0.0f}, true);
   auto target = Tensor::from_vector({2}, {2.0f, -1.0f});
@@ -469,7 +445,7 @@ TEST(Optim, AdamMinimizesShiftedQuadratic) {
 
 TEST(Optim, GradClippingBoundsNorm) {
   auto x = Tensor::from_vector({3}, {100.0f, 100.0f, 100.0f}, true);
-  Sgd opt({x}, 0.1f);
+  Adam opt({x}, 0.1f);
   opt.zero_grad();
   sum_all(mul(x, x)).backward();
   opt.clip_grad_norm(1.0f);
@@ -478,7 +454,7 @@ TEST(Optim, GradClippingBoundsNorm) {
 
 TEST(Optim, ZeroGradClears) {
   auto x = Tensor::from_vector({2}, {1.0f, 1.0f}, true);
-  Sgd opt({x}, 0.1f);
+  Adam opt({x}, 0.1f);
   sum_all(mul(x, x)).backward();
   EXPECT_NE(x.grad()[0], 0.0f);
   opt.zero_grad();
